@@ -1,9 +1,11 @@
 """Experiment orchestration: run profiles, config files, CSV artifacts.
 
-Three run modes share one pipeline:
+Three run modes share one episode loop, `run_experiment`:
 
 * ``fixed``      — pre-timed signal plan cycling the four phases;
-* ``rl``         — policy-gradient training of the signal controller;
+* ``rl``         — policy-gradient training of the signal controller, with
+                   `pgagent.Learner` choosing phases and updating after
+                   every episode;
 * ``rl_reroute`` — training plus congestion-triggered rerouting at every
                    detector window.
 
@@ -29,10 +31,10 @@ import numpy as np
 from .neuralnet import PolicyNetwork, save_network
 from .pgagent import (
     EpisodeMetrics,
+    Learner,
     TrainConfig,
     drive_episode,
     fixed_cycle_policy,
-    run_training,
 )
 from .rerouter import CongestionMonitor, RerouteDecision
 from .roadnet import (
@@ -130,7 +132,8 @@ def desk_profile() -> RunConfig:
 
 
 def paper_scale_profile() -> RunConfig:
-    """Full-size experiment tables (hours of compute for a training run)."""
+    """Full-size experiment tables: about 0.4 s per fixed-time episode and
+    1 s per learning episode, so minutes for a 200-episode run."""
     return RunConfig(
         train=TrainConfig(),  # 200 episodes, buffer 4500, 2500 steps, lr 1e-3
         vehicles=4000,
@@ -297,15 +300,24 @@ def _network_for(cfg: RunConfig) -> RoadNetwork:
         raise ConfigError(f"bad network file {cfg.network_file}: {exc}") from None
 
 
+def _schedule_file_specs(net: RoadNetwork,
+                         cfg: RunConfig) -> tuple[SpawnSpec, ...] | None:
+    """The demand of cfg.schedule_file, read once per run; None without one."""
+    if cfg.schedule_file is None:
+        return None
+    try:
+        text = Path(cfg.schedule_file).read_text()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read schedule file {cfg.schedule_file}: {exc}") from None
+    return load_schedule_file(net, text)
+
+
 def _schedule_for(net: RoadNetwork, cfg: RunConfig, base_seed: int,
-                  episode: int) -> tuple[SpawnSpec, ...]:
-    if cfg.schedule_file is not None:
-        try:
-            text = Path(cfg.schedule_file).read_text()
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot read schedule file {cfg.schedule_file}: {exc}") from None
-        return load_schedule_file(net, text)
+                  episode: int, file_specs: tuple[SpawnSpec, ...] | None,
+                  ) -> tuple[SpawnSpec, ...]:
+    if file_specs is not None:
+        return file_specs
     return spawn_schedule(net, cfg.vehicles, schedule_seed(base_seed, episode),
                           cfg.spawn_horizon)
 
@@ -338,20 +350,47 @@ class ExperimentResult:
     network: PolicyNetwork | None
 
 
-def run_fixed_time(cfg: RunConfig, seed: int) -> ExperimentResult:
-    """Pre-timed baseline: phases 0-3 cycle with a fixed green, no learning,
-    on exactly the per-episode demand streams the learning modes see."""
+def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
+    """Run cfg.train.episodes episodes of one mode, all modes on the same
+    per-episode demand streams.
+
+    Fixed-time control cycles phases 0-3 with a fixed green and learns
+    nothing.  The learning modes sample phases from the current policy and
+    update it after every episode; rl_reroute also runs the congestion
+    monitor at every detector window.
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
     net = _network_for(cfg)
+    file_specs = _schedule_file_specs(net, cfg)
+    if mode == "fixed":
+        learner = None
+        green, max_decisions = cfg.fixed_green, SIM_TIME_CAP
+    else:
+        learner = Learner(cfg.train, seed)
+        green, max_decisions = cfg.train.green_duration, cfg.train.max_agent_steps
     history: list[EpisodeMetrics] = []
-    last_log = DetectorLog()
+    reroutes: list[RerouteDecision] = []
     for episode in range(cfg.train.episodes):
-        sim = Simulation(net, _schedule_for(net, cfg, seed, episode),
+        sim = Simulation(net, _schedule_for(net, cfg, seed, episode, file_specs),
                          yellow_duration=cfg.train.yellow_duration)
-        log = DetectorLog()
-        _, cum_negative = drive_episode(
-            sim, fixed_cycle_policy(cfg.fixed_green),
-            green_duration=cfg.fixed_green, max_decisions=SIM_TIME_CAP,
-            boundary_hook=log)
+        log = hook = DetectorLog()
+        if mode == "rl_reroute":
+            monitor = CongestionMonitor(cfg.density_threshold,
+                                        cfg.max_alternatives)
+
+            def hook(sim: Simulation, log=log, monitor=monitor) -> None:
+                log(sim)
+                monitor(sim)
+
+        choose = learner.chooser() if learner else fixed_cycle_policy(green)
+        transitions, cum_negative = drive_episode(
+            sim, choose, green_duration=green, max_decisions=max_decisions,
+            boundary_hook=hook)
+        if learner:
+            learner.end_episode(episode, transitions)
+        if mode == "rl_reroute":
+            reroutes.extend(monitor.decisions)
         history.append(EpisodeMetrics(
             episode=episode,
             cum_delay_s=sim.cum_delay(),
@@ -360,51 +399,9 @@ def run_fixed_time(cfg: RunConfig, seed: int) -> ExperimentResult:
             sim_time_s=sim.clock,
             arrived=sim.arrived_count,
         ))
-        last_log = log
-    return ExperimentResult("fixed", seed, tuple(history), (),
-                            tuple(last_log.rows), None)
-
-
-def _run_learning(cfg: RunConfig, seed: int, with_rerouting: bool,
-                  ) -> ExperimentResult:
-    net = _network_for(cfg)
-    logs: list[DetectorLog] = []
-    monitors: list[CongestionMonitor] = []
-
-    def hook_factory(_sim: Simulation):
-        log = DetectorLog()
-        logs.append(log)
-        if not with_rerouting:
-            return log
-        monitor = CongestionMonitor(cfg.density_threshold,
-                                    cfg.max_alternatives)
-        monitors.append(monitor)
-
-        def hook(sim: Simulation) -> None:
-            log(sim)
-            monitor(sim)
-
-        return hook
-
-    agent, history = run_training(
-        lambda: net, cfg.train, seed,
-        lambda episode: _schedule_for(net, cfg, seed, episode),
-        boundary_hook_factory=hook_factory)
-    reroutes = tuple(d for m in monitors for d in m.decisions)
-    detector_rows = tuple(logs[-1].rows) if logs else ()
-    mode = "rl_reroute" if with_rerouting else "rl"
-    return ExperimentResult(mode, seed, tuple(history), reroutes,
-                            detector_rows, agent.net)
-
-
-def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
-    if mode == "fixed":
-        return run_fixed_time(cfg, seed)
-    if mode == "rl":
-        return _run_learning(cfg, seed, with_rerouting=False)
-    if mode == "rl_reroute":
-        return _run_learning(cfg, seed, with_rerouting=True)
-    raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
+    return ExperimentResult(mode, seed, tuple(history), tuple(reroutes),
+                            tuple(log.rows),
+                            learner.agent.net if learner else None)
 
 
 def _run_job(job: tuple[RunConfig, str, int]) -> ExperimentResult:

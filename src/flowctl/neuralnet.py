@@ -111,68 +111,54 @@ def init_optimizer(net: PolicyNetwork,
     )
 
 
-def _check_input(net: PolicyNetwork, state) -> np.ndarray:
-    x = np.asarray(state, dtype=np.float64)
-    expected = net.weights[0].shape[1]
-    if x.shape != (expected,):
-        raise ValueError(f"state must have shape ({expected},), got {x.shape}")
-    return x
-
-
-def _trace(net: PolicyNetwork, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer: [input, hidden..., logits]."""
-    acts = [x]
-    h = x
+def activations(net: PolicyNetwork, states: np.ndarray) -> list[np.ndarray]:
+    """Every layer's outputs for a (batch, input) array: [input, hidden...,
+    head].  Hidden layers are ReLU; the head is linear."""
+    acts = [states]
+    h = states
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = w @ h + b
+        h = h @ w.T + b
         if i != last:
             h = np.maximum(h, 0.0)
         acts.append(h)
     return acts
 
 
+def backprop(net: PolicyNetwork, acts: list[np.ndarray],
+             delta: np.ndarray) -> GradientSet:
+    """Parameter gradients, summed over the batch, given the activations
+    and the (batch, output) derivative of the objective at the head."""
+    grads_w: list[np.ndarray] = []
+    grads_b: list[np.ndarray] = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w.append(delta.T @ acts[i])
+        grads_b.append(delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ net.weights[i]) * (acts[i] > 0)
+    return GradientSet(weights=tuple(reversed(grads_w)), biases=tuple(reversed(grads_b)))
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def forward(net: PolicyNetwork, state) -> np.ndarray:
     """Action probabilities for one state (softmax over the final layer)."""
-    x = _check_input(net, state)
-    return _softmax(_trace(net, x)[-1])
-
-
-def logp_gradient(net: PolicyNetwork, state, action: int) -> GradientSet:
-    """Gradient of log pi(action | state) w.r.t. every parameter.
-
-    The logit-level gradient of log-softmax is onehot(action) - probs;
-    the rest is plain backprop through the ReLU stack.
-    """
-    x = _check_input(net, state)
-    n_actions = net.weights[-1].shape[0]
-    if not 0 <= action < n_actions:
-        raise ValueError(f"action must be in 0..{n_actions - 1}, got {action}")
-    acts = _trace(net, x)
-    delta = -_softmax(acts[-1])
-    delta[action] += 1.0
-    grads_w: list[np.ndarray] = []
-    grads_b: list[np.ndarray] = []
-    for i in range(len(net.weights) - 1, -1, -1):
-        grads_w.append(np.outer(delta, acts[i]))
-        grads_b.append(delta.copy())
-        if i > 0:
-            delta = (net.weights[i].T @ delta) * (acts[i] > 0)
-    return GradientSet(weights=tuple(reversed(grads_w)), biases=tuple(reversed(grads_b)))
+    x = np.asarray(state, dtype=np.float64)
+    expected = net.weights[0].shape[1]
+    if x.shape != (expected,):
+        raise ValueError(f"state must have shape ({expected},), got {x.shape}")
+    return _softmax(activations(net, x[None, :])[-1])[0]
 
 
 def accumulate_logp_gradients(net: PolicyNetwork, states: np.ndarray,
                               actions: np.ndarray, coefficients: np.ndarray) -> GradientSet:
     """Sum_i coefficients[i] * grad log pi(actions[i] | states[i]), batched.
 
-    Mathematically identical to summing logp_gradient calls; implemented with
-    matrix products so policy updates stay cheap.
+    The logit-level gradient of log-softmax is onehot(action) - probs.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
@@ -182,31 +168,16 @@ def accumulate_logp_gradients(net: PolicyNetwork, states: np.ndarray,
         raise ValueError("states must be a (batch, input) array")
     if actions.shape != (n,) or coefficients.shape != (n,):
         raise ValueError("actions/coefficients must match the batch length")
+    n_actions = net.weights[-1].shape[0]
+    bad = (actions < 0) | (actions >= n_actions)
+    if bad.any():
+        raise ValueError(f"action must be in 0..{n_actions - 1}, got {actions[bad][0]}")
 
-    acts = [states]
-    h = states
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
-    logits = acts[-1]
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-
-    delta = -probs
+    acts = activations(net, states)
+    delta = -_softmax(acts[-1])
     delta[np.arange(n), actions] += 1.0
     delta *= coefficients[:, None]
-    grads_w: list[np.ndarray] = []
-    grads_b: list[np.ndarray] = []
-    for i in range(last, -1, -1):
-        grads_w.append(delta.T @ acts[i])
-        grads_b.append(delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ net.weights[i]) * (acts[i] > 0)
-    return GradientSet(weights=tuple(reversed(grads_w)), biases=tuple(reversed(grads_b)))
+    return backprop(net, acts, delta)
 
 
 def apply_update(net: PolicyNetwork, grads: GradientSet, scale: float,
@@ -228,25 +199,19 @@ def apply_update(net: PolicyNetwork, grads: GradientSet, scale: float,
         step = opt.learning_rate * (m2 / corr1) / (np.sqrt(v2 / corr2) + ADAM_EPS)
         return param + step, m2, v2
 
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(net.weights, grads.weights, opt.m_weights, opt.v_weights):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match weights {p.shape}")
-        p2, m2, v2 = adam(p, g, m, v)
-        new_w.append(p2)
-        new_mw.append(m2)
-        new_vw.append(v2)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(net.biases, grads.biases, opt.m_biases, opt.v_biases):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match biases {p.shape}")
-        p2, m2, v2 = adam(p, g, m, v)
-        new_b.append(p2)
-        new_mb.append(m2)
-        new_vb.append(v2)
-    net2 = PolicyNetwork(weights=tuple(new_w), biases=tuple(new_b))
-    opt2 = replace(opt, m_weights=tuple(new_mw), v_weights=tuple(new_vw),
-                   m_biases=tuple(new_mb), v_biases=tuple(new_vb), step=t)
+    def update(params, grads, ms, vs, kind):
+        for p, g in zip(params, grads):
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match {kind} {p.shape}")
+        return zip(*map(adam, params, grads, ms, vs))
+
+    new_w, new_mw, new_vw = update(net.weights, grads.weights, opt.m_weights,
+                                   opt.v_weights, "weights")
+    new_b, new_mb, new_vb = update(net.biases, grads.biases, opt.m_biases,
+                                   opt.v_biases, "biases")
+    net2 = PolicyNetwork(weights=new_w, biases=new_b)
+    opt2 = replace(opt, m_weights=new_mw, v_weights=new_vw,
+                   m_biases=new_mb, v_biases=new_vb, step=t)
     return net2, opt2
 
 
@@ -310,19 +275,8 @@ def init_value_network(hidden_width: int = 64, seed: int = 0,
 
 
 def value_forward(net: PolicyNetwork, states: np.ndarray) -> np.ndarray:
-    """Raw linear head outputs, shape (batch,)."""
-    states = np.asarray(states, dtype=np.float64)
-    single = states.ndim == 1
-    if single:
-        states = states[None, :]
-    h = states
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-    out = h[:, 0]
-    return out[0] if single else out
+    """Raw linear head outputs for a (batch, input) array, shape (batch,)."""
+    return activations(net, np.asarray(states, dtype=np.float64))[-1][:, 0]
 
 
 def value_fit_step(net: PolicyNetwork, opt: OptimizerState, states: np.ndarray,
@@ -330,23 +284,8 @@ def value_fit_step(net: PolicyNetwork, opt: OptimizerState, states: np.ndarray,
     """One mean-squared-error descent step toward the targets."""
     states = np.asarray(states, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    n = states.shape[0]
-
-    acts = [states]
-    h = states
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
+    acts = activations(net, states)
     # d(MSE)/d(pred) = 2 (pred - target) / n
-    delta = 2.0 * (acts[-1][:, 0] - targets)[:, None] / n
-    grads_w, grads_b = [], []
-    for i in range(last, -1, -1):
-        grads_w.append(delta.T @ acts[i])
-        grads_b.append(delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ net.weights[i]) * (acts[i] > 0)
-    grads = GradientSet(weights=tuple(reversed(grads_w)), biases=tuple(reversed(grads_b)))
+    delta = 2.0 * (acts[-1][:, 0] - targets)[:, None] / len(states)
+    grads = backprop(net, acts, delta)
     return apply_update(net, grads, -1.0, opt)  # ascend the negative = descend MSE

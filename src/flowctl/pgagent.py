@@ -19,6 +19,11 @@ here is generally a *subsequence* of the original episode; returns are
 computed over the subsequence as-is.  This keeps the memory semantics
 simple and bounded at the cost of a biased return estimate for old
 episodes — in practice most of each fresh episode is present.
+
+`drive_episode` runs one episode's decisions for any phase chooser, and
+`Learner` carries the agent, its random stream and the replay memory from
+one episode to the next.  The episode loop itself, shared by fixed-time
+and learned control, is `harness.run_experiment`.
 """
 
 from __future__ import annotations
@@ -152,11 +157,6 @@ def init_agent(cfg: TrainConfig, seed: int) -> AgentState:
     return AgentState(net, opt)
 
 
-def encode_state(sim: Simulation) -> np.ndarray:
-    """The controller's observation: the 80 occupancy booleans."""
-    return sim.read_sensors()
-
-
 def compute_reward(previous_wait: int, current_wait: int) -> float:
     """Positive when accrued waiting on the inbound arms went down."""
     return float(previous_wait - current_wait)
@@ -248,7 +248,7 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
     prev_wait = sim.cumulative_wait()
     decisions = 0
     while not sim.done and decisions < max_decisions:
-        state = encode_state(sim)
+        state = sim.read_sensors()
         action = int(choose_action(state))
         sim.set_phase(action)
         steps = green_duration
@@ -283,46 +283,25 @@ def fixed_cycle_policy(green_duration: int):
     return choose
 
 
-def run_training(net_factory, cfg: TrainConfig, seed: int,
-                 schedule_for_episode, *, boundary_hook_factory=None,
-                 on_episode=None):
-    """Train for cfg.episodes on per-episode demand schedules.
+class Learner:
+    """The trainer across episodes: the agent, its random stream and the
+    replay memory.  The stream serves the episode's sampled actions first,
+    then the batch drawn for the update that follows it."""
 
-    net_factory() -> RoadNetwork (fresh per episode is cheap and isolating);
-    schedule_for_episode(episode) -> spawn schedule;
-    boundary_hook_factory(sim) -> per-episode hook or None;
-    on_episode(metrics) -> optional progress callback.
+    def __init__(self, cfg: TrainConfig, seed: int):
+        self._cfg = cfg
+        self.agent = init_agent(cfg, seed)
+        self._rng = np.random.default_rng(np.random.SeedSequence([seed, AGENT_STREAM]))
+        self._buffer = ReplayBuffer(cfg.buffer_capacity)
 
-    Returns (agent, [EpisodeMetrics...]).
-    """
-    agent = init_agent(cfg, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, AGENT_STREAM]))
-    buffer = ReplayBuffer(cfg.buffer_capacity)
-    history: list[EpisodeMetrics] = []
-    for episode in range(cfg.episodes):
-        sim = Simulation(net_factory(), schedule_for_episode(episode),
-                         yellow_duration=cfg.yellow_duration)
-        hook = boundary_hook_factory(sim) if boundary_hook_factory else None
-        net = agent.net
+    def chooser(self):
+        """A phase chooser sampling from the current policy."""
+        net, rng = self.agent.net, self._rng
+        return lambda state: select_action(net, state, rng)
 
-        def choose(state):
-            return select_action(net, state, rng)
-
-        transitions, cum_negative = drive_episode(
-            sim, choose, green_duration=cfg.green_duration,
-            max_decisions=cfg.max_agent_steps, boundary_hook=hook)
+    def end_episode(self, episode: int, transitions) -> None:
+        """Store the episode's (state, action, reward) decisions, then take
+        one policy update."""
         for i, (state, action, reward) in enumerate(transitions):
-            buffer.append(Transition(state, action, reward, episode, i))
-        agent = policy_update(agent, buffer, rng, cfg)
-        metrics = EpisodeMetrics(
-            episode=episode,
-            cum_delay_s=sim.cum_delay(),
-            avg_queue_len=sim.avg_queue_len,
-            cum_negative_reward=cum_negative,
-            sim_time_s=sim.clock,
-            arrived=sim.arrived_count,
-        )
-        history.append(metrics)
-        if on_episode is not None:
-            on_episode(metrics)
-    return agent, history
+            self._buffer.append(Transition(state, action, reward, episode, i))
+        self.agent = policy_update(self.agent, self._buffer, self._rng, self._cfg)

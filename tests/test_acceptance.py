@@ -36,7 +36,7 @@ from flowctl.harness import (
     run_sweep,
     summarize,
 )
-from flowctl.neuralnet import forward, init_network, logp_gradient
+from flowctl.neuralnet import accumulate_logp_gradients, forward, init_network
 from flowctl.pgagent import drive_episode
 from flowctl.roadnet import (
     ARM_LANES,
@@ -72,6 +72,10 @@ def first_quarter(items):
 
 
 # ------------------------------------------------- 1: gradient correctness
+
+def logp_gradient(net, state, action):
+    return accumulate_logp_gradients(net, np.asarray(state)[None, :], [action], [1.0])
+
 
 def log_prob(net, state, action):
     return math.log(float(forward(net, state)[action]))

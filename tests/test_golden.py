@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -31,7 +30,10 @@ EPISODES = 5
 
 
 def environment() -> dict[str, str]:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 cannot report it
+        blas = {}
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 
@@ -49,10 +51,11 @@ def artifact_digests(mode: str, out: Path) -> dict[str, str]:
 def test_artifacts_match_golden_digests(mode, tmp_path):
     golden = json.loads(FIXTURE.read_text())
     digests = artifact_digests(mode, tmp_path / mode)
+    here = environment()
     assert digests == golden["digests"][mode], (
         f"{mode} artifacts differ from {FIXTURE.name}; fixture recorded "
         f"numpy {golden['numpy']} with {golden['blas']}, this run used "
-        f"numpy {environment()['numpy']} with {environment()['blas']}")
+        f"numpy {here['numpy']} with {here['blas']}")
 
 
 if __name__ == "__main__":
@@ -61,4 +64,3 @@ if __name__ == "__main__":
                   "digests": {m: artifact_digests(m, Path(tmp) / m) for m in MODES}}
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    sys.exit(0)

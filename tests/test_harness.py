@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+from flowctl import harness
 from flowctl.harness import (
     COMPARISON_HEADER,
     DETECTOR_HEADER,
@@ -29,7 +31,6 @@ from flowctl.harness import (
     read_metrics_csv,
     reroutes_csv,
     run_experiment,
-    run_fixed_time,
     run_many,
     run_phase,
     run_sweep,
@@ -147,14 +148,14 @@ def test_config_network_file_loads_custom_network(tmp_path):
     net_file.write_text(network_to_text(NET))
     cfg = parse_config_text(f"network = {net_file}", tiny_profile())
     assert cfg.network_file == str(net_file)
-    result = run_fixed_time(cfg, seed=3)
+    result = run_experiment(cfg, "fixed", 3)
     assert len(result.metrics) == 3
 
 
 def test_config_missing_network_file_is_config_error():
     cfg = parse_config_text("network = /no/such/file.txt", tiny_profile())
     with pytest.raises(ConfigError, match="network"):
-        run_fixed_time(cfg, seed=3)
+        run_experiment(cfg, "fixed", 3)
 
 
 # ---------------------------------------------------------------- schedule
@@ -200,15 +201,34 @@ def test_schedule_file_override_drives_a_run(tmp_path):
                      + "\n".join(f"{t},car,w,e" for t in range(0, 20, 2))
                      + "\n")
     cfg = tiny_profile(schedule_file=str(sched))
-    result = run_fixed_time(cfg, seed=1)
+    result = run_experiment(cfg, "fixed", 1)
     assert result.metrics[0].arrived == 10
+
+
+def test_schedule_file_is_read_and_parsed_once_per_run(tmp_path, monkeypatch):
+    sched = tmp_path / "demand.csv"
+    sched.write_text("depart,vtype,origin,destination\n0,car,w,e\n")
+    reads, parses = [], []
+    read_text, parse = Path.read_text, harness.load_schedule_file
+
+    def counted_read(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted_read)
+    monkeypatch.setattr(harness, "load_schedule_file",
+                        lambda *args: parses.append(1) or parse(*args))
+    result = run_experiment(tiny_profile(schedule_file=str(sched)), "fixed", 1)
+    assert len(result.metrics) == 3
+    assert reads == [sched]
+    assert len(parses) == 1
 
 
 # -------------------------------------------------------------------- runs
 
 def test_zero_vehicle_run_yields_zero_metrics():
     cfg = tiny_profile(vehicles=0)
-    result = run_fixed_time(cfg, seed=5)
+    result = run_experiment(cfg, "fixed", 5)
     assert len(result.metrics) == 3
     for m in result.metrics:
         assert m.sim_time_s == 0
@@ -219,7 +239,7 @@ def test_zero_vehicle_run_yields_zero_metrics():
 
 
 def test_fixed_run_shape_and_conservation():
-    result = run_fixed_time(tiny_profile(), seed=7)
+    result = run_experiment(tiny_profile(), "fixed", 7)
     assert result.mode == "fixed"
     assert [m.episode for m in result.metrics] == [0, 1, 2]
     for m in result.metrics:
@@ -270,7 +290,7 @@ def test_full_scale_fixed_episode_fits_time_cap():
     cfg = dataclasses.replace(
         paper_scale_profile(),
         train=dataclasses.replace(paper_scale_profile().train, episodes=1))
-    result = run_fixed_time(cfg, seed=7)
+    result = run_experiment(cfg, "fixed", 7)
     m = result.metrics[0]
     assert m.sim_time_s <= 9000
     assert m.arrived == 4000
@@ -319,7 +339,7 @@ def test_read_key_values_parses_summary_style_text():
 
 def test_write_run_artifacts_and_config_echo(tmp_path):
     cfg = tiny_profile()
-    result = run_fixed_time(cfg, seed=7)
+    result = run_experiment(cfg, "fixed", 7)
     written = write_run_artifacts(tmp_path / "fx", cfg, result)
     assert set(written) == {"metrics.csv", "config.txt", "summary.txt",
                             "detectors.csv"}

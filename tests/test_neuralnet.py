@@ -16,7 +16,6 @@ from flowctl.neuralnet import (
     init_optimizer,
     init_value_network,
     load_network,
-    logp_gradient,
     save_network,
     value_fit_step,
     value_forward,
@@ -30,6 +29,10 @@ def small_net(seed: int, sizes=(6, 5, 4, 3)) -> PolicyNetwork:
                     for i, o in zip(sizes[:-1], sizes[1:]))
     biases = tuple(rng.normal(0, 0.3, size=o) for o in sizes[1:])
     return PolicyNetwork(weights=weights, biases=biases)
+
+
+def logp_gradient(net: PolicyNetwork, state, action: int) -> GradientSet:
+    return accumulate_logp_gradients(net, np.asarray(state)[None, :], [action], [1.0])
 
 
 def numeric_logp_gradient(net: PolicyNetwork, x: np.ndarray, action: int,
@@ -182,11 +185,11 @@ def test_logp_gradient_matches_finite_differences():
 
 def test_logp_gradient_rejects_bad_action():
     net = small_net(1)
-    x = np.zeros(6)
+    states = np.zeros((2, 6))
     with pytest.raises(ValueError):
-        logp_gradient(net, x, 3)
+        accumulate_logp_gradients(net, states, [0, 3], np.ones(2))
     with pytest.raises(ValueError):
-        logp_gradient(net, x, -1)
+        accumulate_logp_gradients(net, states, [0, -1], np.ones(2))
 
 
 def test_accumulate_matches_loop_of_single_gradients():
@@ -353,9 +356,6 @@ def test_value_network_scalar_output():
     batch = np.random.default_rng(6).random((9, 80))
     out = value_forward(vnet, batch)
     assert out.shape == (9,)
-    single = value_forward(vnet, batch[0])
-    assert np.isscalar(single) or single.shape == ()
-    assert np.isclose(single, out[0])
 
 
 def test_value_fit_reduces_mse():

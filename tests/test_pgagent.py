@@ -7,22 +7,22 @@ import math
 import numpy as np
 import pytest
 
+from flowctl.harness import RunConfig, run_experiment
 from flowctl.neuralnet import forward, init_network
 from flowctl.pgagent import (
     AgentState,
     EpisodeMetrics,
+    Learner,
     ReplayBuffer,
     TrainConfig,
     Transition,
     compute_reward,
     discounted_returns,
     drive_episode,
-    encode_state,
     fixed_cycle_policy,
     init_agent,
     policy_update,
     positional_baseline,
-    run_training,
     select_action,
 )
 from flowctl.roadnet import build_default_network
@@ -215,9 +215,9 @@ def test_fixed_cycle_policy_walks_phases():
     assert [choose(None) for _ in range(6)] == [0, 1, 2, 3, 0, 1]
 
 
-def test_encode_state_shape():
+def test_observation_shape():
     sim = Simulation(NET, ())
-    state = encode_state(sim)
+    state = sim.read_sensors()
     assert state.shape == (80,)
     assert state.dtype == np.float64
 
@@ -238,33 +238,33 @@ def test_select_action_follows_distribution():
 
 # ---------------------------------------------------------------- training
 
-def test_run_training_deterministic_and_complete():
-    cfg = small_cfg(episodes=3, max_agent_steps=30)
-
-    def schedule_for_episode(ep):
-        return spawn_schedule(NET, count=60, seed=1000 + ep, horizon=40)
+def test_learning_run_deterministic_and_complete():
+    cfg = RunConfig(train=small_cfg(episodes=3, max_agent_steps=30),
+                    vehicles=60, spawn_horizon=40)
 
     def once():
-        agent, history = run_training(build_default_network, cfg, seed=42,
-                                      schedule_for_episode=schedule_for_episode)
-        return agent, history
+        return run_experiment(cfg, "rl", 42)
 
-    agent_a, hist_a = once()
-    agent_b, hist_b = once()
+    run_a = once()
+    run_b = once()
+    hist_a, hist_b = run_a.metrics, run_b.metrics
     assert len(hist_a) == 3
     assert all(isinstance(m, EpisodeMetrics) for m in hist_a)
     assert hist_a == hist_b
-    for wa, wb in zip(agent_a.net.weights, agent_b.net.weights):
+    for wa, wb in zip(run_a.network.weights, run_b.network.weights):
         assert np.array_equal(wa, wb)
     assert [m.episode for m in hist_a] == [0, 1, 2]
     assert all(m.sim_time_s > 0 for m in hist_a)
 
 
-def test_run_training_on_episode_callback():
-    cfg = small_cfg(episodes=2, max_agent_steps=20)
-    seen = []
-    run_training(build_default_network, cfg, seed=1,
-                 schedule_for_episode=lambda ep: spawn_schedule(
-                     NET, count=30, seed=ep, horizon=20),
-                 on_episode=seen.append)
-    assert [m.episode for m in seen] == [0, 1]
+def test_learner_skips_single_trace_update_then_steps():
+    learner = Learner(small_cfg(max_agent_steps=20), seed=1)
+    steps = []
+    for episode in range(2):
+        sim = Simulation(NET, spawn_schedule(NET, count=30, seed=episode, horizon=20))
+        transitions, _ = drive_episode(sim, learner.chooser(), green_duration=4,
+                                       max_decisions=20)
+        learner.end_episode(episode, transitions)
+        steps.append(learner.agent.opt.step)
+    # Episode 0's batch is one trace, which centers itself to zero.
+    assert steps == [0, 1]
