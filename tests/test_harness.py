@@ -139,8 +139,10 @@ def test_config_invalid_value_rejected_via_validation():
 
 
 def test_config_text_round_trips():
-    cfg = tiny_profile(density_threshold=0.03)
-    assert parse_config_text(config_text(cfg), desk_profile()) == cfg
+    for cfg in (tiny_profile(density_threshold=0.03),
+                tiny_profile(network_file="nets/cross.txt",
+                             schedule_file="demand.csv")):
+        assert parse_config_text(config_text(cfg), desk_profile()) == cfg
 
 
 def test_config_network_file_loads_custom_network(tmp_path):
