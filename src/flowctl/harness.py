@@ -10,10 +10,16 @@ Three run modes share one episode loop, `run_experiment`:
                    detector window.
 
 Every run consumes per-episode demand schedules derived deterministically
-from one base seed, writes schema-stable CSV artifacts atomically, and is
-reproducible byte-for-byte.  Sweeps fan the rl mode out over declared value
-sets for the discount factor, network width, or network depth, in parallel
-processes, and rank the values by the final-quarter reward.
+from one base seed and is reproducible byte-for-byte.  Sweeps fan the rl
+mode out over declared value sets for the discount factor, network width,
+or network depth, in parallel processes, and rank the values by the
+final-quarter reward.
+
+Each file job has one path: `_read` for the config, network and schedule
+files (a failed read is a ConfigError), `_key_value_lines` and
+`_key_value_text` for the `key = value` format, `csv_text` with the one
+scalar formatter `_fmt` for every table, and `_atomic_write` (temp file,
+then rename) for every artifact, `policy.bin` included.
 """
 
 from __future__ import annotations
@@ -91,8 +97,8 @@ class RunConfig:
     fixed_green: int = 30
     density_threshold: float = 0.05
     max_alternatives: int = 4
-    network_file: str | None = None
-    schedule_file: str | None = None
+    network: str | None = None   # network description file
+    schedule: str | None = None  # demand schedule file
 
     def __post_init__(self):
         if self.vehicles < 0:
@@ -144,17 +150,82 @@ def paper_scale_profile() -> RunConfig:
     )
 
 
-# -------------------------------------------------------------- config file
+# -------------------------------------------------------------- file access
 
-_RUN_FIELD_KEYS = {
-    "vehicles": "vehicles",
-    "spawn_horizon": "spawn_horizon",
-    "fixed_green": "fixed_green",
-    "density_threshold": "density_threshold",
-    "max_alternatives": "max_alternatives",
-    "network": "network_file",
-    "schedule": "schedule_file",
-}
+def _read(path: str | Path, what: str) -> str:
+    """The text of an input file; a failed read is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _atomic_write(path: Path, write) -> Path:
+    """Write-then-rename: `write(tmp)` fills a fresh temp file beside path,
+    which then replaces path, so a failed write leaves neither a partial
+    file nor the temp file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
+def _write_text(path: Path, text: str) -> Path:
+    return _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def _fmt(value) -> str:
+    """Stable scalar rendering: ints plain, floats via repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_text(header: str, rows) -> str:
+    """A header line, then one line per row of cells.  String cells are
+    written as they are and every other cell through `_fmt`: the reroute
+    log runs to tens of thousands of mostly-string rows."""
+    lines = [header]
+    lines.extend(",".join([cell if cell.__class__ is str else _fmt(cell)
+                           for cell in row]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _key_value_lines(text: str):
+    """(line number, key, value) for every `key = value` line of text;
+    `#` starts a comment and blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
+def _key_value_text(items) -> str:
+    """Render (key, value) pairs as `key = value` lines."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in items)
+
+
+def read_key_values(text: str) -> dict[str, str]:
+    """Read a summary/config `key = value` file into a dict of strings."""
+    return {key: value for _, key, value in _key_value_lines(text)}
+
+
+# -------------------------------------------------------------- config file
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -178,29 +249,18 @@ def _coerce(key: str, value: str, type_name: str):
 
 
 def parse_config_text(text: str, base: RunConfig) -> RunConfig:
-    """Apply `key = value` lines (with # comments) on top of a profile."""
+    """Apply `key = value` lines (with # comments) on top of a profile; the
+    keys are the field names of RunConfig and TrainConfig."""
     train_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    run_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    run_types = {f.name: f.type for f in dataclasses.fields(RunConfig)
+                 if f.name != "train"}
     train_updates: dict = {}
     run_updates: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_value_lines(text):
         if key in train_types:
             train_updates[key] = _coerce(key, value, train_types[key])
-        elif key in _RUN_FIELD_KEYS:
-            field = _RUN_FIELD_KEYS[key]
-            type_name = run_types[field]
-            if field in ("network_file", "schedule_file"):
-                type_name = "str"
-            run_updates[field] = _coerce(key, value, type_name)
+        elif key in run_types:
+            run_updates[key] = _coerce(key, value, run_types[key])
         else:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
     try:
@@ -213,32 +273,15 @@ def parse_config_text(text: str, base: RunConfig) -> RunConfig:
 
 
 def load_config_file(path: str | Path, base: RunConfig) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config_text(text, base)
+    return parse_config_text(_read(path, "config"), base)
 
 
 def config_text(cfg: RunConfig) -> str:
     """Render a RunConfig as a config file that parses back to itself."""
-    lines = []
-    for key, field in _RUN_FIELD_KEYS.items():
-        value = getattr(cfg, field)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_plain(value)}")
-    for f in dataclasses.fields(TrainConfig):
-        lines.append(f"{f.name} = {_plain(getattr(cfg.train, f.name))}")
-    return "\n".join(lines) + "\n"
-
-
-def _plain(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    fields = dataclasses.asdict(cfg)
+    fields.update(fields.pop("train"))
+    return _key_value_text((key, value) for key, value in fields.items()
+                           if value is not None)
 
 
 # ----------------------------------------------------- demand and networks
@@ -253,15 +296,17 @@ def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
     """Parse a demand override: CSV `depart,vtype,origin,destination`.
 
     Routes are the free-flow shortest paths; vehicle ids are v0, v1, ... in
-    file order; the result is sorted by departure time.
+    row order; the result is sorted by departure time.  Errors name the
+    line of the file, counting blank lines.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != SCHEDULE_HEADER:
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    if not lines or lines[0][1].strip() != SCHEDULE_HEADER:
         raise ConfigError(
             f"schedule file must start with header {SCHEDULE_HEADER!r}")
     weights = free_flow_weights(net)
     specs = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for row, (lineno, line) in enumerate(lines[1:]):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
             raise ConfigError(f"schedule line {lineno}: expected 4 fields")
@@ -279,7 +324,7 @@ def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
             route = shortest_route(net, origin, destination, weights)
         except ValueError as exc:
             raise ConfigError(f"schedule line {lineno}: {exc}") from None
-        specs.append(SpawnSpec(depart=depart, vehicle_id=f"v{lineno - 2}",
+        specs.append(SpawnSpec(depart=depart, vehicle_id=f"v{row}",
                                vtype=vtype, max_speed=VEHICLE_MAX_SPEED[vtype],
                                route=route.edges))
     specs.sort(key=lambda s: (s.depart, s.vehicle_id))
@@ -287,30 +332,13 @@ def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
 
 
 def _network_for(cfg: RunConfig) -> RoadNetwork:
-    if cfg.network_file is None:
+    if cfg.network is None:
         return build_default_network()
-    try:
-        text = Path(cfg.network_file).read_text()
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot read network file {cfg.network_file}: {exc}") from None
+    text = _read(cfg.network, "network")
     try:
         return build_network(text)
     except ValueError as exc:
-        raise ConfigError(f"bad network file {cfg.network_file}: {exc}") from None
-
-
-def _schedule_file_specs(net: RoadNetwork,
-                         cfg: RunConfig) -> tuple[SpawnSpec, ...] | None:
-    """The demand of cfg.schedule_file, read once per run; None without one."""
-    if cfg.schedule_file is None:
-        return None
-    try:
-        text = Path(cfg.schedule_file).read_text()
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot read schedule file {cfg.schedule_file}: {exc}") from None
-    return load_schedule_file(net, text)
+        raise ConfigError(f"bad network file {cfg.network}: {exc}") from None
 
 
 def _schedule_for(net: RoadNetwork, cfg: RunConfig, base_seed: int,
@@ -362,7 +390,8 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
     net = _network_for(cfg)
-    file_specs = _schedule_file_specs(net, cfg)
+    file_specs = (None if cfg.schedule is None
+                  else load_schedule_file(net, _read(cfg.schedule, "schedule")))
     if mode == "fixed":
         learner = None
         green, max_decisions = cfg.fixed_green, SIM_TIME_CAP
@@ -383,7 +412,7 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
                 log(sim)
                 monitor(sim)
 
-        choose = learner.chooser() if learner else fixed_cycle_policy(green)
+        choose = learner.chooser() if learner else fixed_cycle_policy()
         transitions, cum_negative = drive_episode(
             sim, choose, green_duration=green, max_decisions=max_decisions,
             boundary_hook=hook)
@@ -421,43 +450,17 @@ def run_many(jobs: list[tuple[RunConfig, str, int]],
 
 # ------------------------------------------------------------ CSV pipeline
 
-def _fmt(value) -> str:
-    """Stable scalar rendering: ints plain, floats via repr."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def metrics_csv(metrics: tuple[EpisodeMetrics, ...]) -> str:
-    lines = [METRICS_HEADER]
-    for m in metrics:
-        lines.append(",".join((
-            _fmt(m.episode), _fmt(m.cum_delay_s), _fmt(m.avg_queue_len),
-            _fmt(m.cum_negative_reward), _fmt(m.sim_time_s))))
-    return "\n".join(lines) + "\n"
+    return csv_text(METRICS_HEADER, (
+        (m.episode, m.cum_delay_s, m.avg_queue_len, m.cum_negative_reward,
+         m.sim_time_s) for m in metrics))
 
 
 def reroutes_csv(decisions: tuple[RerouteDecision, ...]) -> str:
-    lines = [REROUTE_HEADER]
-    for d in decisions:
-        best = "" if d.best_alternative is None else _fmt(d.best_alternative)
-        lines.append(",".join((
-            _fmt(d.time), d.vehicle, "|".join(d.old_route),
-            "|".join(d.new_route), _fmt(d.u_twt), best, d.decision)))
-    return "\n".join(lines) + "\n"
-
-
-def detectors_csv(rows) -> str:
-    lines = [DETECTOR_HEADER]
-    for window_start, arm, count, mean_speed, density in rows:
-        lines.append(",".join((
-            _fmt(window_start), arm, _fmt(count), _fmt(mean_speed),
-            _fmt(density))))
-    return "\n".join(lines) + "\n"
+    return csv_text(REROUTE_HEADER, (
+        (d.time, d.vehicle, "|".join(d.old_route), "|".join(d.new_route),
+         d.u_twt, "" if d.best_alternative is None else d.best_alternative,
+         d.decision) for d in decisions))
 
 
 def read_csv(text: str) -> tuple[list[str], list[dict[str, str]]]:
@@ -491,20 +494,6 @@ def read_metrics_csv(text: str) -> tuple[EpisodeMetrics, ...]:
         sim_time_s=int(r["sim_time_s"]),
         arrived=0,
     ) for r in rows)
-
-
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    """Write-then-rename so a crash never leaves a partial artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, mode) as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ------------------------------------------------------- summaries/reports
@@ -564,35 +553,19 @@ def summarize(fixed_metrics, rl_metrics=None, reroute_metrics=None) -> str:
 
 
 def _summary_text(result: ExperimentResult) -> str:
-    means = _final_means(result.metrics)
-    lines = [
-        f"mode = {result.mode}",
-        f"seed = {result.seed}",
-        f"episodes = {len(result.metrics)}",
-        f"arrived_last = {result.metrics[-1].arrived if result.metrics else 0}",
-        f"final_quarter_mean_sim_time_s = {_fmt(means['sim_time_s'])}",
-        f"final_quarter_mean_cum_delay_s = {_fmt(means['cum_delay_s'])}",
-        f"final_quarter_mean_avg_queue_len = {_fmt(means['avg_queue_len'])}",
-        ("final_quarter_mean_cum_negative_reward = "
-         f"{_fmt(means['cum_negative_reward'])}"),
+    items = [
+        ("mode", result.mode),
+        ("seed", result.seed),
+        ("episodes", len(result.metrics)),
+        ("arrived_last", result.metrics[-1].arrived if result.metrics else 0),
     ]
+    items += [(f"final_quarter_mean_{name}", mean)
+              for name, mean in _final_means(result.metrics).items()]
     if result.mode == "rl_reroute":
         switches = sum(1 for d in result.reroutes if d.decision == "switch")
-        lines.append(f"reroute_decisions = {len(result.reroutes)}")
-        lines.append(f"reroute_switches = {switches}")
-    return "\n".join(lines) + "\n"
-
-
-def read_key_values(text: str) -> dict[str, str]:
-    """Read a summary/config `key = value` file into a dict of strings."""
-    values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+        items += [("reroute_decisions", len(result.reroutes)),
+                  ("reroute_switches", switches)]
+    return _key_value_text(items)
 
 
 # ------------------------------------------------------------- run + write
@@ -602,24 +575,19 @@ def write_run_artifacts(out_dir: str | Path, cfg: RunConfig,
     """Persist one run: metrics, config echo, summary, detector log, and —
     where applicable — the trained policy and the reroute log."""
     out = Path(out_dir)
-    written: dict[str, Path] = {}
-
-    def put(name: str, data: str | bytes) -> None:
-        path = out / name
-        _atomic_write(path, data)
-        written[name] = path
-
-    put("metrics.csv", metrics_csv(result.metrics))
-    put("config.txt", config_text(cfg))
-    put("summary.txt", _summary_text(result))
-    put("detectors.csv", detectors_csv(result.detector_rows))
+    texts = {
+        "metrics.csv": metrics_csv(result.metrics),
+        "config.txt": config_text(cfg),
+        "summary.txt": _summary_text(result),
+        "detectors.csv": csv_text(DETECTOR_HEADER, result.detector_rows),
+    }
     if result.mode == "rl_reroute":
-        put("reroutes.csv", reroutes_csv(result.reroutes))
+        texts["reroutes.csv"] = reroutes_csv(result.reroutes)
+    written = {name: _write_text(out / name, text)
+               for name, text in texts.items()}
     if result.network is not None:
-        tmp = out / ".policy.bin.tmp"
-        save_network(result.network, tmp)
-        os.replace(tmp, out / "policy.bin")
-        written["policy.bin"] = out / "policy.bin"
+        written["policy.bin"] = _atomic_write(
+            out / "policy.bin", lambda tmp: save_network(result.network, tmp))
     return written
 
 
@@ -656,21 +624,18 @@ def run_sweep(cfg: RunConfig, axis: str, seeds: tuple[int, ...],
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     values = SWEEP_AXES[axis]
-    jobs = [(sweep_config(cfg, axis, value), "rl", seed)
-            for value in values for seed in seeds]
-    results = run_many(jobs, max_workers=max_workers)
+    grid = [(value, seed) for value in values for seed in seeds]
+    results = run_many([(sweep_config(cfg, axis, value), "rl", seed)
+                        for value, seed in grid], max_workers=max_workers)
 
     comparison_rows = []
     by_value: dict = {value: [] for value in values}
-    at = 0
-    for value in values:
-        for seed in seeds:
-            means = _final_means(results[at].metrics)
-            at += 1
-            comparison_rows.append((value, seed, means["cum_delay_s"],
-                                    means["avg_queue_len"],
-                                    means["cum_negative_reward"]))
-            by_value[value].append(means["cum_negative_reward"])
+    for (value, seed), result in zip(grid, results):
+        means = _final_means(result.metrics)
+        comparison_rows.append((value, seed, means["cum_delay_s"],
+                                means["avg_queue_len"],
+                                means["cum_negative_reward"]))
+        by_value[value].append(means["cum_negative_reward"])
 
     # Rank by mean final cumulative negative reward: rewards are negative,
     # so the value closest to zero (largest) ranks first.
@@ -684,14 +649,8 @@ def run_sweep(cfg: RunConfig, axis: str, seeds: tuple[int, ...],
                              rank, flag))
 
     out = Path(out_dir)
-    lines = [COMPARISON_HEADER]
-    for value, seed, delay, queue, neg in comparison_rows:
-        lines.append(",".join((_fmt(value), _fmt(seed), _fmt(delay),
-                               _fmt(queue), _fmt(neg))))
-    _atomic_write(out / "comparison.csv", "\n".join(lines) + "\n")
-
-    lines = [SWEEP_SUMMARY_HEADER]
-    for value, mean_neg, rank, flag in summary_rows:
-        lines.append(",".join((_fmt(value), _fmt(mean_neg), _fmt(rank), flag)))
-    _atomic_write(out / "summary.csv", "\n".join(lines) + "\n")
+    _write_text(out / "comparison.csv",
+                csv_text(COMPARISON_HEADER, comparison_rows))
+    _write_text(out / "summary.csv",
+                csv_text(SWEEP_SUMMARY_HEADER, summary_rows))
     return comparison_rows, summary_rows

@@ -50,10 +50,6 @@ class PolicyNetwork:
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass(frozen=True)
 class GradientSet:

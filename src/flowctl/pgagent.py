@@ -132,10 +132,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def capacity(self) -> int:
-        return self._items.maxlen
-
     def append(self, item: Transition) -> None:
         self._items.append(item)
 
@@ -271,7 +267,7 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
     return transitions, cum_negative
 
 
-def fixed_cycle_policy(green_duration: int):
+def fixed_cycle_policy():
     """A stateful phase chooser that walks 0,1,2,3 forever, ignoring input."""
     counter = {"next": 0}
 

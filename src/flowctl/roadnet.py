@@ -34,9 +34,9 @@ CENTER_NODE = "c"
 # adjacent boundary pairs joined by a bypass, one edge per direction
 _DIAGONAL_PAIRS = (("n", "e"), ("e", "s"), ("s", "w"), ("w", "n"))
 
-# Safety valve for route enumeration on adversarial graphs: the search is
-# exact as long as this cap is not reached (in practice it never is on the
-# intersection network).
+# Safety valve for route enumeration on adversarial graphs: a search that
+# would expand more partial paths than this raises instead of returning a
+# partial answer (on the intersection network it never comes close).
 _MAX_SEARCH_POPS = 200_000
 
 
@@ -99,23 +99,6 @@ class Route:
     edges: tuple[str, ...]
     origin: str
     destination: str
-
-    def validate(self, net: RoadNetwork) -> None:
-        """Raise ValueError unless this route is a connected edge-simple path in net."""
-        if not self.edges:
-            raise ValueError("route has no edges")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("route repeats an edge")
-        here = self.origin
-        for eid in self.edges:
-            edge = net.edges.get(eid)
-            if edge is None:
-                raise ValueError(f"route references unknown edge {eid!r}")
-            if edge.from_node != here:
-                raise ValueError(f"route breaks at edge {eid!r}: expected tail {here!r}")
-            here = edge.to_node
-        if here != self.destination:
-            raise ValueError(f"route ends at {here!r}, not {self.destination!r}")
 
 
 def make_network(edges: list[Edge], extra_nodes: tuple[str, ...] = ()) -> RoadNetwork:
@@ -277,7 +260,9 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
     """Up to k cheapest node-simple routes, ascending by (cost, edge ids).
 
     Exact best-first search over partial node-simple paths.  Element 0 always
-    equals shortest_route's pick because both order by the same key.
+    equals shortest_route's pick because both order by the same key.  A
+    search that reaches _MAX_SEARCH_POPS expansions before it is done raises
+    RuntimeError rather than return fewer routes than exist.
     """
     _check_endpoints(net, origin, destination)
     if k < 1:
@@ -285,7 +270,12 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
     found: list[Route] = []
     heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), origin)]
     pops = 0
-    while heap and len(found) < k and pops < _MAX_SEARCH_POPS:
+    while heap and len(found) < k:
+        if pops == _MAX_SEARCH_POPS:
+            raise RuntimeError(
+                f"route search from {origin!r} to {destination!r} reached its "
+                f"cap of {_MAX_SEARCH_POPS} expanded paths with {len(found)} "
+                f"of {k} routes found")
         cost, path, node = heapq.heappop(heap)
         pops += 1
         if node == destination:
@@ -302,11 +292,3 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
     if not found:
         raise UnreachableError(f"no route from {origin!r} to {destination!r}")
     return found
-
-
-def route_travel_time(net: RoadNetwork, route: Route, weights: dict[str, float]) -> float:
-    """Total weight of a route; every edge must have a weight entry."""
-    for eid in route.edges:
-        if eid not in net.edges:
-            raise ValueError(f"route references unknown edge {eid!r}")
-    return sum(_edge_weight(weights, eid) for eid in route.edges)

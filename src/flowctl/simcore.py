@@ -608,9 +608,6 @@ class Simulation:
         """Accrued waiting of everyone currently on an inbound arm edge."""
         return sum(self.arm_wait(a) for a in ARM_ORDER)
 
-    def queue_length(self) -> int:
-        return sum(self.arm_queue(a) for a in ARM_ORDER)
-
     def cum_delay(self) -> int:
         """All waiting ever accrued: finished trips plus vehicles en route."""
         return self.arrived_wait_sum + sum(v.wait for v in self.iter_vehicles())

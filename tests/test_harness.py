@@ -19,8 +19,8 @@ from flowctl.harness import (
     ConfigError,
     RunConfig,
     config_text,
+    csv_text,
     desk_profile,
-    detectors_csv,
     final_quarter,
     load_schedule_file,
     metrics_csv,
@@ -140,8 +140,7 @@ def test_config_invalid_value_rejected_via_validation():
 
 def test_config_text_round_trips():
     for cfg in (tiny_profile(density_threshold=0.03),
-                tiny_profile(network_file="nets/cross.txt",
-                             schedule_file="demand.csv")):
+                tiny_profile(network="nets/cross.txt", schedule="demand.csv")):
         assert parse_config_text(config_text(cfg), desk_profile()) == cfg
 
 
@@ -149,7 +148,7 @@ def test_config_network_file_loads_custom_network(tmp_path):
     net_file = tmp_path / "net.txt"
     net_file.write_text(network_to_text(NET))
     cfg = parse_config_text(f"network = {net_file}", tiny_profile())
-    assert cfg.network_file == str(net_file)
+    assert cfg.network == str(net_file)
     result = run_experiment(cfg, "fixed", 3)
     assert len(result.metrics) == 3
 
@@ -195,6 +194,9 @@ def test_load_schedule_file_rejects_bad_rows():
         load_schedule_file(NET, head + "1,car,w,nowhere\n")
     with pytest.raises(ConfigError, match="4 fields"):
         load_schedule_file(NET, head + "1,car,w\n")
+    # errors name the file's own line, counting blank lines
+    with pytest.raises(ConfigError, match="schedule line 6: bad depart"):
+        load_schedule_file(NET, "\n" + head + "0,car,w,e\n\n\nsoon,car,w,e\n")
 
 
 def test_schedule_file_override_drives_a_run(tmp_path):
@@ -202,7 +204,7 @@ def test_schedule_file_override_drives_a_run(tmp_path):
     sched.write_text("depart,vtype,origin,destination\n"
                      + "\n".join(f"{t},car,w,e" for t in range(0, 20, 2))
                      + "\n")
-    cfg = tiny_profile(schedule_file=str(sched))
+    cfg = tiny_profile(schedule=str(sched))
     result = run_experiment(cfg, "fixed", 1)
     assert result.metrics[0].arrived == 10
 
@@ -220,7 +222,7 @@ def test_schedule_file_is_read_and_parsed_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "read_text", counted_read)
     monkeypatch.setattr(harness, "load_schedule_file",
                         lambda *args: parses.append(1) or parse(*args))
-    result = run_experiment(tiny_profile(schedule_file=str(sched)), "fixed", 1)
+    result = run_experiment(tiny_profile(schedule=str(sched)), "fixed", 1)
     assert len(result.metrics) == 3
     assert reads == [sched]
     assert len(parses) == 1
@@ -321,7 +323,7 @@ def test_reroutes_csv_shape():
 
 
 def test_detectors_csv_shape():
-    text = detectors_csv(((30, "n", 2, 3.5, 0.004),))
+    text = csv_text(DETECTOR_HEADER, ((30, "n", 2, 3.5, 0.004),))
     lines = text.splitlines()
     assert lines[0] == DETECTOR_HEADER
     assert lines[1] == "30,n,2,3.5,0.004"
@@ -335,6 +337,8 @@ def test_read_csv_rejects_ragged_rows():
 def test_read_key_values_parses_summary_style_text():
     kv = read_key_values("mode = rl\n# note\nseed = 7\n")
     assert kv == {"mode": "rl", "seed": "7"}
+    with pytest.raises(ConfigError, match="line 2"):
+        read_key_values("mode = rl\nseed 7\n")
 
 
 # ---------------------------------------------------------------- artifacts
@@ -355,6 +359,22 @@ def test_write_run_artifacts_and_config_echo(tmp_path):
     # no leftover temp files from atomic writes
     assert not [p for p in (tmp_path / "fx").iterdir()
                 if p.name.startswith(".")]
+
+
+def test_failed_policy_write_leaves_no_file(tmp_path, monkeypatch):
+    cfg = tiny_profile()
+    result = run_experiment(cfg, "rl", 7)
+
+    def save_half_then_fail(net, path):
+        with open(path, "wb") as handle:
+            handle.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_network", save_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_run_artifacts(tmp_path, cfg, result)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["config.txt", "detectors.csv", "metrics.csv", "summary.txt"]
 
 
 def test_run_phase_rl_writes_policy_and_is_deterministic(tmp_path):

@@ -95,7 +95,8 @@ def test_init_bias_zero_and_parameter_count():
     net = init_network(10, 5, seed=1)
     assert all(np.all(b == 0) for b in net.biases)
     # 80*10+10 + 4*(10*10+10) + 10*4+4
-    assert net.parameter_count == (80 * 10 + 10) + 4 * (10 * 10 + 10) + (10 * 4 + 4)
+    parameter_count = sum(w.size for w in net.weights) + sum(b.size for b in net.biases)
+    assert parameter_count == (80 * 10 + 10) + 4 * (10 * 10 + 10) + (10 * 4 + 4)
 
 
 def test_init_rejects_bad_dimensions():

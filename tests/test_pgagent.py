@@ -211,7 +211,7 @@ def test_drive_episode_boundary_hook_fires_on_window():
 
 
 def test_fixed_cycle_policy_walks_phases():
-    choose = fixed_cycle_policy(30)
+    choose = fixed_cycle_policy()
     assert [choose(None) for _ in range(6)] == [0, 1, 2, 3, 0, 1]
 
 

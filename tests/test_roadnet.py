@@ -15,12 +15,37 @@ from flowctl.roadnet import (
     free_flow_weights,
     make_network,
     network_to_text,
-    route_travel_time,
     shortest_route,
 )
 
 
 # ---------------------------------------------------------------- oracles
+
+def route_travel_time(net, route, weights):
+    """Total weight of a route; every edge must have a weight entry."""
+    for eid in route.edges:
+        if eid not in net.edges:
+            raise ValueError(f"route references unknown edge {eid!r}")
+    return sum(roadnet._edge_weight(weights, eid) for eid in route.edges)
+
+
+def validate_route(route, net):
+    """Raise ValueError unless route is a connected edge-simple path in net."""
+    if not route.edges:
+        raise ValueError("route has no edges")
+    if len(set(route.edges)) != len(route.edges):
+        raise ValueError("route repeats an edge")
+    here = route.origin
+    for eid in route.edges:
+        edge = net.edges.get(eid)
+        if edge is None:
+            raise ValueError(f"route references unknown edge {eid!r}")
+        if edge.from_node != here:
+            raise ValueError(f"route breaks at edge {eid!r}: expected tail {here!r}")
+        here = edge.to_node
+    if here != route.destination:
+        raise ValueError(f"route ends at {here!r}, not {route.destination!r}")
+
 
 def brute_force_min_cost(net, origin, destination, weights):
     """Exhaustive node-simple DFS; returns the minimum path cost or None.
@@ -123,7 +148,7 @@ def test_default_network_boundary_connectivity():
             if o == d:
                 continue
             route = shortest_route(net, o, d, w)
-            route.validate(net)
+            validate_route(route, net)
 
 
 def test_edge_validation():
@@ -239,7 +264,7 @@ def test_shortest_matches_brute_force_on_random_graphs():
                 shortest_route(net, o, d, weights)
             continue
         route = shortest_route(net, o, d, weights)
-        route.validate(net)
+        validate_route(route, net)
         assert math.isclose(route_travel_time(net, route, weights), expected)
         checked += 1
 
@@ -303,7 +328,7 @@ def test_enumerate_costs_non_decreasing_and_valid():
         assert costs == sorted(costs)
         assert len({r.edges for r in routes}) == len(routes)
         for r in routes:
-            r.validate(net)
+            validate_route(r, net)
         assert routes[0] == shortest_route(net, o, d, weights)
 
 
@@ -311,6 +336,16 @@ def test_enumerate_rejects_bad_k():
     net, w = triangle()
     with pytest.raises(ValueError):
         enumerate_routes(net, "A", "B", w, k=0)
+
+
+@pytest.mark.parametrize("cap", [3, 12])
+def test_enumerate_raises_at_search_cap(monkeypatch, cap):
+    net = build_default_network()
+    w = free_flow_weights(net)
+    assert len(enumerate_routes(net, "w", "e", w, k=4)) == 4
+    monkeypatch.setattr(roadnet, "_MAX_SEARCH_POPS", cap)
+    with pytest.raises(RuntimeError, match=f"cap of {cap} expanded paths"):
+        enumerate_routes(net, "w", "e", w, k=4)
 
 
 # ---------------------------------------------------------------- weights
@@ -334,8 +369,10 @@ def test_free_flow_weights_match_edges():
 def test_route_validate_rejects_broken_chains():
     net = build_default_network()
     with pytest.raises(ValueError):
-        Route(edges=("app_w_in", "jct_e_in"), origin="w", destination="c").validate(net)
+        validate_route(Route(edges=("app_w_in", "jct_e_in"), origin="w",
+                             destination="c"), net)
     with pytest.raises(ValueError):
-        Route(edges=("app_w_in", "app_w_in"), origin="w", destination="wi").validate(net)
-    ok = Route(edges=("app_w_in", "jct_w_in"), origin="w", destination="c")
-    ok.validate(net)
+        validate_route(Route(edges=("app_w_in", "app_w_in"), origin="w",
+                             destination="wi"), net)
+    validate_route(Route(edges=("app_w_in", "jct_w_in"), origin="w",
+                         destination="c"), net)

@@ -463,7 +463,7 @@ def test_wait_accrues_only_while_halted_on_inbound_edges():
     assert sim.cumulative_wait() == 10
     assert sim.arm_wait("w") == 10
     assert sim.arm_queue("w") == 1
-    assert sim.queue_length() == 1
+    assert sum(sim.arm_queue(a) for a in ARM_ORDER) == 1
 
 
 def test_wait_leaves_cumulative_on_departure_but_stays_in_delay():
