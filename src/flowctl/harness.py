@@ -163,11 +163,17 @@ def _read(path: str | Path, what: str) -> str:
 def _atomic_write(path: Path, write) -> Path:
     """Write-then-rename: `write(tmp)` fills a fresh temp file beside path,
     which then replaces path, so a failed write leaves neither a partial
-    file nor the temp file behind."""
+    file nor the temp file behind.  The temp file is created owner-only, so
+    it is given the mode a plain `open` would: 0666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     os.close(fd)
     try:
+        # Reading the umask means setting it; 0o077 meanwhile can only
+        # give a file another thread creates fewer permissions, never more.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         write(tmp)
         os.replace(tmp, path)
     except BaseException:

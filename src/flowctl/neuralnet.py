@@ -12,8 +12,7 @@ Persistence format (little-endian):
     uint32 * L    layer sizes, input first
     float64 ...   parameter payload: W0, b0, W1, b1, ... row-major
 
-The payload length must match the header exactly; anything else raises
-NetworkFormatError.
+The payload length matches the header exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ DEFAULT_LEARNING_RATE = 1e-3
 
 _MAGIC = b"FLOWNN01"
 _FORMAT_VERSION = 1
-
-
-class NetworkFormatError(ValueError):
-    """A persisted network file is corrupt or has an unsupported layout."""
 
 
 @dataclass(frozen=True)
@@ -224,41 +219,6 @@ def save_network(net: PolicyNetwork, path) -> None:
         blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
-
-
-def load_network(path) -> PolicyNetwork:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 8 or blob[:len(_MAGIC)] != _MAGIC:
-        raise NetworkFormatError("bad magic: not a policy network file")
-    off = len(_MAGIC)
-    version, n_sizes = struct.unpack_from("<II", blob, off)
-    off += 8
-    if version != _FORMAT_VERSION:
-        raise NetworkFormatError(f"unsupported format version {version}")
-    if n_sizes < 2 or n_sizes > 64:
-        raise NetworkFormatError(f"implausible layer count {n_sizes}")
-    if len(blob) < off + 4 * n_sizes:
-        raise NetworkFormatError("truncated header")
-    sizes = struct.unpack_from(f"<{n_sizes}I", blob, off)
-    off += 4 * n_sizes
-    if any(s < 1 for s in sizes):
-        raise NetworkFormatError(f"invalid layer sizes {sizes}")
-    expected = sum(8 * (a * b + b) for a, b in zip(sizes[:-1], sizes[1:]))
-    if len(blob) - off != expected:
-        raise NetworkFormatError(
-            f"payload is {len(blob) - off} bytes but layer sizes {tuple(sizes)} "
-            f"require {expected}")
-    weights = []
-    biases = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=n_out * n_in, offset=off)
-        off += 8 * n_out * n_in
-        b = np.frombuffer(blob, dtype="<f8", count=n_out, offset=off)
-        off += 8 * n_out
-        weights.append(w.reshape(n_out, n_in).copy())
-        biases.append(b.copy())
-    return PolicyNetwork(weights=tuple(weights), biases=tuple(biases))
 
 
 # ------------------------------------------------- optional value baseline

@@ -20,6 +20,13 @@ A vehicle switches only when its current-route estimate is strictly worse
 than the best alternative; ties stay.  Switching rewrites the route tail in
 place and marks the vehicle so it is never diverted twice.  Every
 comparison, switch or stay, is recorded.
+
+The weights and stop-line waits are fixed for a whole window, so the route
+search is shared per window: one `apply_rerouting` call searches each
+distinct (next node, destination) pair once and prices each searched tail
+once, and every vehicle with that pair reuses the result.  Only the part of
+the estimate that depends on the vehicle, its unfinished current edge, is
+computed per vehicle.
 """
 
 from __future__ import annotations
@@ -101,42 +108,58 @@ def candidate_vehicles(sim: Simulation, arm: str) -> list[Vehicle]:
     return picked
 
 
-def tail_time(tail: tuple[str, ...], base: float, weights: dict[str, float],
-              waits: dict[str, float]) -> float:
-    """Door-to-destination estimate for one route tail: the unfinished part
-    of the current edge, every remaining edge at full weight, and the
-    stop-line wait of every flagged junction edge the tail crosses."""
-    total = base + sum(weights[eid] for eid in tail)
-    total += sum(wait for eid, wait in waits.items() if eid in tail)
-    return total
+def tail_cost(tail: tuple[str, ...], weights: dict[str, float],
+              waits: dict[str, float]) -> tuple[float, float]:
+    """A route tail's two shares of the door-to-destination estimate: the
+    sum of its edge weights, and the summed stop-line wait of every flagged
+    junction edge it crosses.  A vehicle's estimate is base + weight sum +
+    wait sum, where base is the unfinished part of its current edge."""
+    crossed = set(tail)
+    return (sum(weights[eid] for eid in tail),
+            sum(wait for eid, wait in waits.items() if eid in crossed))
 
 
 def evaluate_vehicle(sim: Simulation, vehicle: Vehicle,
                      weights: dict[str, float], waits: dict[str, float],
-                     max_alternatives: int) -> RerouteDecision:
+                     max_alternatives: int,
+                     searches: dict[tuple[str, str], list]) -> RerouteDecision:
     """Compare staying on the current route against the best alternatives,
-    and rewrite the vehicle's route if switching wins strictly."""
+    and rewrite the vehicle's route if switching wins strictly.
+
+    `searches` maps (next node, destination) to the route tails found for
+    it, each with its `tail_cost` under these weights and waits; a missing
+    pair is searched and added, so callers share one dict across all
+    vehicles of one window."""
     net = sim.net
     edge = net.edges[vehicle.edge_id]
     old_remaining = vehicle.remaining_route
     current_tail = vehicle.route[vehicle.route_idx + 1:]
     base = (edge.length - vehicle.pos) / edge.length * weights[vehicle.edge_id]
-    u_twt = tail_time(current_tail, base, weights, waits)
 
     destination = net.edges[vehicle.route[-1]].to_node
+    key = (edge.to_node, destination)
+    priced = searches.get(key)
+    if priced is None:
+        priced = searches[key] = [
+            (route.edges, *tail_cost(route.edges, weights, waits))
+            for route in enumerate_routes(net, edge.to_node, destination, weights,
+                                          k=max_alternatives)]
+    # The current tail is usually one of the searched routes; it is priced
+    # apart only when it is not.
+    current = None
     options = []
-    for route in enumerate_routes(net, edge.to_node, destination, weights,
-                                  k=max_alternatives):
-        if route.edges == current_tail:
-            continue
-        options.append((tail_time(route.edges, base, weights, waits),
-                        route.edges, route))
-    options.sort(key=lambda item: (item[0], item[1]))
-    alternative_times = tuple(t for t, _, _ in options)
+    for tail, weight_sum, wait_sum in priced:
+        if tail == current_tail:
+            current = (weight_sum, wait_sum)
+        else:
+            options.append((base + weight_sum + wait_sum, tail))
+    weight_sum, wait_sum = current or tail_cost(current_tail, weights, waits)
+    u_twt = base + weight_sum + wait_sum
+    options.sort()
+    alternative_times = tuple(t for t, _ in options)
 
     if options and u_twt > options[0][0]:
-        best = options[0][2]
-        sim.replace_route_suffix(vehicle, best.edges)
+        sim.replace_route_suffix(vehicle, options[0][1])
         vehicle.rerouted = True
         decision = "switch"
     else:
@@ -162,11 +185,12 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
         return []
     weights = surcharged_weights(sim, readings, flagged)
     waits = stop_line_waits(sim, flagged)
+    searches: dict[tuple[str, str], list] = {}
     decisions: list[RerouteDecision] = []
     for arm in flagged:
         for vehicle in candidate_vehicles(sim, arm):
             decisions.append(evaluate_vehicle(sim, vehicle, weights, waits,
-                                              max_alternatives))
+                                              max_alternatives, searches))
     return decisions
 
 

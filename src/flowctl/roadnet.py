@@ -193,17 +193,6 @@ def build_network(text: str) -> RoadNetwork:
                         extra_nodes=tuple(declared_nodes))
 
 
-def network_to_text(net: RoadNetwork) -> str:
-    """Serialize a network to the textual format accepted by build_network."""
-    lines = [f"node {n}" for n in sorted(net.nodes)]
-    for eid in sorted(net.edges):
-        e = net.edges[eid]
-        lines.append(
-            f"edge {e.id} {e.from_node} {e.to_node} {e.length!r} "
-            f"{e.lane_count} {e.speed_limit!r} {1 if e.signalized else 0}")
-    return "\n".join(lines) + "\n"
-
-
 def free_flow_weights(net: RoadNetwork) -> dict[str, float]:
     """Travel time of every edge at its speed limit."""
     return {eid: e.free_flow_time for eid, e in net.edges.items()}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -38,10 +40,11 @@ from flowctl.harness import (
     summarize,
     write_run_artifacts,
 )
-from flowctl.neuralnet import load_network
 from flowctl.pgagent import EpisodeMetrics
-from flowctl.roadnet import build_default_network, network_to_text
+from flowctl.roadnet import build_default_network
 from flowctl.rerouter import RerouteDecision
+
+from fileformats import load_network, network_to_text
 
 NET = build_default_network()
 
@@ -390,6 +393,19 @@ def test_run_phase_rl_writes_policy_and_is_deterministic(tmp_path):
     net = load_network(tmp_path / "a" / "policy.bin")
     assert net.layer_sizes[0] == 80
     assert net.layer_sizes[-1] == 4
+
+
+def test_artifacts_are_written_with_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        run_phase(tiny_profile(), "rl", 7, tmp_path / "run")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+             for p in (tmp_path / "run").iterdir()}
+    assert sorted(modes) == ["config.txt", "detectors.csv", "metrics.csv",
+                             "policy.bin", "summary.txt"]
+    assert modes == dict.fromkeys(modes, 0o644)
 
 
 def test_run_phase_rl_reroute_writes_reroute_log(tmp_path):

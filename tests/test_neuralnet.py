@@ -7,7 +7,6 @@ import pytest
 
 from flowctl.neuralnet import (
     GradientSet,
-    NetworkFormatError,
     PolicyNetwork,
     accumulate_logp_gradients,
     apply_update,
@@ -15,11 +14,12 @@ from flowctl.neuralnet import (
     init_network,
     init_optimizer,
     init_value_network,
-    load_network,
     save_network,
     value_fit_step,
     value_forward,
 )
+
+from fileformats import NetworkFormatError, load_network
 
 
 def small_net(seed: int, sizes=(6, 5, 4, 3)) -> PolicyNetwork:

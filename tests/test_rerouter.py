@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from flowctl import rerouter
 from flowctl.pgagent import drive_episode
-from flowctl.roadnet import build_default_network
+from flowctl.roadnet import build_default_network, enumerate_routes, free_flow_weights
 from flowctl.rerouter import (
     CongestionMonitor,
     RerouteDecision,
@@ -13,7 +14,9 @@ from flowctl.rerouter import (
     candidate_vehicles,
     expected_arm_wait,
     flagged_arms,
+    stop_line_waits,
     surcharged_weights,
+    tail_cost,
 )
 from flowctl.simcore import DETECTOR_PERIOD, DetectorReading, Simulation
 
@@ -66,6 +69,66 @@ def build_west_jam() -> Simulation:
     for i, pos in enumerate((1000.0, 997.5, 995.0)):
         sim.place_vehicle(f"cand{i}", STRAIGHT_W, lane=1, pos=pos)
     return sim
+
+
+# Phase 0 keeps east and west red.  Per lane of each of those arms, the exit
+# that lane's turning movement leads to: left, through, through, right.
+JAM_EXITS = {"w": ("n", "e", "e", "s"), "e": ("s", "w", "w", "n")}
+
+
+def build_two_arm_jam() -> Simulation:
+    """Parked blockers fill all four lanes of the east and west junction
+    edges; behind them, two candidates per lane queue on each approach, so
+    one window has six distinct (next node, destination) pairs, each shared
+    by two or four vehicles."""
+    sim = make_sim()
+    for arm, exits in JAM_EXITS.items():
+        for lane, to in enumerate(exits):
+            route = (f"app_{arm}_in", f"jct_{arm}_in", f"jct_{to}_out", f"app_{to}_out")
+            for i in range(40):
+                sim.place_vehicle(f"b{arm}{lane}_{i}", route[1:], lane=lane,
+                                  pos=97.5 - 2.5 * i)
+            for i, pos in enumerate((1000.0, 997.5)):
+                sim.place_vehicle(f"c{arm}{lane}_{i}", route, lane=lane, pos=pos)
+    return sim
+
+
+def reference_rerouting(sim: Simulation, readings, threshold: float,
+                        max_alternatives: int = 4) -> list[RerouteDecision]:
+    """apply_rerouting as a per-vehicle loop: one route search per
+    candidate, and every tail priced by the original estimate."""
+    def tail_time(tail, base, weights, waits):
+        total = base + sum(weights[eid] for eid in tail)
+        total += sum(wait for eid, wait in waits.items() if eid in tail)
+        return total
+
+    flagged = flagged_arms(readings, threshold)
+    weights = surcharged_weights(sim, readings, flagged)
+    waits = stop_line_waits(sim, flagged)
+    decisions = []
+    for arm in flagged:
+        for vehicle in candidate_vehicles(sim, arm):
+            edge = sim.net.edges[vehicle.edge_id]
+            old_remaining = vehicle.remaining_route
+            current_tail = vehicle.route[vehicle.route_idx + 1:]
+            base = (edge.length - vehicle.pos) / edge.length * weights[vehicle.edge_id]
+            u_twt = tail_time(current_tail, base, weights, waits)
+            destination = sim.net.edges[vehicle.route[-1]].to_node
+            options = sorted(
+                (tail_time(r.edges, base, weights, waits), r.edges)
+                for r in enumerate_routes(sim.net, edge.to_node, destination,
+                                          weights, k=max_alternatives)
+                if r.edges != current_tail)
+            switch = bool(options) and u_twt > options[0][0]
+            if switch:
+                sim.replace_route_suffix(vehicle, options[0][1])
+                vehicle.rerouted = True
+            decisions.append(RerouteDecision(
+                time=sim.clock, vehicle=vehicle.id, old_route=old_remaining,
+                new_route=vehicle.remaining_route,
+                decision="switch" if switch else "stay", u_twt=u_twt,
+                alternative_times=tuple(t for t, _ in options)))
+    return decisions
 
 
 def run_to_next_window(sim: Simulation, monitor: CongestionMonitor):
@@ -235,6 +298,57 @@ def test_best_alternative_empty_when_no_options():
                         new_route=("a",), decision="stay", u_twt=1.0,
                         alternative_times=())
     assert d.best_alternative is None
+
+
+# ------------------------------------------------- searches shared per window
+
+def test_tail_pays_each_flagged_stop_line_it_crosses_once():
+    weights = free_flow_weights(NET)
+    waits = {"jct_w_in": 30.0, "jct_e_in": 12.5}
+    weight_sum, wait_sum = tail_cost(BLOCK_ROUTE, weights, waits)
+    assert weight_sum == pytest.approx(2 * JCT_FF + APP_FF, rel=1e-12)
+    assert wait_sum == 30.0
+    assert tail_cost(("app_w_out", "diag_wn", "diag_ne"), weights, waits) == \
+        pytest.approx((APP_FF + 2 * DIAG_FF, 0.0), rel=1e-12)
+
+
+def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return enumerate_routes(*args, **kwargs)
+
+    monkeypatch.setattr(rerouter, "enumerate_routes", counting)
+    threshold = 0.05
+    pair_counts = []
+
+    def shared(sim):
+        readings = sim.read_detectors()
+        pairs = {(NET.edges[v.edge_id].to_node, NET.edges[v.route[-1]].to_node)
+                 for arm in flagged_arms(readings, threshold)
+                 for v in candidate_vehicles(sim, arm)}
+        before = len(calls)
+        decisions = apply_rerouting(sim, readings, threshold)
+        assert sorted(calls[before:]) == sorted(pairs)
+        pair_counts.append(len(pairs))
+        return decisions
+
+    def reference(sim):
+        return reference_rerouting(sim, sim.read_detectors(), threshold)
+
+    sim, ref = build_two_arm_jam(), build_two_arm_jam()
+    decisions = []
+    for _ in range(7):  # windows 30..210
+        got = run_to_next_window(sim, shared)
+        assert got == run_to_next_window(ref, reference)
+        decisions += got
+    sim.validate()
+    # The comparison is not vacuous: several vehicles share each pair, and
+    # both outcomes occur.
+    assert max(pair_counts) == 6
+    assert len(decisions) > sum(pair_counts)
+    assert {d.decision for d in decisions} == {"stay", "switch"}
 
 
 # ------------------------------------------------------------- determinism

@@ -14,9 +14,10 @@ from flowctl.roadnet import (
     enumerate_routes,
     free_flow_weights,
     make_network,
-    network_to_text,
     shortest_route,
 )
+
+from fileformats import network_to_text
 
 
 # ---------------------------------------------------------------- oracles
