@@ -9,6 +9,10 @@ Three run modes share one episode loop, `run_experiment`:
 * ``rl_reroute`` — training plus congestion-triggered rerouting at every
                    detector window.
 
+Each detector window is handled by one function inside `run_experiment`:
+it reads the detectors once, appends one row per arm to the detector log,
+and in rl_reroute passes the same readings to `rerouter.apply_rerouting`.
+
 Every run consumes per-episode demand schedules derived deterministically
 from one base seed and is reproducible byte-for-byte.  Sweeps fan the rl
 mode out over declared value sets for the discount factor, network width,
@@ -34,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rerouter
 from .neuralnet import PolicyNetwork, save_network
 from .pgagent import (
     EpisodeMetrics,
@@ -42,7 +47,7 @@ from .pgagent import (
     drive_episode,
     fixed_cycle_policy,
 )
-from .rerouter import CongestionMonitor, RerouteDecision
+from .rerouter import RerouteDecision
 from .roadnet import (
     RoadNetwork,
     build_default_network,
@@ -358,20 +363,6 @@ def _schedule_for(net: RoadNetwork, cfg: RunConfig, base_seed: int,
 
 # ------------------------------------------------------------------- runs
 
-class DetectorLog:
-    """Boundary hook that snapshots every detector window."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, str, int, float, float]] = []
-
-    def __call__(self, sim: Simulation) -> None:
-        readings = sim.read_detectors()
-        for arm in ARM_ORDER:
-            r = readings[arm]
-            self.rows.append((r.window_start, arm, r.vehicle_count,
-                              float(r.mean_speed), float(r.density)))
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     """Everything one run produces, independent of how it is persisted."""
@@ -390,8 +381,9 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
 
     Fixed-time control cycles phases 0-3 with a fixed green and learns
     nothing.  The learning modes sample phases from the current policy and
-    update it after every episode; rl_reroute also runs the congestion
-    monitor at every detector window.
+    update it after every episode.  At every detector window the readings
+    are read once and logged, and rl_reroute also reroutes on them.  The
+    detector log keeps the last episode only.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -406,26 +398,28 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
         green, max_decisions = cfg.train.green_duration, cfg.train.max_agent_steps
     history: list[EpisodeMetrics] = []
     reroutes: list[RerouteDecision] = []
+    detector_rows: list[tuple[int, str, int, float, float]] = []
+
+    def on_window(sim: Simulation) -> None:
+        readings = sim.read_detectors()
+        for arm in ARM_ORDER:
+            r = readings[arm]
+            detector_rows.append((r.window_start, arm, r.vehicle_count,
+                                  float(r.mean_speed), float(r.density)))
+        if mode == "rl_reroute":
+            reroutes.extend(rerouter.apply_rerouting(
+                sim, readings, cfg.density_threshold, cfg.max_alternatives))
+
     for episode in range(cfg.train.episodes):
         sim = Simulation(net, _schedule_for(net, cfg, seed, episode, file_specs),
                          yellow_duration=cfg.train.yellow_duration)
-        log = hook = DetectorLog()
-        if mode == "rl_reroute":
-            monitor = CongestionMonitor(cfg.density_threshold,
-                                        cfg.max_alternatives)
-
-            def hook(sim: Simulation, log=log, monitor=monitor) -> None:
-                log(sim)
-                monitor(sim)
-
+        detector_rows.clear()
         choose = learner.chooser() if learner else fixed_cycle_policy()
         transitions, cum_negative = drive_episode(
             sim, choose, green_duration=green, max_decisions=max_decisions,
-            boundary_hook=hook)
+            boundary_hook=on_window)
         if learner:
             learner.end_episode(episode, transitions)
-        if mode == "rl_reroute":
-            reroutes.extend(monitor.decisions)
         history.append(EpisodeMetrics(
             episode=episode,
             cum_delay_s=sim.cum_delay(),
@@ -435,12 +429,8 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
             arrived=sim.arrived_count,
         ))
     return ExperimentResult(mode, seed, tuple(history), tuple(reroutes),
-                            tuple(log.rows),
+                            tuple(detector_rows),
                             learner.agent.net if learner else None)
-
-
-def _run_job(job: tuple[RunConfig, str, int]) -> ExperimentResult:
-    return run_experiment(*job)
 
 
 def run_many(jobs: list[tuple[RunConfig, str, int]],
@@ -448,10 +438,10 @@ def run_many(jobs: list[tuple[RunConfig, str, int]],
     """Run independent experiments, in parallel processes when there are
     several.  Results come back in job order."""
     if len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
+        return [run_experiment(*job) for job in jobs]
     workers = max_workers or min(len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))
+        return list(pool.map(run_experiment, *zip(*jobs)))
 
 
 # ------------------------------------------------------------ CSV pipeline

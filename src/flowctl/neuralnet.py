@@ -17,7 +17,7 @@ The payload length matches the header exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import struct
 
 import numpy as np
@@ -56,16 +56,13 @@ class GradientSet:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adaptive moment estimates (first/second) plus the step counter."""
+    """First and second moment estimates, ordered as the network's weights
+    then its biases, plus the step counter."""
 
-    m_weights: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
+    m: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
     step: int
     learning_rate: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
 
 
 def _he_layer(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -92,14 +89,8 @@ def init_optimizer(net: PolicyNetwork,
                    learning_rate: float = DEFAULT_LEARNING_RATE) -> OptimizerState:
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    return OptimizerState(
-        m_weights=tuple(np.zeros_like(w) for w in net.weights),
-        v_weights=tuple(np.zeros_like(w) for w in net.weights),
-        m_biases=tuple(np.zeros_like(b) for b in net.biases),
-        v_biases=tuple(np.zeros_like(b) for b in net.biases),
-        step=0,
-        learning_rate=learning_rate,
-    )
+    zeros = tuple(np.zeros_like(p) for p in net.weights + net.biases)
+    return OptimizerState(m=zeros, v=zeros, step=0, learning_rate=learning_rate)
 
 
 def activations(net: PolicyNetwork, states: np.ndarray) -> list[np.ndarray]:
@@ -180,30 +171,23 @@ def apply_update(net: PolicyNetwork, grads: GradientSet, scale: float,
         if not np.all(np.isfinite(g)):
             raise ValueError("gradient contains non-finite values")
     t = opt.step + 1
-    corr1 = 1.0 - opt.beta1 ** t
-    corr2 = 1.0 - opt.beta2 ** t
+    corr1 = 1.0 - ADAM_BETA1 ** t
+    corr2 = 1.0 - ADAM_BETA2 ** t
 
     def adam(param, g, m, v):
+        if g.shape != param.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter {param.shape}")
         g = scale * g
-        m2 = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v2 = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
+        m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         step = opt.learning_rate * (m2 / corr1) / (np.sqrt(v2 / corr2) + ADAM_EPS)
         return param + step, m2, v2
 
-    def update(params, grads, ms, vs, kind):
-        for p, g in zip(params, grads):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match {kind} {p.shape}")
-        return zip(*map(adam, params, grads, ms, vs))
-
-    new_w, new_mw, new_vw = update(net.weights, grads.weights, opt.m_weights,
-                                   opt.v_weights, "weights")
-    new_b, new_mb, new_vb = update(net.biases, grads.biases, opt.m_biases,
-                                   opt.v_biases, "biases")
-    net2 = PolicyNetwork(weights=new_w, biases=new_b)
-    opt2 = replace(opt, m_weights=new_mw, v_weights=new_vw,
-                   m_biases=new_mb, v_biases=new_vb, step=t)
-    return net2, opt2
+    params, m, v = zip(*[adam(*args) for args in zip(
+        net.weights + net.biases, grads.weights + grads.biases, opt.m, opt.v, strict=True)])
+    n = len(net.weights)
+    return (PolicyNetwork(weights=params[:n], biases=params[n:]),
+            OptimizerState(m, v, t, opt.learning_rate))
 
 
 # ------------------------------------------------------------- persistence

@@ -84,6 +84,8 @@ class TrainConfig:
             raise ValueError("max_agent_steps must be >= 1")
         if self.hidden_width < 1 or self.hidden_count < 1:
             raise ValueError("hidden layers must be at least 1x1")
+        if self.value_hidden_width < 1:
+            raise ValueError("value_hidden_width must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 

@@ -27,6 +27,10 @@ distinct (next node, destination) pair once and prices each searched tail
 once, and every vehicle with that pair reuses the result.  Only the part of
 the estimate that depends on the vehicle, its unfinished current edge, is
 computed per vehicle.
+
+In a run, `harness.run_experiment` calls `apply_rerouting` at every
+detector window with the readings it has just logged, and with the
+threshold and alternative count that `harness.RunConfig` validates.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from .roadnet import enumerate_routes, free_flow_weights
 from .simcore import ARM_ORDER, DetectorReading, Simulation, Vehicle
 
 SURCHARGE_RATE = 2.0  # seconds of penalty per estimated vehicle on the edge
-DEFAULT_DENSITY_THRESHOLD = 0.05
-DEFAULT_MAX_ALTERNATIVES = 4
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,7 @@ def evaluate_vehicle(sim: Simulation, vehicle: Vehicle,
 
 
 def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
-                    threshold: float = DEFAULT_DENSITY_THRESHOLD,
-                    max_alternatives: int = DEFAULT_MAX_ALTERNATIVES,
-                    ) -> list[RerouteDecision]:
+                    threshold: float, max_alternatives: int) -> list[RerouteDecision]:
     """One full pass: flag arms, build the cost model, evaluate candidates."""
     flagged = flagged_arms(readings, threshold)
     if not flagged:
@@ -193,26 +193,3 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
                                               max_alternatives, searches))
     return decisions
 
-
-class CongestionMonitor:
-    """Boundary hook: polls detectors each window and applies rerouting.
-
-    Collects every RerouteDecision it makes in `decisions`.
-    """
-
-    def __init__(self, density_threshold: float = DEFAULT_DENSITY_THRESHOLD,
-                 max_alternatives: int = DEFAULT_MAX_ALTERNATIVES):
-        if density_threshold < 0:
-            raise ValueError("density_threshold must be >= 0")
-        if max_alternatives < 1:
-            raise ValueError("max_alternatives must be >= 1")
-        self.density_threshold = density_threshold
-        self.max_alternatives = max_alternatives
-        self.decisions: list[RerouteDecision] = []
-
-    def __call__(self, sim: Simulation) -> list[RerouteDecision]:
-        readings = sim.read_detectors()
-        new = apply_rerouting(sim, readings, self.density_threshold,
-                              self.max_alternatives)
-        self.decisions.extend(new)
-        return new

@@ -347,14 +347,12 @@ class Simulation:
         self.arrived_wait_sum = 0
 
         self._halted_sum = 0
-        self._last_halted = 0
 
         self._det_seen = {a: set() for a in ARM_ORDER}
         self._det_speed_sum = {a: 0.0 for a in ARM_ORDER}
         self._det_speed_n = {a: 0 for a in ARM_ORDER}
         self._det_count_sum = {a: 0 for a in ARM_ORDER}
         self._det_last: dict[str, DetectorReading] = {}
-        self._det_last_end = -1
 
     # ------------------------------------------------------------- helpers
 
@@ -523,7 +521,6 @@ class Simulation:
                         self._det_speed_sum[arm] += v.speed
                         self._det_speed_n[arm] += 1
         self._halted_sum += halted
-        self._last_halted = halted
 
         if self.clock % DETECTOR_PERIOD == 0:
             start = self.clock - DETECTOR_PERIOD
@@ -543,7 +540,6 @@ class Simulation:
                 self._det_speed_n[arm] = 0
                 self._det_count_sum[arm] = 0
             self._det_last = readings
-            self._det_last_end = self.clock
 
     # ------------------------------------------------------------- sensors
 

@@ -46,7 +46,7 @@ from flowctl.roadnet import (
     make_network,
     shortest_route,
 )
-from flowctl.rerouter import CongestionMonitor
+from flowctl.rerouter import apply_rerouting
 from flowctl.simcore import MIN_GAP, Simulation, spawn_schedule
 
 NET = build_default_network()
@@ -297,6 +297,7 @@ def test_acceptance_4_invariants_and_two_second_amber():
 
 # --------------------------------------------------- 5: run determinism
 
+@pytest.mark.slow
 def test_acceptance_5_repeat_cli_runs_are_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -318,6 +319,7 @@ def test_acceptance_5_repeat_cli_runs_are_byte_identical(tmp_path):
 
 # ----------------------------------------------------- 6: learning curve
 
+@pytest.mark.slow
 def test_acceptance_6_training_improves_reward(desk_runs):
     runs, elapsed = desk_runs
     improved = 0
@@ -338,6 +340,7 @@ def test_acceptance_6_training_improves_reward(desk_runs):
 
 # ------------------------------------------ 7: control-strategy ordering
 
+@pytest.mark.slow
 def test_acceptance_7_learned_control_beats_fixed_time(desk_runs):
     runs, _ = desk_runs
 
@@ -386,12 +389,12 @@ def build_west_jam() -> Simulation:
 
 def run_jam(threshold: float, until: int = 300):
     sim = build_west_jam()
-    monitor = CongestionMonitor(density_threshold=threshold)
+    decisions = []
     while sim.clock < until:
         sim.step()
         if sim.clock % 30 == 0:
-            monitor(sim)
-    return monitor.decisions
+            decisions += apply_rerouting(sim, sim.read_detectors(), threshold, 4)
+    return decisions
 
 
 def test_acceptance_8_congestion_switches_are_justified():
@@ -413,6 +416,7 @@ def test_acceptance_8_congestion_switches_are_justified():
 
 # ----------------------------------------------------- 9: ranked sweeps
 
+@pytest.mark.slow
 def test_acceptance_9_sweeps_emit_ranked_tables(tmp_path):
     cfg = desk_profile()
     observed = {}

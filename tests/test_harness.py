@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowctl import harness
+from flowctl import harness, rerouter
 from flowctl.harness import (
     COMPARISON_HEADER,
     DETECTOR_HEADER,
@@ -96,6 +96,8 @@ def test_run_config_validation():
         dataclasses.replace(desk_profile(), fixed_green=0)
     with pytest.raises(ConfigError):
         dataclasses.replace(desk_profile(), density_threshold=-0.5)
+    with pytest.raises(ConfigError, match="max_alternatives"):
+        dataclasses.replace(desk_profile(), max_alternatives=0)
 
 
 # ------------------------------------------------------------- config file
@@ -139,6 +141,9 @@ def test_config_invalid_value_rejected_via_validation():
         parse_config_text("gamma = 1.5", desk_profile())
     with pytest.raises(ConfigError):
         parse_config_text("episodes = 0", desk_profile())
+    with pytest.raises(ConfigError, match="value_hidden_width"):
+        parse_config_text("use_value_baseline = true\nvalue_hidden_width = 0",
+                          desk_profile())
 
 
 def test_config_text_round_trips():
@@ -276,6 +281,35 @@ def test_rl_reroute_run_records_decisions_under_low_threshold():
     assert result.mode == "rl_reroute"
     assert result.reroutes  # some vehicles got evaluated
     assert {d.decision for d in result.reroutes} <= {"stay", "switch"}
+
+
+def test_window_hook_reroutes_in_rl_reroute_only_and_logs_the_last_episode(
+        monkeypatch):
+    original = rerouter.apply_rerouting
+    calls, returned = [], []
+
+    def recording(sim, readings, threshold, max_alternatives):
+        calls.append((sim.clock, threshold, max_alternatives))
+        decisions = original(sim, readings, threshold, max_alternatives)
+        returned.extend(decisions)
+        return decisions
+
+    monkeypatch.setattr(rerouter, "apply_rerouting", recording)
+    cfg = tiny_profile(density_threshold=0.0005, max_alternatives=2)
+    for mode in ("fixed", "rl", "rl_reroute"):
+        calls.clear()
+        returned.clear()
+        result = run_experiment(cfg, mode, 7)
+        # One row per arm per window of the last episode only.
+        last_time = result.metrics[-1].sim_time_s
+        assert len(result.detector_rows) == 4 * (last_time // 30)
+        if mode != "rl_reroute":
+            assert calls == []
+            continue
+        windows = [(clock, 0.0005, 2) for m in result.metrics
+                   for clock in range(30, m.sim_time_s + 1, 30)]
+        assert calls == windows
+        assert result.reroutes == tuple(returned) and returned
 
 
 def test_unknown_mode_is_config_error():

@@ -163,6 +163,10 @@ def test_train_config_validation():
         TrainConfig(green_duration=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError, match="value_hidden_width"):
+        TrainConfig(value_hidden_width=0)
+    with pytest.raises(ValueError, match="value_hidden_width"):
+        TrainConfig(use_value_baseline=True, value_hidden_width=-3)
 
 
 # ------------------------------------------------------------------ driver

@@ -8,7 +8,6 @@ from flowctl import rerouter
 from flowctl.pgagent import drive_episode
 from flowctl.roadnet import build_default_network, enumerate_routes, free_flow_weights
 from flowctl.rerouter import (
-    CongestionMonitor,
     RerouteDecision,
     apply_rerouting,
     candidate_vehicles,
@@ -131,11 +130,16 @@ def reference_rerouting(sim: Simulation, readings, threshold: float,
     return decisions
 
 
-def run_to_next_window(sim: Simulation, monitor: CongestionMonitor):
+def rerouting(threshold: float):
+    """A window hook that reroutes on the window's readings with k = 4."""
+    return lambda sim: apply_rerouting(sim, sim.read_detectors(), threshold, 4)
+
+
+def run_to_next_window(sim: Simulation, hook):
     while True:
         sim.step()
         if sim.clock % DETECTOR_PERIOD == 0:
-            return monitor(sim)
+            return hook(sim)
 
 
 # ---------------------------------------------------------------- flagging
@@ -201,8 +205,7 @@ def test_candidate_filter_and_ordering():
 
 def test_stay_decision_matches_hand_computed_estimates():
     sim = build_west_jam()
-    monitor = CongestionMonitor(density_threshold=0.05)
-    new = run_to_next_window(sim, monitor)  # window at clock 30
+    new = run_to_next_window(sim, rerouting(0.05))  # window at clock 30
 
     assert [d.vehicle for d in new] == ["cand0", "cand1", "cand2"]
     front = new[0]
@@ -235,13 +238,16 @@ def test_detector_density_feeding_the_monitor():
 
 def test_switch_fires_once_waiting_dominates_the_bypass():
     sim = build_west_jam()
-    monitor = CongestionMonitor(density_threshold=0.05)
+    reroute = rerouting(0.05)
+    decisions = []
     # Stay windows: the bypass still looks worse than queueing.
     for _ in range(5):  # clocks 30..150
-        new = run_to_next_window(sim, monitor)
+        new = run_to_next_window(sim, reroute)
+        decisions += new
         assert all(d.decision == "stay" for d in new)
     # At 180 s of accrued stop-line wait the bypass wins for everyone.
-    new = run_to_next_window(sim, monitor)
+    new = run_to_next_window(sim, reroute)
+    decisions += new
     assert sim.clock == 180
     assert [d.decision for d in new] == ["switch", "switch", "switch"]
     front = new[0]
@@ -260,9 +266,9 @@ def test_switch_fires_once_waiting_dominates_the_bypass():
     sim.validate()
 
     # Next window: the switched vehicles are no longer candidates.
-    before = len(monitor.decisions)
-    run_to_next_window(sim, monitor)
-    assert len(monitor.decisions) == before
+    before = len(decisions)
+    decisions += run_to_next_window(sim, reroute)
+    assert len(decisions) == before
 
     # And they actually drive the double-back bypass to the destination.
     while sim.clock < 520:
@@ -274,23 +280,17 @@ def test_switch_fires_once_waiting_dominates_the_bypass():
 
 def test_high_threshold_suppresses_all_decisions():
     sim = build_west_jam()
-    monitor = CongestionMonitor(density_threshold=0.2)
-    new = run_to_next_window(sim, monitor)
+    decisions = []
+    new = run_to_next_window(sim, rerouting(0.2))
+    decisions += new
     assert new == []
-    assert monitor.decisions == []
+    assert decisions == []
 
 
 def test_apply_rerouting_without_flagged_arms_is_empty():
     sim = make_sim()
     readings = {a: reading(a, 0.0) for a in "nesw"}
-    assert apply_rerouting(sim, readings, threshold=0.05) == []
-
-
-def test_monitor_validates_arguments():
-    with pytest.raises(ValueError):
-        CongestionMonitor(density_threshold=-0.1)
-    with pytest.raises(ValueError):
-        CongestionMonitor(max_alternatives=0)
+    assert apply_rerouting(sim, readings, threshold=0.05, max_alternatives=4) == []
 
 
 def test_best_alternative_empty_when_no_options():
@@ -329,7 +329,7 @@ def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
                  for arm in flagged_arms(readings, threshold)
                  for v in candidate_vehicles(sim, arm)}
         before = len(calls)
-        decisions = apply_rerouting(sim, readings, threshold)
+        decisions = apply_rerouting(sim, readings, threshold, 4)
         assert sorted(calls[before:]) == sorted(pairs)
         pair_counts.append(len(pairs))
         return decisions
@@ -356,10 +356,11 @@ def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
 def test_decision_stream_is_deterministic():
     def collect():
         sim = build_west_jam()
-        monitor = CongestionMonitor(density_threshold=0.05)
+        reroute = rerouting(0.05)
+        decisions = []
         for _ in range(7):  # through the switch window and one beyond
-            run_to_next_window(sim, monitor)
-        return monitor.decisions
+            decisions += run_to_next_window(sim, reroute)
+        return decisions
 
     assert collect() == collect()
 
@@ -368,14 +369,15 @@ def test_decision_stream_is_deterministic():
 
 def test_monitor_as_drive_episode_boundary_hook():
     sim = build_west_jam()
-    monitor = CongestionMonitor(density_threshold=0.05)
-    drive_episode(sim, lambda state: 0, green_duration=4,
-                  max_decisions=50, boundary_hook=monitor)
+    reroute = rerouting(0.05)
+    decisions = []
+    drive_episode(sim, lambda state: 0, green_duration=4, max_decisions=50,
+                  boundary_hook=lambda sim: decisions.extend(reroute(sim)))
     assert sim.clock == 200
-    times = [d.time for d in monitor.decisions]
+    times = [d.time for d in decisions]
     assert times and all(t % DETECTOR_PERIOD == 0 for t in times)
-    stays = [d for d in monitor.decisions if d.decision == "stay"]
-    switches = [d for d in monitor.decisions if d.decision == "switch"]
+    stays = [d for d in decisions if d.decision == "stay"]
+    switches = [d for d in decisions if d.decision == "switch"]
     assert len(stays) == 15          # 3 candidates x windows 30..150
     assert len(switches) == 3        # everyone bails at the 180 s window
     assert {d.time for d in switches} == {180}
