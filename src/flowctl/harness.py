@@ -187,7 +187,8 @@ def _atomic_write(path: Path, write) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str) -> Path:
+def write_text(path: Path, text: str) -> Path:
+    """Write a text artifact through `_atomic_write`, creating its directory."""
     return _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
@@ -579,7 +580,7 @@ def write_run_artifacts(out_dir: str | Path, cfg: RunConfig,
     }
     if result.mode == "rl_reroute":
         texts["reroutes.csv"] = reroutes_csv(result.reroutes)
-    written = {name: _write_text(out / name, text)
+    written = {name: write_text(out / name, text)
                for name, text in texts.items()}
     if result.network is not None:
         written["policy.bin"] = _atomic_write(
@@ -645,8 +646,8 @@ def run_sweep(cfg: RunConfig, axis: str, seeds: tuple[int, ...],
                              rank, flag))
 
     out = Path(out_dir)
-    _write_text(out / "comparison.csv",
-                csv_text(COMPARISON_HEADER, comparison_rows))
-    _write_text(out / "summary.csv",
-                csv_text(SWEEP_SUMMARY_HEADER, summary_rows))
+    write_text(out / "comparison.csv",
+               csv_text(COMPARISON_HEADER, comparison_rows))
+    write_text(out / "summary.csv",
+               csv_text(SWEEP_SUMMARY_HEADER, summary_rows))
     return comparison_rows, summary_rows

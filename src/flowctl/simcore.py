@@ -7,7 +7,11 @@ Mechanics, all on 1-second steps:
   the edge limit, and the pre-step position of its lane leader minus a fixed
   minimum gap.  Using pre-step leader positions makes the update order
   irrelevant for safety and caps discharge at one vehicle per lane per step,
-  which yields realistic saturation flows.
+  which yields realistic saturation flows: a follower ends at least MIN_GAP
+  short of its leader's pre-step position, so only a lane's front vehicle
+  can reach the edge end, and `step` makes one pass over each lane.  A
+  vehicle that moves to a new lane is stamped with the clock; it sits at
+  the back of that lane, so the lane's pass stops at the first stamp.
 * Red (and amber) lights act as a stop wall at the downstream end of the
   four signalized edges.  Braking is not otherwise limited: a light change
   can stop a vehicle in one step.
@@ -332,6 +336,8 @@ class Simulation:
         self._edge_order = tuple(sorted(net.edges))
         self._lanes: dict[str, list[list[Vehicle]]] = {
             eid: [[] for _ in range(e.lane_count)] for eid, e in net.edges.items()}
+        self._plan = tuple((net.edges[eid], self._jin_arm.get(eid), self._lanes[eid])
+                           for eid in self._edge_order)
 
         specs = sorted(schedule, key=lambda s: (s.depart, s.vehicle_id))
         ids = [s.vehicle_id for s in specs]
@@ -409,71 +415,76 @@ class Simulation:
         self.signals.set_phase(phase)
 
     def step(self) -> None:
-        """Advance the world by one second."""
+        """Advance the world by one second, in one pass over each lane.
+
+        Only the front vehicle can cross the node (see the module notes);
+        when it arrives or moves on, it leaves with `del occupants[0]`.  A
+        vehicle that moves on is stamped, and a lane's pass stops at the
+        first stamped vehicle: it and all behind it entered this step.
+        """
         self.signals.tick_begin()
         clock = self.clock
+        is_green = self.signals.is_green
 
-        for edge_id in self._edge_order:
-            edge = self.net.edges[edge_id]
-            signal_arm = self._jin_arm.get(edge_id)
-            lanes = self._lanes[edge_id]
-            for lane_idx in range(edge.lane_count):
-                occupants = lanes[lane_idx]
+        for edge, signal_arm, lanes in self._plan:
+            length = edge.length
+            speed_limit = edge.speed_limit
+            for lane_idx, occupants in enumerate(lanes):
                 if not occupants:
                     continue
-                old_pos = [v.pos for v in occupants]
-                green = (signal_arm is None
-                         or self.signals.is_green(signal_arm, lane_idx))
-                survivors: list[Vehicle] = []
-                for i, v in enumerate(occupants):
-                    if v.stamp == clock:  # entered this step; already moved
-                        survivors.append(v)
-                        continue
-                    v.stamp = clock
+                green = signal_arm is None or is_green(signal_arm, lane_idx)
+                leader_pos = math.inf
+                front_left = False
+                for v in occupants:
+                    if v.stamp == clock:  # entered this step, as did all behind
+                        break
+                    old = v.pos
                     target = v.speed + MAX_ACCEL
                     if v.max_speed < target:
                         target = v.max_speed
-                    if edge.speed_limit < target:
-                        target = edge.speed_limit
-                    if i > 0:
-                        gap_speed = old_pos[i - 1] - old_pos[i] - MIN_GAP
-                        if gap_speed < target:
-                            target = gap_speed
+                    if speed_limit < target:
+                        target = speed_limit
+                    gap_speed = leader_pos - old - MIN_GAP
+                    if gap_speed < target:
+                        target = gap_speed
                     if not green:
-                        wall = edge.length - old_pos[i] - MIN_GAP
+                        wall = length - old - MIN_GAP
                         if wall < target:
                             target = wall
+                    leader_pos = old
                     speed = target if target > 0.0 else 0.0
-                    new_pos = old_pos[i] + speed
-                    if new_pos <= edge.length:
+                    new_pos = old + speed
+                    if new_pos <= length:
                         v.pos = new_pos
                         v.speed = speed
-                        survivors.append(v)
                         continue
                     # Crossing the downstream node.
                     if v.route_idx + 1 >= len(v.route):
                         self.active_count -= 1
                         self.arrived_count += 1
                         self.arrived_wait_sum += v.wait
+                        front_left = True
                         continue
                     next_id = v.route[v.route_idx + 1]
                     allowed = self._allowed_lanes(v.route, v.route_idx + 1)
                     new_lane, room = self._pick_lane(next_id, allowed)
-                    entry = new_pos - edge.length
+                    entry = new_pos - length
                     limit = room - MIN_GAP
                     if limit < entry:
                         entry = limit
                     if entry < 0.0:
-                        v.pos = edge.length  # hold at the node and retry
-                        v.speed = edge.length - old_pos[i]
-                        survivors.append(v)
+                        v.pos = length  # hold at the node and retry
+                        v.speed = length - old
                         continue
                     v.route_idx += 1
                     v.lane = new_lane
                     v.pos = entry
-                    v.speed = (edge.length - old_pos[i]) + entry
+                    v.speed = (length - old) + entry
+                    v.stamp = clock
                     self._lanes[next_id][new_lane].append(v)
-                lanes[lane_idx] = survivors
+                    front_left = True
+                if front_left:
+                    del occupants[0]
 
         self._attempt_spawns(clock)
         self.signals.tick_end()
@@ -494,7 +505,6 @@ class Simulation:
                 v = Vehicle(spec.vehicle_id, spec.vtype, spec.max_speed,
                             spec.route, spec.depart)
                 v.lane = lane
-                v.stamp = clock
                 self._lanes[first][lane].append(v)
                 self.active_count += 1
             else:
@@ -648,7 +658,6 @@ class Simulation:
         v.pos = float(pos)
         v.speed = float(speed)
         v.wait = wait
-        v.stamp = self.clock - 1
         occupants = self._lanes[route[0]][lane]
         at = 0
         while at < len(occupants) and occupants[at].pos > pos:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -110,6 +111,17 @@ def test_summarize_over_run_dirs(tiny_config_file, tmp_path, capsys):
     assert report_file.read_text() == stdout
 
 
+def test_summarize_out_creates_missing_directory(tiny_config_file, tmp_path, capsys):
+    fx = tmp_path / "fx"
+    assert run_cli("run", "--mode", "fixed", "--config", tiny_config_file,
+                   "--out", fx) == 0
+    capsys.readouterr()
+    report_file = tmp_path / "reports" / "new" / "report.txt"
+    assert run_cli("summarize", fx, "--out", report_file) == 0
+    assert report_file.read_text() == capsys.readouterr().out
+    assert [p.name for p in report_file.parent.iterdir()] == ["report.txt"]
+
+
 def test_summarize_requires_fixed_baseline(tiny_config_file, tmp_path, capsys):
     rl = tmp_path / "rl"
     assert run_cli("run", "--mode", "rl", "--config", tiny_config_file,
@@ -171,3 +183,18 @@ def test_module_invocation_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "flowctl" in proc.stdout
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_pins_blas_threads_unless_already_set():
+    code = ("import os, flowctl.cli; "
+            f"print(*(os.environ[k] for k in {BLAS_VARS!r}))")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    for preset, expected in (({}, ["1", "1", "1"]),
+                             ({"OMP_NUM_THREADS": "2"}, ["1", "2", "1"])):
+        proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected
