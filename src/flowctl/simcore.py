@@ -22,7 +22,8 @@ Mechanics, all on 1-second steps:
 * Lane choice happens only on edge entry (no mid-edge lane changes) and is
   dictated by the turning movement at the next signalized junction: left
   turns use lane 0, right turns the outermost lane, through traffic the two
-  middle lanes, anything without a junction ahead spreads by headroom.
+  middle lanes (lane 1 alone on a two-lane edge), anything without a
+  junction ahead spreads by headroom.
 * Demand is a spawn schedule; blocked spawns stay pending and retry in
   order.  Waiting time accrues per vehicle-step spent below a halt speed on
   an inbound arm edge, and windowed detectors report per-arm count, mean
@@ -392,7 +393,7 @@ class Simulation:
                 return (0,)
             if exit_arm == RIGHT_EXIT[arm]:
                 return (edge.lane_count - 1,)
-            return (1, 2)
+            return tuple(lane for lane in (1, 2) if lane < edge.lane_count)
         return tuple(range(edge.lane_count))
 
     def _pick_lane(self, edge_id: str, allowed: tuple[int, ...]) -> tuple[int, float]:

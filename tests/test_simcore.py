@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flowctl.roadnet import build_default_network
+from flowctl.roadnet import build_default_network, build_network
 from flowctl.simcore import (
     ARM_ORDER,
     HALT_SPEED,
@@ -22,6 +22,8 @@ from flowctl.simcore import (
     infer_layout,
     spawn_schedule,
 )
+
+from fileformats import network_to_text
 
 NET = build_default_network()
 
@@ -343,6 +345,23 @@ def test_diagonal_is_single_lane():
     sim = make_sim()
     v = sim.place_vehicle("x", ("diag_ne",))
     assert v.lane == 0
+
+
+def test_through_traffic_on_a_two_lane_edge_uses_lane_one():
+    lines = []
+    for line in network_to_text(NET).splitlines():
+        fields = line.split()
+        if fields[0] == "edge" and fields[1].startswith("diag_"):
+            fields[5] = "2"
+        lines.append(" ".join(fields))
+    sim = Simulation(build_network("\n".join(lines) + "\n"))
+    route = ("diag_ne", "app_e_in", "jct_e_in", "jct_w_out", "app_w_out")
+    v = sim.place_vehicle("x", route)
+    assert v.lane == 1
+    sim.set_phase(2)
+    run_steps(sim, 400)
+    assert sim.arrived_count == 1
+    sim.validate()
 
 
 def test_spawn_blocks_until_entry_clears():
