@@ -9,9 +9,7 @@ Mechanics, all on 1-second steps:
   irrelevant for safety and caps discharge at one vehicle per lane per step,
   which yields realistic saturation flows: a follower ends at least MIN_GAP
   short of its leader's pre-step position, so only a lane's front vehicle
-  can reach the edge end, and `step` makes one pass over each lane.  A
-  vehicle that moves to a new lane is stamped with the clock; it sits at
-  the back of that lane, so the lane's pass stops at the first stamp.
+  can reach the edge end.
 * Red (and amber) lights act as a stop wall at the downstream end of the
   four signalized edges.  Braking is not otherwise limited: a light change
   can stop a vehicle in one step.
@@ -33,11 +31,37 @@ The signal plan has four phases: 0 = north/south main lanes, 1 = north/south
 left lane, 2 = east/west main lanes, 3 = east/west left lane.  A phase
 change inserts a fixed all-red amber interval; re-selecting the active phase
 extends the green seamlessly.
+
+State layout.  Each active vehicle owns a slot: an index into numpy arrays
+of position, speed, waiting time, speed cap (its top speed and the edge
+limit folded into one `min`, which is exact) and edge length.  Freed slots
+go on a free list and are reused; the arrays double only when every slot
+is taken, so their size follows the peak active count.  A free slot is
+inert: no speed, no cap, an edge end at infinity, and itself as leader.
+Lanes keep their slots front to back.
+
+Each slot has a `leader` index into a position buffer that holds the slots
+followed by one sentinel per lane.  A lane's front vehicle points at the
+lane's sentinel, which holds the edge length while the lane is red or
+amber and infinity while it is green (or unsignalized).  So one
+expression, `leader_pos - pos - MIN_GAP`, gives a follower its gap and a
+front vehicle its stop wall, and `step` moves every vehicle with a handful
+of whole-array operations.  Followers need no separate wall: their leader
+is at most the edge length, and rounding is monotonic, so their gap never
+exceeds the wall.
+
+Two position buffers alternate, so the pre-step positions survive the
+update.  The few vehicles that passed their edge end then cross in
+(_edge_order, lane) order, the order of a lane-by-lane pass.  Lane
+choice on entry compares the room behind each target lane's rear vehicle:
+for target edges later in _edge_order than the crossing vehicle's edge it
+reads pre-step positions, and for earlier edges, and for spawns, post-step
+positions.  An entering vehicle's entry position is written to both
+buffers.  `validate()` checks the slot arrays against the lanes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 import math
@@ -59,11 +83,15 @@ YELLOW_DURATION = 2
 # Occupancy sensor grid: 4 arms x 2 lane groups x 10 range cells.
 SENSOR_CELLS = 80
 SENSOR_BREAKS = (0.0, 7.0, 14.0, 21.0, 28.0, 40.0, 60.0, 100.0, 160.0, 400.0, 1000.0)
+_SENSOR_EDGES = np.array(SENSOR_BREAKS)
 
 # Flow detectors.
 DETECTOR_PERIOD = 30
 DETECTOR_SPAN = 50.0
 DENSITY_NORM_LENGTH = 1000.0
+
+# Vehicle slots before the first doubling.
+INITIAL_SLOTS = 64
 
 ARM_ORDER = ("n", "e", "s", "w")
 OPPOSITE_ARM = {"n": "s", "s": "n", "e": "w", "w": "e"}
@@ -137,25 +165,40 @@ class SignalController:
 
 
 class Vehicle:
-    """Mutable per-vehicle state; the current edge is route[route_idx]."""
+    """A handle on one vehicle; the current edge is route[route_idx].
 
-    __slots__ = ("id", "vtype", "max_speed", "route", "route_idx", "lane", "pos",
-                 "speed", "wait", "depart", "stamp", "rerouted")
+    Identity, route and lane are plain attributes.  Position, speed and
+    waiting time live in the simulation's slot arrays at index `slot` and
+    read back as Python numbers.  An arrived vehicle gives its slot up
+    (`slot` becomes None) and has no position any more.
+    """
 
-    def __init__(self, vehicle_id: str, vtype: str, max_speed: float,
-                 route: tuple[str, ...], depart: int):
+    __slots__ = ("id", "vtype", "max_speed", "route", "route_idx", "lane",
+                 "rerouted", "slot", "_sim")
+
+    def __init__(self, sim: Simulation, slot: int, vehicle_id: str, vtype: str,
+                 max_speed: float, route: tuple[str, ...]):
         self.id = vehicle_id
         self.vtype = vtype
         self.max_speed = max_speed
         self.route = route
         self.route_idx = 0
         self.lane = 0
-        self.pos = 0.0
-        self.speed = 0.0
-        self.wait = 0
-        self.depart = depart
-        self.stamp = -1
         self.rerouted = False
+        self.slot = slot
+        self._sim = sim
+
+    @property
+    def pos(self) -> float:
+        return float(self._sim._pos[self.slot])
+
+    @property
+    def speed(self) -> float:
+        return float(self._sim._speed[self.slot])
+
+    @property
+    def wait(self) -> int:
+        return int(self._sim._wait[self.slot])
 
     @property
     def edge_id(self) -> str:
@@ -335,17 +378,50 @@ class Simulation:
         self._inbound = {a: (q.approach_in, q.junction_in)
                          for a, q in self.arms.items()}
         self._edge_order = tuple(sorted(net.edges))
-        self._lanes: dict[str, list[list[Vehicle]]] = {
-            eid: [[] for _ in range(e.lane_count)] for eid, e in net.edges.items()}
-        self._plan = tuple((net.edges[eid], self._jin_arm.get(eid), self._lanes[eid])
-                           for eid in self._edge_order)
+
+        # Lane ids run in (_edge_order, lane) order.  Per edge: its rank in
+        # _edge_order, its first lane id, length, speed limit, inbound arm
+        # index (or -1) and whether it is an approach edge (detector zone).
+        self._lanes: dict[str, list[list[int]]] = {}
+        self._edge_info: dict[str, tuple[int, int, float, float, int, bool]] = {}
+        lane_rows = []  # per lane id: arm, sensor cell base, distance offset, walls
+        for rank, eid in enumerate(self._edge_order):
+            edge = net.edges[eid]
+            arm = next((i for i, a in enumerate(ARM_ORDER) if eid in self._inbound[a]), -1)
+            approach = arm >= 0 and eid == self._inbound[ARM_ORDER[arm]][0]
+            self._edge_info[eid] = (rank, len(lane_rows), edge.length,
+                                    edge.speed_limit, arm, approach)
+            self._lanes[eid] = [[] for _ in range(edge.lane_count)]
+            signal_arm = self._jin_arm.get(eid)
+            for lane in range(edge.lane_count):
+                cell, offset = -1, 0.0
+                if arm >= 0:
+                    cell = arm * 20 + (0 if lane == 0 else 10)
+                    if approach:
+                        offset = net.edges[self.arms[ARM_ORDER[arm]].junction_in].length
+                walls = [math.inf if signal_arm is None
+                         or SignalController(initial_phase=p).is_green(signal_arm, lane)
+                         else edge.length for p in range(PHASE_COUNT)]
+                walls.append(math.inf if signal_arm is None else edge.length)  # amber
+                lane_rows.append((arm, cell, offset, walls))
+        # A free slot has lane id -1, which picks the inert last row here.
+        self._lane_arm = np.array([r[0] for r in lane_rows] + [-1])
+        self._lane_cell = np.array([r[1] for r in lane_rows] + [-1])
+        self._lane_offset = np.array([r[2] for r in lane_rows] + [0.0])
+        self._walls = np.array([r[3] for r in lane_rows]).T.copy()
+        self._wall_key = -1  # the row of _walls the sentinels hold; none yet
+        self._arm_count = [0] * len(ARM_ORDER)
+        self._handles: list[Vehicle | None] = []
+        self._free: list[int] = []
+        self._allowed: dict[tuple[tuple[str, ...], int], tuple[int, ...]] = {}
+        self._resize(INITIAL_SLOTS)
 
         specs = sorted(schedule, key=lambda s: (s.depart, s.vehicle_id))
         ids = [s.vehicle_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vehicle ids in schedule")
-        for s in specs:
-            self._check_route(s.route)
+        for route in dict.fromkeys(s.route for s in specs):
+            self._check_route(route)
         self._future: deque[SpawnSpec] = deque(specs)
         self._waiting: list[SpawnSpec] = []
         self.scheduled_total = len(specs)
@@ -355,11 +431,102 @@ class Simulation:
 
         self._halted_sum = 0
 
-        self._det_seen = {a: set() for a in ARM_ORDER}
-        self._det_speed_sum = {a: 0.0 for a in ARM_ORDER}
-        self._det_speed_n = {a: 0 for a in ARM_ORDER}
-        self._det_count_sum = {a: 0 for a in ARM_ORDER}
+        self._det_seen = [set() for _ in ARM_ORDER]
+        self._det_speed_sum = [0.0] * len(ARM_ORDER)
+        self._det_speed_n = [0] * len(ARM_ORDER)
+        self._det_count_sum = [0] * len(ARM_ORDER)
         self._det_last: dict[str, DetectorReading] = {}
+
+    # ------------------------------------------------------------- slots
+
+    # Per-slot arrays with the value that makes a free slot inert: no speed,
+    # no speed cap, an edge end at infinity and no lane.  `_leader` and the
+    # two position buffers are handled apart.
+    _SLOT_FIELDS = (("_speed", 0.0, np.float64), ("_wait", 0, np.int64),
+                    ("_cap", 0.0, np.float64), ("_end", math.inf, np.float64),
+                    ("_lane_of", -1, np.intp), ("_inbound", False, np.bool_),
+                    ("_watch", False, np.bool_))
+
+    def _resize(self, size: int) -> None:
+        """Give the slot arrays room for `size` vehicles, keeping every slot.
+
+        Lane sentinels sit past the last slot in both position buffers, so
+        leader pointers to them move up with the size.
+        """
+        n = len(self._handles)
+        for name, fill, dtype in self._SLOT_FIELDS:
+            new = np.full(size, fill, dtype)
+            if n:
+                new[:n] = getattr(self, name)
+            setattr(self, name, new)
+        leader = np.arange(size)
+        walls = self._walls[self._wall_key]
+        if n:
+            old = self._leader
+            leader[:n] = np.where(old >= n, old + (size - n), old)
+        self._leader = leader
+        for name in ("_pos", "_spare"):
+            new = np.zeros(size + walls.size)
+            new[size:] = walls
+            if n:
+                new[:n] = getattr(self, name)[:n]
+            setattr(self, name, new)
+        self._handles.extend([None] * (size - n))
+        self._free.extend(range(size - 1, n - 1, -1))
+
+    def _occupy(self, slot: int, edge_id: str, lane: int, at: int) -> None:
+        """Insert `slot` into a lane at index `at` (0 = front) and repoint it
+        and the vehicle behind it at their new leaders."""
+        _, first_lane, length, limit, arm, approach = self._edge_info[edge_id]
+        occupants = self._lanes[edge_id][lane]
+        leader = self._leader
+        leader[slot] = occupants[at - 1] if at else self._speed.size + first_lane + lane
+        if at < len(occupants):
+            leader[occupants[at]] = slot
+        occupants.insert(at, slot)
+        self._cap[slot] = min(self._handles[slot].max_speed, limit)
+        self._end[slot] = length
+        self._lane_of[slot] = first_lane + lane
+        self._inbound[slot] = arm >= 0
+        self._watch[slot] = approach
+        if arm >= 0:
+            self._arm_count[arm] += 1
+
+    def _vacate_front(self, edge_id: str, lane: int) -> None:
+        """Take the front vehicle out of a lane; the next one leads it now."""
+        _, first_lane, _, _, arm, _ = self._edge_info[edge_id]
+        occupants = self._lanes[edge_id][lane]
+        del occupants[0]
+        if occupants:
+            self._leader[occupants[0]] = self._speed.size + first_lane + lane
+        if arm >= 0:
+            self._arm_count[arm] -= 1
+
+    def _add_vehicle(self, vehicle_id: str, vtype: str, max_speed: float,
+                     route: tuple[str, ...], lane: int, at: int, pos: float,
+                     speed: float, wait: int) -> Vehicle:
+        if not self._free:
+            self._resize(2 * self._speed.size)
+        slot = self._free.pop()
+        v = Vehicle(self, slot, vehicle_id, vtype, max_speed, route)
+        v.lane = lane
+        self._handles[slot] = v
+        self._pos[slot] = pos
+        self._speed[slot] = speed
+        self._wait[slot] = wait
+        self._occupy(slot, route[0], lane, at)
+        self.active_count += 1
+        return v
+
+    def _release(self, slot: int) -> None:
+        """Free an arrived vehicle's slot and make it inert."""
+        self._handles[slot].slot = None
+        self._handles[slot] = None
+        for name, fill, _ in self._SLOT_FIELDS:
+            getattr(self, name)[slot] = fill
+        self._leader[slot] = slot
+        self._pos[slot] = 0.0
+        self._free.append(slot)
 
     # ------------------------------------------------------------- helpers
 
@@ -376,35 +543,43 @@ class Simulation:
             raise ValueError("route repeats an edge")
 
     def _allowed_lanes(self, route: tuple[str, ...], idx: int) -> tuple[int, ...]:
-        """Lanes permitted on route[idx], set by the next junction movement."""
-        edge = self.net.edges[route[idx]]
-        if edge.lane_count == 1:
-            return (0,)
-        for j in range(idx, len(route)):
-            arm = self._jin_arm.get(route[j])
-            if arm is None:
-                continue
-            if j + 1 >= len(route):
-                break
-            exit_arm = self._jout_arm.get(route[j + 1])
-            if exit_arm is None:
-                break
-            if exit_arm == LEFT_EXIT[arm]:
-                return (0,)
-            if exit_arm == RIGHT_EXIT[arm]:
-                return (edge.lane_count - 1,)
-            return tuple(lane for lane in (1, 2) if lane < edge.lane_count)
-        return tuple(range(edge.lane_count))
+        """Lanes permitted on route[idx], set by the next junction movement.
 
-    def _pick_lane(self, edge_id: str, allowed: tuple[int, ...]) -> tuple[int, float]:
-        """Allowed lane with the most headroom (rear gap); ties take the lowest."""
-        length = self.net.edges[edge_id].length
+        Memoized per (route, idx); a route swap makes a new route tuple.
+        """
+        key = (route, idx)
+        allowed = self._allowed.get(key)
+        if allowed is not None:
+            return allowed
+        lane_count = self.net.edges[route[idx]].lane_count
+        allowed = tuple(range(lane_count))
+        j = next((j for j in range(idx, len(route)) if route[j] in self._jin_arm), None)
+        if lane_count > 1 and j is not None and j + 1 < len(route):
+            arm = self._jin_arm[route[j]]
+            exit_arm = self._jout_arm.get(route[j + 1])
+            if exit_arm == LEFT_EXIT[arm]:
+                allowed = (0,)
+            elif exit_arm == RIGHT_EXIT[arm]:
+                allowed = (lane_count - 1,)
+            elif exit_arm is not None:
+                allowed = tuple(lane for lane in (1, 2) if lane < lane_count)
+        self._allowed[key] = allowed
+        return allowed
+
+    def _pick_lane(self, edge_id: str, allowed: tuple[int, ...],
+                   positions: np.ndarray) -> tuple[int, float]:
+        """Allowed lane with the most headroom (rear gap); ties take the lowest.
+
+        `positions` is the buffer to read the rear vehicles from (see the
+        module notes on pre-step and post-step room).
+        """
+        length = self._edge_info[edge_id][2]
         lanes = self._lanes[edge_id]
         best_lane = allowed[0]
         best_room = -1.0
         for lane in allowed:
             occupants = lanes[lane]
-            room = occupants[-1].pos if occupants else length
+            room = positions.item(occupants[-1]) if occupants else length
             if room > best_room + 1e-12:
                 best_room = room
                 best_lane = lane
@@ -416,79 +591,73 @@ class Simulation:
         self.signals.set_phase(phase)
 
     def step(self) -> None:
-        """Advance the world by one second, in one pass over each lane.
+        """Advance the world by one second.
 
-        Only the front vehicle can cross the node (see the module notes);
-        when it arrives or moves on, it leaves with `del occupants[0]`.  A
-        vehicle that moves on is stamped, and a lane's pass stops at the
-        first stamped vehicle: it and all behind it entered this step.
+        One array pass moves every vehicle; then the few that passed their
+        edge end cross the node, arrive or hold, one lane at a time in
+        (_edge_order, lane) order (see the module notes).
         """
-        self.signals.tick_begin()
+        signals = self.signals
+        signals.tick_begin()
         clock = self.clock
-        is_green = self.signals.is_green
+        key = PHASE_COUNT if signals.in_yellow else signals.phase
+        if key != self._wall_key:
+            n = self._speed.size
+            self._pos[n:] = self._spare[n:] = self._walls[key]
+            self._wall_key = key
 
-        for edge, signal_arm, lanes in self._plan:
-            length = edge.length
-            speed_limit = edge.speed_limit
-            for lane_idx, occupants in enumerate(lanes):
-                if not occupants:
-                    continue
-                green = signal_arm is None or is_green(signal_arm, lane_idx)
-                leader_pos = math.inf
-                front_left = False
-                for v in occupants:
-                    if v.stamp == clock:  # entered this step, as did all behind
-                        break
-                    old = v.pos
-                    target = v.speed + MAX_ACCEL
-                    if v.max_speed < target:
-                        target = v.max_speed
-                    if speed_limit < target:
-                        target = speed_limit
-                    gap_speed = leader_pos - old - MIN_GAP
-                    if gap_speed < target:
-                        target = gap_speed
-                    if not green:
-                        wall = length - old - MIN_GAP
-                        if wall < target:
-                            target = wall
-                    leader_pos = old
-                    speed = target if target > 0.0 else 0.0
-                    new_pos = old + speed
-                    if new_pos <= length:
-                        v.pos = new_pos
-                        v.speed = speed
-                        continue
-                    # Crossing the downstream node.
-                    if v.route_idx + 1 >= len(v.route):
-                        self.active_count -= 1
-                        self.arrived_count += 1
-                        self.arrived_wait_sum += v.wait
-                        front_left = True
-                        continue
+        n = self._speed.size
+        prev, pos = self._pos, self._spare
+        old = prev[:n]
+        speed = self._speed
+        gap = prev.take(self._leader)
+        gap -= old
+        gap -= MIN_GAP
+        speed += MAX_ACCEL
+        np.minimum(speed, self._cap, out=speed)
+        np.minimum(speed, gap, out=speed)
+        np.maximum(speed, 0.0, out=speed)
+        np.add(old, speed, out=pos[:n])
+        self._pos, self._spare = pos, prev
+        crossing = (pos[:n] > self._end).nonzero()[0]
+
+        if crossing.size:
+            handles = self._handles
+            for slot in sorted(crossing.tolist(), key=self._lane_of.item):
+                v = handles[slot]
+                here = v.route[v.route_idx]
+                rank, _, length, _, _, _ = self._edge_info[here]
+                before = prev.item(slot)
+                if v.route_idx + 1 < len(v.route):
                     next_id = v.route[v.route_idx + 1]
                     allowed = self._allowed_lanes(v.route, v.route_idx + 1)
-                    new_lane, room = self._pick_lane(next_id, allowed)
-                    entry = new_pos - length
+                    later = self._edge_info[next_id][0] > rank
+                    new_lane, room = self._pick_lane(next_id, allowed,
+                                                     prev if later else pos)
+                    entry = pos.item(slot) - length
                     limit = room - MIN_GAP
                     if limit < entry:
                         entry = limit
                     if entry < 0.0:
-                        v.pos = length  # hold at the node and retry
-                        v.speed = length - old
+                        pos[slot] = length  # hold at the node and retry
+                        speed[slot] = length - before
                         continue
+                    self._vacate_front(here, v.lane)
                     v.route_idx += 1
                     v.lane = new_lane
-                    v.pos = entry
-                    v.speed = (length - old) + entry
-                    v.stamp = clock
-                    self._lanes[next_id][new_lane].append(v)
-                    front_left = True
-                if front_left:
-                    del occupants[0]
+                    pos[slot] = prev[slot] = entry
+                    speed[slot] = (length - before) + entry
+                    self._occupy(slot, next_id, new_lane,
+                                 len(self._lanes[next_id][new_lane]))
+                else:
+                    self._vacate_front(here, v.lane)
+                    self.active_count -= 1
+                    self.arrived_count += 1
+                    self.arrived_wait_sum += self._wait.item(slot)
+                    self._release(slot)
 
         self._attempt_spawns(clock)
-        self.signals.tick_end()
+        signals.tick_end()
         self.clock = clock + 1
         self._post_step_accounting()
 
@@ -501,55 +670,55 @@ class Simulation:
         for spec in self._waiting:
             first = spec.route[0]
             allowed = self._allowed_lanes(spec.route, 0)
-            lane, room = self._pick_lane(first, allowed)
+            lane, room = self._pick_lane(first, allowed, self._pos)
             if room >= MIN_GAP:
-                v = Vehicle(spec.vehicle_id, spec.vtype, spec.max_speed,
-                            spec.route, spec.depart)
-                v.lane = lane
-                self._lanes[first][lane].append(v)
-                self.active_count += 1
+                self._add_vehicle(spec.vehicle_id, spec.vtype, spec.max_speed,
+                                  spec.route, lane, len(self._lanes[first][lane]),
+                                  0.0, 0.0, 0)
             else:
                 still.append(spec)
         self._waiting = still
 
     def _post_step_accounting(self) -> None:
-        halted = 0
-        for arm in ARM_ORDER:
-            app_id, jct_id = self._inbound[arm]
-            count = 0
-            for eid in (app_id, jct_id):
-                for lane in self._lanes[eid]:
-                    count += len(lane)
-                    for v in lane:
-                        if v.speed < HALT_SPEED:
-                            v.wait += 1
-                            halted += 1
-            self._det_count_sum[arm] += count
-            for lane in self._lanes[app_id]:
-                for v in lane:
-                    if v.pos <= DETECTOR_SPAN:
-                        self._det_seen[arm].add(v.id)
-                        self._det_speed_sum[arm] += v.speed
-                        self._det_speed_n[arm] += 1
-        self._halted_sum += halted
+        pos = self._pos[:self._speed.size]
+        speed = self._speed
+        halted = speed < HALT_SPEED
+        halted &= self._inbound
+        self._wait += halted
+        self._halted_sum += int(np.count_nonzero(halted))
+        for a, count in enumerate(self._arm_count):
+            self._det_count_sum[a] += count
+        near = ((pos <= DETECTOR_SPAN) & self._watch).nonzero()[0]
+        if near.size:
+            # Add the speeds in (arm, lane, front-to-back) order.
+            lanes = self._lane_of[near]
+            if near.size > 1:
+                order = np.lexsort((-pos[near], lanes))
+                near, lanes = near[order], lanes[order]
+            handles = self._handles
+            for slot, a, v in zip(near.tolist(), self._lane_arm[lanes].tolist(),
+                                  speed[near].tolist()):
+                self._det_seen[a].add(handles[slot].id)
+                self._det_speed_sum[a] += v
+                self._det_speed_n[a] += 1
 
         if self.clock % DETECTOR_PERIOD == 0:
             start = self.clock - DETECTOR_PERIOD
             readings = {}
-            for arm in ARM_ORDER:
-                n = self._det_speed_n[arm]
+            for a, arm in enumerate(ARM_ORDER):
+                n = self._det_speed_n[a]
                 readings[arm] = DetectorReading(
                     arm=arm,
                     window_start=start,
-                    vehicle_count=len(self._det_seen[arm]),
-                    mean_speed=self._det_speed_sum[arm] / n if n else 0.0,
-                    density=(self._det_count_sum[arm] / DETECTOR_PERIOD)
+                    vehicle_count=len(self._det_seen[a]),
+                    mean_speed=self._det_speed_sum[a] / n if n else 0.0,
+                    density=(self._det_count_sum[a] / DETECTOR_PERIOD)
                             / DENSITY_NORM_LENGTH,
                 )
-                self._det_seen[arm].clear()
-                self._det_speed_sum[arm] = 0.0
-                self._det_speed_n[arm] = 0
-                self._det_count_sum[arm] = 0
+                self._det_seen[a].clear()
+                self._det_speed_sum[a] = 0.0
+                self._det_speed_n[a] = 0
+                self._det_count_sum[a] = 0
             self._det_last = readings
 
     # ------------------------------------------------------------- sensors
@@ -558,19 +727,13 @@ class Simulation:
         """80 occupancy booleans: per arm (n,e,s,w), left lane group then
         main group, ten range cells spreading upstream from the stop line."""
         out = np.zeros(SENSOR_CELLS, dtype=np.float64)
-        for ai, arm in enumerate(ARM_ORDER):
-            quad = self.arms[arm]
-            jct_len = self.net.edges[quad.junction_in].length
-            for eid, offset in ((quad.junction_in, 0.0),
-                                (quad.approach_in, jct_len)):
-                length = self.net.edges[eid].length
-                for lane_idx, lane in enumerate(self._lanes[eid]):
-                    group = 0 if lane_idx == 0 else 10
-                    for v in lane:
-                        dist = (length - v.pos) + offset
-                        cell = bisect_right(SENSOR_BREAKS, dist) - 1
-                        if 0 <= cell < 10:
-                            out[ai * 20 + group + cell] = 1.0
+        base = self._lane_cell[self._lane_of]
+        seen = (base >= 0).nonzero()[0]
+        dist = ((self._end[seen] - self._pos[seen])
+                + self._lane_offset[self._lane_of[seen]])
+        cell = np.searchsorted(_SENSOR_EDGES, dist, side="right") - 1  # dist >= 0
+        near = cell < 10
+        out[base[seen[near]] + cell[near]] = 1.0
         return out
 
     def read_detectors(self) -> dict[str, DetectorReading]:
@@ -584,40 +747,31 @@ class Simulation:
     # ------------------------------------------------------------- metrics
 
     def iter_vehicles(self):
+        handles = self._handles
         for eid in self._edge_order:
             for lane in self._lanes[eid]:
-                yield from lane
+                for slot in lane:
+                    yield handles[slot]
 
     def vehicles_on_edge(self, edge_id: str) -> list[Vehicle]:
-        result: list[Vehicle] = []
-        for lane in self._lanes[edge_id]:
-            result.extend(lane)
-        return result
+        return [self._handles[slot] for lane in self._lanes[edge_id] for slot in lane]
+
+    def _on_arm(self, arm: str) -> np.ndarray:
+        return self._lane_arm[self._lane_of] == ARM_ORDER.index(arm)
 
     def arm_wait(self, arm: str) -> int:
-        total = 0
-        for eid in self._inbound[arm]:
-            for lane in self._lanes[eid]:
-                for v in lane:
-                    total += v.wait
-        return total
+        return int(self._wait[self._on_arm(arm)].sum())
 
     def arm_queue(self, arm: str) -> int:
-        total = 0
-        for eid in self._inbound[arm]:
-            for lane in self._lanes[eid]:
-                for v in lane:
-                    if v.speed < HALT_SPEED:
-                        total += 1
-        return total
+        return int(np.count_nonzero(self._on_arm(arm) & (self._speed < HALT_SPEED)))
 
     def cumulative_wait(self) -> int:
         """Accrued waiting of everyone currently on an inbound arm edge."""
-        return sum(self.arm_wait(a) for a in ARM_ORDER)
+        return int(self._wait[self._inbound].sum())
 
     def cum_delay(self) -> int:
         """All waiting ever accrued: finished trips plus vehicles en route."""
-        return self.arrived_wait_sum + sum(v.wait for v in self.iter_vehicles())
+        return self.arrived_wait_sum + int(self._wait.sum())
 
     @property
     def avg_queue_len(self) -> float:
@@ -651,21 +805,16 @@ class Simulation:
         if not 0.0 <= pos <= edge.length:
             raise ValueError(f"pos {pos} outside edge {route[0]} (0..{edge.length})")
         if lane is None:
-            lane = self._pick_lane(route[0], self._allowed_lanes(route, 0))[0]
+            lane = self._pick_lane(route[0], self._allowed_lanes(route, 0), self._pos)[0]
         if not 0 <= lane < edge.lane_count:
             raise ValueError(f"lane {lane} out of range for {route[0]}")
-        v = Vehicle(vehicle_id, vtype, VEHICLE_MAX_SPEED[vtype], route, self.clock)
-        v.lane = lane
-        v.pos = float(pos)
-        v.speed = float(speed)
-        v.wait = wait
         occupants = self._lanes[route[0]][lane]
         at = 0
-        while at < len(occupants) and occupants[at].pos > pos:
+        while at < len(occupants) and self._pos[occupants[at]] > pos:
             at += 1
-        occupants.insert(at, v)
+        v = self._add_vehicle(vehicle_id, vtype, VEHICLE_MAX_SPEED[vtype], route,
+                              lane, at, float(pos), float(speed), wait)
         self.scheduled_total += 1
-        self.active_count += 1
         return v
 
     def replace_route_suffix(self, vehicle: Vehicle, suffix) -> None:
@@ -679,14 +828,22 @@ class Simulation:
         vehicle.route = new_route
 
     def validate(self) -> None:
-        """Raise InvariantViolation if any physical or accounting rule broke."""
+        """Raise InvariantViolation if any physical or accounting rule broke,
+        or if the slot arrays disagree with the lanes they mirror."""
+        n = self._speed.size
+        pos = self._pos
         seen_ids = set()
         active = 0
+        arm_count = [0] * len(ARM_ORDER)
         for eid in self._edge_order:
-            edge = self.net.edges[eid]
+            _, first_lane, length, limit, arm, approach = self._edge_info[eid]
             for lane_idx, lane in enumerate(self._lanes[eid]):
-                prev_pos = None
-                for v in lane:
+                ahead = n + first_lane + lane_idx  # the lane's sentinel
+                for slot in lane:
+                    v = self._handles[slot]
+                    if v is None or v.slot != slot:
+                        raise InvariantViolation(
+                            f"slot {slot} on {eid}/{lane_idx} has no vehicle handle")
                     active += 1
                     if v.id in seen_ids:
                         raise InvariantViolation(f"vehicle {v.id} appears twice")
@@ -695,19 +852,41 @@ class Simulation:
                         raise InvariantViolation(
                             f"{v.id} bookkeeping mismatch: on {eid}/{lane_idx}, "
                             f"thinks {v.edge_id}/{v.lane}")
-                    if not 0.0 <= v.pos <= edge.length + 1e-9:
+                    if not 0.0 <= pos[slot] <= length + 1e-9:
                         raise InvariantViolation(
-                            f"{v.id} at pos {v.pos} outside {eid}")
-                    if v.speed < 0.0:
+                            f"{v.id} at pos {pos[slot]} outside {eid}")
+                    if self._speed[slot] < 0.0:
                         raise InvariantViolation(f"{v.id} has negative speed")
-                    if prev_pos is not None and prev_pos - v.pos < MIN_GAP - 1e-9:
+                    if ahead < n and pos[ahead] - pos[slot] < MIN_GAP - 1e-9:
                         raise InvariantViolation(
-                            f"gap {prev_pos - v.pos:.3f} < {MIN_GAP} on "
+                            f"gap {pos[ahead] - pos[slot]:.3f} < {MIN_GAP} on "
                             f"{eid} lane {lane_idx} ahead of {v.id}")
-                    prev_pos = v.pos
+                    if self._leader[slot] != ahead:
+                        raise InvariantViolation(
+                            f"{v.id} follows slot {self._leader[slot]}, not {ahead}")
+                    if ((self._lane_of[slot], self._end[slot], self._cap[slot],
+                         self._inbound[slot], self._watch[slot])
+                            != (first_lane + lane_idx, length, min(v.max_speed, limit),
+                                arm >= 0, approach)):
+                        raise InvariantViolation(f"{v.id} slot state is stale")
+                    ahead = slot
+                if arm >= 0:
+                    arm_count[arm] += len(lane)
         if active != self.active_count:
             raise InvariantViolation(
                 f"active_count {self.active_count} but counted {active}")
+        if arm_count != self._arm_count:
+            raise InvariantViolation(
+                f"inbound counts {self._arm_count} but counted {arm_count}")
+        free = np.array(self._free, dtype=np.intp)
+        if len(set(self._free)) + active != n or any(self._handles[s] for s in self._free):
+            raise InvariantViolation(
+                f"{len(self._free)} free + {active} active slots != {n}")
+        for name, fill, _ in self._SLOT_FIELDS:
+            if np.any(getattr(self, name)[free] != fill):
+                raise InvariantViolation(f"a free slot has {name} != {fill}")
+        if np.any(self._leader[free] != free):
+            raise InvariantViolation("a free slot has a leader")
         total = self.pending_count + self.active_count + self.arrived_count
         if total != self.scheduled_total:
             raise InvariantViolation(

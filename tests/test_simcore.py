@@ -555,8 +555,37 @@ def test_determinism_same_seed_same_trajectory():
 def test_validate_catches_corruption():
     sim = make_sim()
     v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=10.0)
-    v.pos = 5000.0
+    sim._pos[v.slot] = 5000.0
     with pytest.raises(InvariantViolation):
+        sim.validate()
+
+
+def test_place_vehicle_repoints_the_leaders_around_it():
+    sim = make_sim()
+    front = sim.place_vehicle("front", STRAIGHT_W, lane=1, pos=50.0)
+    back = sim.place_vehicle("back", STRAIGHT_W, lane=1, pos=10.0)
+    middle = sim.place_vehicle("middle", STRAIGHT_W, lane=1, pos=30.0)
+    sim.validate()
+    assert sim._leader[back.slot] == middle.slot
+    assert sim._leader[middle.slot] == front.slot
+
+
+def test_validate_catches_slot_corruption():
+    sim = make_sim()
+    front = sim.place_vehicle("front", STRAIGHT_W, lane=1, pos=50.0)
+    back = sim.place_vehicle("back", STRAIGHT_W, lane=1, pos=10.0)
+    sim.validate()
+    sim._leader[back.slot] = back.slot
+    with pytest.raises(InvariantViolation, match="follows"):
+        sim.validate()
+    sim._leader[back.slot] = front.slot
+    sim._arm_count[ARM_ORDER.index("w")] += 1
+    with pytest.raises(InvariantViolation, match="inbound counts"):
+        sim.validate()
+    sim._arm_count[ARM_ORDER.index("w")] -= 1
+    sim.validate()
+    sim._speed[sim._free[-1]] = 1.0
+    with pytest.raises(InvariantViolation, match="free slot"):
         sim.validate()
 
 

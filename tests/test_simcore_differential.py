@@ -1,21 +1,31 @@
-"""Differential property test of `Simulation.step` against a reference step.
+"""Differential tests of `Simulation` against a frozen reference simulation.
 
-`ReferenceSimulation` keeps the earlier two-pass step verbatim: it copies
-every lane's positions into a list, moves every vehicle through the
-crossing branch, and rebuilds each lane from a survivor list.  Its
-per-step accounting is a frozen copy too, so a change to the order of the
-detector sums shows up as a difference.  Hypothesis draws crossroad
-variants written in `build_network`'s text format, demand, phase commands
-and route swaps, and both simulations must agree exactly after every step.
+`ReferenceSimulation` is a standalone copy of the object-per-vehicle
+simulation that the slot-array core replaced: every vehicle is an object
+holding its own position, speed and waiting time, and `step` is the
+earlier two-pass step.  It copies every lane's positions into a list,
+moves every vehicle through the crossing branch, and rebuilds each lane
+from a survivor list.  It inherits nothing from `Simulation`; it shares
+only the signal controller, the layout inference and the constants.
+
+Hypothesis draws crossroad variants written in `build_network`'s text
+format, demand, phase commands and route swaps.  After every step both
+simulations must agree exactly on every vehicle's lane, position, speed
+and wait, on the counters, on the sensor bytes and on the cumulative
+wait, and at every window boundary on the detector readings.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 import itertools
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from flowctl.roadnet import (
+    build_default_network,
     build_network,
     enumerate_routes,
     free_flow_weights,
@@ -26,20 +36,111 @@ from flowctl.simcore import (
     DETECTOR_PERIOD,
     DETECTOR_SPAN,
     HALT_SPEED,
+    INITIAL_SLOTS,
+    LEFT_EXIT,
     MAX_ACCEL,
     MIN_GAP,
+    RIGHT_EXIT,
+    SENSOR_BREAKS,
+    SENSOR_CELLS,
+    SIM_TIME_CAP,
     DetectorReading,
+    SignalController,
     Simulation,
+    infer_layout,
     spawn_schedule,
 )
 
 MAX_STEPS = 240
 
 
-class ReferenceSimulation(Simulation):
-    """The two-pass step, kept as the reference for the one-pass step."""
+# -------------------------------------------------------------- reference
 
-    def step(self) -> None:
+class ReferenceVehicle:
+    __slots__ = ("id", "max_speed", "route", "route_idx", "lane", "pos",
+                 "speed", "wait", "stamp")
+
+    def __init__(self, vehicle_id, max_speed, route):
+        self.id = vehicle_id
+        self.max_speed = max_speed
+        self.route = route
+        self.route_idx = 0
+        self.lane = 0
+        self.pos = 0.0
+        self.speed = 0.0
+        self.wait = 0
+        self.stamp = -1
+
+    @property
+    def edge_id(self):
+        return self.route[self.route_idx]
+
+
+class ReferenceSimulation:
+    """The object-per-vehicle simulation with the two-pass step."""
+
+    def __init__(self, net, schedule):
+        self.net = net
+        self.center, self.arms = infer_layout(net)
+        self.signals = SignalController()
+        self.clock = 0
+        self._jin_arm = {q.junction_in: a for a, q in self.arms.items()}
+        self._jout_arm = {q.junction_out: a for a, q in self.arms.items()}
+        self._inbound = {a: (q.approach_in, q.junction_in) for a, q in self.arms.items()}
+        self._edge_order = tuple(sorted(net.edges))
+        self._lanes = {eid: [[] for _ in range(e.lane_count)]
+                       for eid, e in net.edges.items()}
+        specs = sorted(schedule, key=lambda s: (s.depart, s.vehicle_id))
+        self._future = deque(specs)
+        self._waiting = []
+        self.scheduled_total = len(specs)
+        self.active_count = 0
+        self.arrived_count = 0
+        self.arrived_wait_sum = 0
+        self._halted_sum = 0
+        self._det_seen = {a: set() for a in ARM_ORDER}
+        self._det_speed_sum = {a: 0.0 for a in ARM_ORDER}
+        self._det_speed_n = {a: 0 for a in ARM_ORDER}
+        self._det_count_sum = {a: 0 for a in ARM_ORDER}
+        self._det_last = {}
+
+    def _allowed_lanes(self, route, idx):
+        edge = self.net.edges[route[idx]]
+        if edge.lane_count == 1:
+            return (0,)
+        for j in range(idx, len(route)):
+            arm = self._jin_arm.get(route[j])
+            if arm is None:
+                continue
+            if j + 1 >= len(route):
+                break
+            exit_arm = self._jout_arm.get(route[j + 1])
+            if exit_arm is None:
+                break
+            if exit_arm == LEFT_EXIT[arm]:
+                return (0,)
+            if exit_arm == RIGHT_EXIT[arm]:
+                return (edge.lane_count - 1,)
+            return tuple(lane for lane in (1, 2) if lane < edge.lane_count)
+        return tuple(range(edge.lane_count))
+
+    def _pick_lane(self, edge_id, allowed):
+        length = self.net.edges[edge_id].length
+        lanes = self._lanes[edge_id]
+        best_lane = allowed[0]
+        best_room = -1.0
+        for lane in allowed:
+            occupants = lanes[lane]
+            room = occupants[-1].pos if occupants else length
+            if room > best_room + 1e-12:
+                best_room = room
+                best_lane = lane
+        return best_lane, best_room
+
+    def set_phase(self, phase):
+        self.signals.set_phase(phase)
+
+    def step(self):
         self.signals.tick_begin()
         clock = self.clock
 
@@ -110,7 +211,23 @@ class ReferenceSimulation(Simulation):
         self.clock = clock + 1
         self._post_step_accounting()
 
-    def _post_step_accounting(self) -> None:
+    def _attempt_spawns(self, clock):
+        while self._future and self._future[0].depart <= clock:
+            self._waiting.append(self._future.popleft())
+        still = []
+        for spec in self._waiting:
+            first = spec.route[0]
+            lane, room = self._pick_lane(first, self._allowed_lanes(spec.route, 0))
+            if room >= MIN_GAP:
+                v = ReferenceVehicle(spec.vehicle_id, spec.max_speed, spec.route)
+                v.lane = lane
+                self._lanes[first][lane].append(v)
+                self.active_count += 1
+            else:
+                still.append(spec)
+        self._waiting = still
+
+    def _post_step_accounting(self):
         halted = 0
         for arm in ARM_ORDER:
             app_id, jct_id = self._inbound[arm]
@@ -150,6 +267,50 @@ class ReferenceSimulation(Simulation):
                 self._det_count_sum[arm] = 0
             self._det_last = readings
 
+    def read_sensors(self):
+        out = np.zeros(SENSOR_CELLS, dtype=np.float64)
+        for ai, arm in enumerate(ARM_ORDER):
+            quad = self.arms[arm]
+            jct_len = self.net.edges[quad.junction_in].length
+            for eid, offset in ((quad.junction_in, 0.0), (quad.approach_in, jct_len)):
+                length = self.net.edges[eid].length
+                for lane_idx, lane in enumerate(self._lanes[eid]):
+                    group = 0 if lane_idx == 0 else 10
+                    for v in lane:
+                        dist = (length - v.pos) + offset
+                        cell = bisect_right(SENSOR_BREAKS, dist) - 1
+                        if 0 <= cell < 10:
+                            out[ai * 20 + group + cell] = 1.0
+        return out
+
+    def iter_vehicles(self):
+        for eid in self._edge_order:
+            for lane in self._lanes[eid]:
+                yield from lane
+
+    def cumulative_wait(self):
+        return sum(v.wait for arm in ARM_ORDER for eid in self._inbound[arm]
+                   for lane in self._lanes[eid] for v in lane)
+
+    def cum_delay(self):
+        return self.arrived_wait_sum + sum(v.wait for v in self.iter_vehicles())
+
+    @property
+    def avg_queue_len(self):
+        return self._halted_sum / self.clock if self.clock else 0.0
+
+    @property
+    def pending_count(self):
+        return len(self._future) + len(self._waiting)
+
+    @property
+    def done(self):
+        return ((self.pending_count == 0 and self.active_count == 0)
+                or self.clock >= SIM_TIME_CAP)
+
+    def replace_route_suffix(self, vehicle, suffix):
+        vehicle.route = vehicle.route[:vehicle.route_idx + 1] + tuple(suffix)
+
 
 # ------------------------------------------------------------- strategies
 
@@ -182,16 +343,17 @@ COMMAND = st.tuples(st.integers(1, 25), st.integers(0, 3),
 
 # ---------------------------------------------------------------- helpers
 
-def lane_state(sim: Simulation):
-    return [[(v.id, v.edge_id, v.lane, v.pos, v.speed, v.wait, v.route_idx)
-             for v in lane]
-            for eid in sim._edge_order for lane in sim._lanes[eid]]
+def lane_state(sim):
+    """Every vehicle in (edge order, lane, front-to-back) order."""
+    return [(v.id, v.edge_id, v.lane, v.pos, v.speed, v.wait, v.route_idx)
+            for v in sim.iter_vehicles()]
 
 
-def counters(sim: Simulation):
+def counters(sim):
     return (sim.clock, sim.active_count, sim.arrived_count, sim.arrived_wait_sum,
             sim.pending_count, sim.scheduled_total, sim.avg_queue_len,
-            sim.cum_delay(), sim.signals.phase, sim.signals.in_yellow)
+            sim.cum_delay(), sim.cumulative_wait(), sim.read_sensors().tobytes(),
+            sim.signals.phase, sim.signals.in_yellow)
 
 
 def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
@@ -213,20 +375,18 @@ def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
     return v.id, options[option_pick % len(options)]
 
 
-def step_and_check_departures(sim: Simulation) -> None:
-    """Step once and require that at most the front vehicle left each lane."""
-    before = [(lane[:1], {v.id for v in lane})
-              for lanes in sim._lanes.values() for lane in lanes]
+def step_both(sim: Simulation, ref: ReferenceSimulation) -> None:
+    """Step both, check the invariants, and require exact agreement."""
     sim.step()
-    after = [{v.id for v in lane} for lanes in sim._lanes.values() for lane in lanes]
-    for (front, ids), now in zip(before, after):
-        left = ids - now
-        assert len(left) <= 1
-        if left:
-            assert left == {front[0].id}
+    ref.step()
+    sim.validate()
+    assert lane_state(sim) == lane_state(ref)
+    assert counters(sim) == counters(ref)
+    if sim.clock % DETECTOR_PERIOD == 0:
+        assert sim.read_detectors() == ref._det_last
 
 
-# ------------------------------------------------------------------- test
+# ------------------------------------------------------------------ tests
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(text=crossroad_text(), count=st.integers(1, 150), seed=st.integers(0, 2**32 - 1),
@@ -253,11 +413,28 @@ def test_one_pass_step_matches_reference_step(text, count, seed, horizon, comman
         for _ in range(seconds):
             if sim.done or sim.clock == MAX_STEPS:
                 break
-            step_and_check_departures(sim)
-            ref.step()
-            sim.validate()
-            ref.validate()
-            assert lane_state(sim) == lane_state(ref)
-            assert counters(sim) == counters(ref)
-            if sim.clock % DETECTOR_PERIOD == 0:
-                assert sim.read_detectors() == ref.read_detectors()
+            step_both(sim, ref)
+    assert sim.done == ref.done
+
+
+def test_slots_grow_past_initial_capacity_and_are_reused():
+    """Enough traffic to outgrow the first slot arrays, run until freed slots
+    are handed to new vehicles, with the lane state equal to the reference."""
+    net = build_default_network()
+    schedule = spawn_schedule(net, 4 * INITIAL_SLOTS, 3, 150)
+    sim = Simulation(net, schedule)
+    ref = ReferenceSimulation(net, schedule)
+    holders: dict[int, set[str]] = {}
+    peak = 0
+    for t in range(400):
+        if t % 20 == 0 and not sim.signals.in_yellow:
+            sim.set_phase((t // 20) % 4)
+            ref.set_phase((t // 20) % 4)
+        step_both(sim, ref)
+        peak = max(peak, sim.active_count)
+        for v in sim.iter_vehicles():
+            holders.setdefault(v.slot, set()).add(v.id)
+    assert peak > INITIAL_SLOTS
+    assert len(holders) >= peak
+    assert any(len(ids) > 1 for ids in holders.values())
+    assert sim.arrived_count > 0
