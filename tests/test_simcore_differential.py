@@ -375,10 +375,23 @@ def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
     return v.id, options[option_pick % len(options)]
 
 
+def lane_ids(sim: Simulation) -> dict[tuple[str, int], list[str]]:
+    lanes: dict[tuple[str, int], list[str]] = {}
+    for v in sim.iter_vehicles():
+        lanes.setdefault((v.edge_id, v.lane), []).append(v.id)
+    return lanes
+
+
 def step_both(sim: Simulation, ref: ReferenceSimulation) -> None:
-    """Step both, check the invariants, and require exact agreement."""
+    """Step both, check the invariants, and require exact agreement.
+    At most the front vehicle of each lane may leave it in one step."""
+    before = lane_ids(sim)
     sim.step()
     ref.step()
+    after = lane_ids(sim)
+    for key, ids in before.items():
+        left = set(ids) - set(after.get(key, ()))
+        assert left <= {ids[0]}
     sim.validate()
     assert lane_state(sim) == lane_state(ref)
     assert counters(sim) == counters(ref)
