@@ -67,14 +67,6 @@ def flagged_arms(readings: dict[str, DetectorReading],
             if arm in readings and readings[arm].density > threshold]
 
 
-def expected_arm_wait(sim: Simulation, arm: str) -> float:
-    """Mean accrued waiting per currently queued vehicle (0 if no queue)."""
-    queue = sim.arm_queue(arm)
-    if queue == 0:
-        return 0.0
-    return sim.arm_wait(arm) / queue
-
-
 def surcharged_weights(sim: Simulation, readings: dict[str, DetectorReading],
                        flagged: list[str]) -> dict[str, float]:
     """Free-flow traversal times plus a congestion surcharge on flagged arms.
@@ -93,20 +85,27 @@ def surcharged_weights(sim: Simulation, readings: dict[str, DetectorReading],
 
 
 def stop_line_waits(sim: Simulation, flagged: list[str]) -> dict[str, float]:
-    """Expected stop-line wait keyed by the flagged arm's junction edge."""
-    return {sim.arms[arm].junction_in: expected_arm_wait(sim, arm)
-            for arm in flagged}
+    """Expected stop-line wait keyed by the flagged arm's junction edge: the
+    arm's accrued waiting per currently queued vehicle (0 if no queue)."""
+    loads = sim.arm_loads()
+    waits = {}
+    for arm in flagged:
+        wait, queue = loads[ARM_ORDER.index(arm)]
+        waits[sim.arms[arm].junction_in] = wait / queue if queue else 0.0
+    return waits
 
 
-def candidate_vehicles(sim: Simulation, arm: str) -> list[Vehicle]:
-    """Divertable vehicles: on the flagged arm's approach edge, never
-    diverted before, and still routed through that arm's junction edge.
-    Ordered front of queue first (then lane, then id) for determinism."""
+def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]:
+    """Divertable vehicles with their positions: on the flagged arm's
+    approach edge, never diverted before, and still routed through that
+    arm's junction edge.  Ordered front of queue first (then lane, then id)
+    for determinism."""
     quad = sim.arms[arm]
     junction_edge = quad.junction_in
-    picked = [v for v in sim.vehicles_on_edge(quad.approach_in)
+    picked = [(v, pos) for v, pos in zip(sim.vehicles_on_edge(quad.approach_in),
+                                         sim.positions_on_edge(quad.approach_in))
               if not v.rerouted and junction_edge in v.remaining_route]
-    picked.sort(key=lambda v: (-v.pos, v.lane, v.id))
+    picked.sort(key=lambda vp: (-vp[1], vp[0].lane, vp[0].id))
     return picked
 
 
@@ -121,12 +120,13 @@ def tail_cost(tail: tuple[str, ...], weights: dict[str, float],
             sum(wait for eid, wait in waits.items() if eid in crossed))
 
 
-def evaluate_vehicle(sim: Simulation, vehicle: Vehicle,
+def evaluate_vehicle(sim: Simulation, vehicle: Vehicle, pos: float,
                      weights: dict[str, float], waits: dict[str, float],
                      max_alternatives: int,
                      searches: dict[tuple[str, str], list]) -> RerouteDecision:
     """Compare staying on the current route against the best alternatives,
-    and rewrite the vehicle's route if switching wins strictly.
+    and rewrite the vehicle's route if switching wins strictly.  `pos` is
+    the vehicle's position on its current edge.
 
     `searches` maps (next node, destination) to the route tails found for
     it, each with its `tail_cost` under these weights and waits; a missing
@@ -136,7 +136,7 @@ def evaluate_vehicle(sim: Simulation, vehicle: Vehicle,
     edge = net.edges[vehicle.edge_id]
     old_remaining = vehicle.remaining_route
     current_tail = vehicle.route[vehicle.route_idx + 1:]
-    base = (edge.length - vehicle.pos) / edge.length * weights[vehicle.edge_id]
+    base = (edge.length - pos) / edge.length * weights[vehicle.edge_id]
 
     destination = net.edges[vehicle.route[-1]].to_node
     key = (edge.to_node, destination)
@@ -188,8 +188,8 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
     searches: dict[tuple[str, str], list] = {}
     decisions: list[RerouteDecision] = []
     for arm in flagged:
-        for vehicle in candidate_vehicles(sim, arm):
-            decisions.append(evaluate_vehicle(sim, vehicle, weights, waits,
+        for vehicle, pos in candidate_vehicles(sim, arm):
+            decisions.append(evaluate_vehicle(sim, vehicle, pos, weights, waits,
                                               max_alternatives, searches))
     return decisions
 

@@ -34,11 +34,19 @@ extends the green seamlessly.
 
 State layout.  Each active vehicle owns a slot: an index into numpy arrays
 of position, speed, waiting time, speed cap (its top speed and the edge
-limit folded into one `min`, which is exact) and edge length.  Freed slots
-go on a free list and are reused; the arrays double only when every slot
-is taken, so their size follows the peak active count.  A free slot is
-inert: no speed, no cap, an edge end at infinity, and itself as leader.
-Lanes keep their slots front to back.
+limit folded into one `min`, which is exact), edge length and two
+thresholds.  `_halt` is HALT_SPEED on an inbound arm edge and 0 elsewhere,
+so `speed < _halt` is the halted set (speed is never negative); `_span` is
+DETECTOR_SPAN on an approach edge and -inf elsewhere, so `pos <= _span` is
+the detector set.  A free slot is inert: no speed, no cap, an edge end at
+infinity, thresholds that nothing meets, and itself as leader.  Lanes keep
+their slots front to back.  Freed slots go on a free list and are reused.
+The arrays double when every slot is taken; at the end of a step in which
+at most a quarter of the slots are active (and more than INITIAL_SLOTS
+exist), they are halved until that no longer holds, never inside the
+crossing loop.  So the array size follows the active count.  Both resizes
+renumber the active slots into the front in lane order and update each
+vehicle's `slot`.
 
 Each slot has a `leader` index into a position buffer that holds the slots
 followed by one sentinel per lane.  A lane's front vehicle points at the
@@ -52,10 +60,14 @@ exceeds the wall.
 
 Two position buffers alternate, so the pre-step positions survive the
 update.  The few vehicles that passed their edge end then cross in
-(_edge_order, lane) order, the order of a lane-by-lane pass.  Lane
-choice on entry compares the room behind each target lane's rear vehicle:
-for target edges later in _edge_order than the crossing vehicle's edge it
-reads pre-step positions, and for earlier edges, and for spawns, post-step
+(_edge_order, lane) order, the order of a lane-by-lane pass.  Each vehicle
+holds its route's plan: per route index, the edge's fixed facts (rank in
+_edge_order, first lane id, length, limit, arm, thresholds, lane lists)
+and the lanes the next junction movement allows.  Plans are memoized per
+route tuple, and a route swap fetches a new one.  Lane choice on entry
+compares the room behind each target lane's rear vehicle: for target
+edges later in _edge_order than the crossing vehicle's edge it reads
+pre-step positions, and for earlier edges, and for spawns, post-step
 positions.  An entering vehicle's entry position is written to both
 buffers.  `validate()` checks the slot arrays against the lanes.
 """
@@ -65,6 +77,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,21 +180,23 @@ class SignalController:
 class Vehicle:
     """A handle on one vehicle; the current edge is route[route_idx].
 
-    Identity, route and lane are plain attributes.  Position, speed and
-    waiting time live in the simulation's slot arrays at index `slot` and
-    read back as Python numbers.  An arrived vehicle gives its slot up
-    (`slot` becomes None) and has no position any more.
+    Identity, route and lane are plain attributes; `plan` is the route's
+    plan (see the module notes).  Position, speed and waiting time live in
+    the simulation's slot arrays at index `slot` and read back as Python
+    numbers.  An arrived vehicle gives its slot up (`slot` becomes None)
+    and has no position any more.
     """
 
-    __slots__ = ("id", "vtype", "max_speed", "route", "route_idx", "lane",
+    __slots__ = ("id", "vtype", "max_speed", "route", "plan", "route_idx", "lane",
                  "rerouted", "slot", "_sim")
 
     def __init__(self, sim: Simulation, slot: int, vehicle_id: str, vtype: str,
-                 max_speed: float, route: tuple[str, ...]):
+                 max_speed: float, route: tuple[str, ...], plan: tuple):
         self.id = vehicle_id
         self.vtype = vtype
         self.max_speed = max_speed
         self.route = route
+        self.plan = plan
         self.route_idx = 0
         self.lane = 0
         self.rerouted = False
@@ -234,8 +249,7 @@ class DetectorReading:
     density: float
 
 
-@dataclass(frozen=True)
-class SpawnSpec:
+class SpawnSpec(NamedTuple):
     """One scheduled vehicle: depart second, identity, and full route."""
 
     depart: int
@@ -343,23 +357,26 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
     crossing[:n_opposite] = True
     rng.shuffle(crossing)
 
+    # One origin draw per vehicle, each followed by a side draw if the
+    # vehicle does not cross.  A draw in a power-of-two range takes exactly
+    # one 32-bit word and never rejects, and a range-2 draw is the high bit
+    # of a range-4 draw of the same word, so one range-4 array holds the
+    # whole stream and side 0 (left) is `draw < 2`.
+    words = iter(rng.integers(0, 4, size=count + (count - n_opposite)).tolist())
     weights = free_flow_weights(net)
-    route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
+    routes: dict[tuple[str, str], tuple[str, ...]] = {}
     specs = []
-    for i in range(count):
-        origin = ARM_ORDER[int(rng.integers(0, 4))]
-        if crossing[i]:
+    for i, (depart, vtype, cross) in enumerate(
+            zip(times.tolist(), labels_arr.tolist(), crossing.tolist())):
+        origin = ARM_ORDER[next(words)]
+        if cross:
             dest = OPPOSITE_ARM[origin]
         else:
-            side = int(rng.integers(0, 2))
-            dest = LEFT_EXIT[origin] if side == 0 else RIGHT_EXIT[origin]
-        key = (origin, dest)
-        if key not in route_cache:
-            route_cache[key] = shortest_route(net, origin, dest, weights).edges
-        vtype = str(labels_arr[i])
-        specs.append(SpawnSpec(depart=int(times[i]), vehicle_id=f"v{i}",
-                               vtype=vtype, max_speed=VEHICLE_MAX_SPEED[vtype],
-                               route=route_cache[key]))
+            dest = (LEFT_EXIT if next(words) < 2 else RIGHT_EXIT)[origin]
+        route = routes.get((origin, dest))
+        if route is None:
+            route = routes[origin, dest] = shortest_route(net, origin, dest, weights).edges
+        specs.append(SpawnSpec(depart, f"v{i}", vtype, VEHICLE_MAX_SPEED[vtype], route))
     return tuple(specs)
 
 
@@ -375,23 +392,25 @@ class Simulation:
 
         self._jin_arm = {q.junction_in: a for a, q in self.arms.items()}
         self._jout_arm = {q.junction_out: a for a, q in self.arms.items()}
-        self._inbound = {a: (q.approach_in, q.junction_in)
-                         for a, q in self.arms.items()}
+        inbound = {a: (q.approach_in, q.junction_in) for a, q in self.arms.items()}
         self._edge_order = tuple(sorted(net.edges))
 
         # Lane ids run in (_edge_order, lane) order.  Per edge: its rank in
-        # _edge_order, its first lane id, length, speed limit, inbound arm
-        # index (or -1) and whether it is an approach edge (detector zone).
+        # _edge_order, first lane id, length, speed limit, inbound arm index
+        # (or -1), halt and detector thresholds, and lane lists.
         self._lanes: dict[str, list[list[int]]] = {}
-        self._edge_info: dict[str, tuple[int, int, float, float, int, bool]] = {}
+        self._edge_info: dict[str, tuple] = {}
         lane_rows = []  # per lane id: arm, sensor cell base, distance offset, walls
         for rank, eid in enumerate(self._edge_order):
             edge = net.edges[eid]
-            arm = next((i for i, a in enumerate(ARM_ORDER) if eid in self._inbound[a]), -1)
-            approach = arm >= 0 and eid == self._inbound[ARM_ORDER[arm]][0]
-            self._edge_info[eid] = (rank, len(lane_rows), edge.length,
-                                    edge.speed_limit, arm, approach)
+            arm = next((i for i, a in enumerate(ARM_ORDER) if eid in inbound[a]), -1)
+            approach = arm >= 0 and eid == inbound[ARM_ORDER[arm]][0]
             self._lanes[eid] = [[] for _ in range(edge.lane_count)]
+            self._edge_info[eid] = (rank, len(lane_rows), edge.length,
+                                    edge.speed_limit, arm,
+                                    HALT_SPEED if arm >= 0 else 0.0,
+                                    DETECTOR_SPAN if approach else -math.inf,
+                                    self._lanes[eid])
             signal_arm = self._jin_arm.get(eid)
             for lane in range(edge.lane_count):
                 cell, offset = -1, 0.0
@@ -412,9 +431,8 @@ class Simulation:
         self._wall_key = -1  # the row of _walls the sentinels hold; none yet
         self._arm_count = [0] * len(ARM_ORDER)
         self._handles: list[Vehicle | None] = []
-        self._free: list[int] = []
-        self._allowed: dict[tuple[tuple[str, ...], int], tuple[int, ...]] = {}
-        self._resize(INITIAL_SLOTS)
+        self._plans: dict[tuple[str, ...], tuple] = {}
+        self._relayout(INITIAL_SLOTS)
 
         specs = sorted(schedule, key=lambda s: (s.depart, s.vehicle_id))
         ids = [s.vehicle_id for s in specs]
@@ -422,6 +440,7 @@ class Simulation:
             raise ValueError("duplicate vehicle ids in schedule")
         for route in dict.fromkeys(s.route for s in specs):
             self._check_route(route)
+            self._route_plan(route)
         self._future: deque[SpawnSpec] = deque(specs)
         self._waiting: list[SpawnSpec] = []
         self.scheduled_total = len(specs)
@@ -440,45 +459,59 @@ class Simulation:
     # ------------------------------------------------------------- slots
 
     # Per-slot arrays with the value that makes a free slot inert: no speed,
-    # no speed cap, an edge end at infinity and no lane.  `_leader` and the
-    # two position buffers are handled apart.
+    # no speed cap, an edge end at infinity, no lane and thresholds that
+    # nothing meets.  `_leader` and the two position buffers are handled apart.
     _SLOT_FIELDS = (("_speed", 0.0, np.float64), ("_wait", 0, np.int64),
                     ("_cap", 0.0, np.float64), ("_end", math.inf, np.float64),
-                    ("_lane_of", -1, np.intp), ("_inbound", False, np.bool_),
-                    ("_watch", False, np.bool_))
+                    ("_lane_of", -1, np.intp), ("_halt", 0.0, np.float64),
+                    ("_span", -math.inf, np.float64))
 
-    def _resize(self, size: int) -> None:
-        """Give the slot arrays room for `size` vehicles, keeping every slot.
+    def _relayout(self, size: int) -> None:
+        """Rebuild the slot arrays with room for `size` vehicles: the active
+        slots are renumbered into the front in lane order, the rest are free.
 
         Lane sentinels sit past the last slot in both position buffers, so
-        leader pointers to them move up with the size.
+        leader pointers to them move with the size.
         """
-        n = len(self._handles)
+        keep = np.array([slot for lanes in self._lanes.values()
+                         for lane in lanes for slot in lane], dtype=np.intp)
+        active = keep.size
         for name, fill, dtype in self._SLOT_FIELDS:
             new = np.full(size, fill, dtype)
-            if n:
-                new[:n] = getattr(self, name)
+            if active:
+                new[:active] = getattr(self, name)[keep]
             setattr(self, name, new)
         leader = np.arange(size)
         walls = self._walls[self._wall_key]
-        if n:
-            old = self._leader
-            leader[:n] = np.where(old >= n, old + (size - n), old)
+        if active:
+            n = len(self._handles)
+            renumber = np.arange(size - n, size + walls.size)  # sentinel n + j -> size + j
+            renumber[keep] = np.arange(active)
+            leader[:active] = renumber[self._leader[keep]]
         self._leader = leader
         for name in ("_pos", "_spare"):
             new = np.zeros(size + walls.size)
             new[size:] = walls
-            if n:
-                new[:n] = getattr(self, name)[:n]
+            if active:
+                new[:active] = getattr(self, name)[keep]
             setattr(self, name, new)
-        self._handles.extend([None] * (size - n))
-        self._free.extend(range(size - 1, n - 1, -1))
+        handles = [self._handles[slot] for slot in keep.tolist()]
+        for slot, v in enumerate(handles):
+            v.slot = slot
+        self._handles = handles + [None] * (size - active)
+        self._free = list(range(size - 1, active - 1, -1))
+        first = 0
+        for lanes in self._lanes.values():
+            for lane in lanes:
+                lane[:] = range(first, first + len(lane))
+                first += len(lane)
 
-    def _occupy(self, slot: int, edge_id: str, lane: int, at: int) -> None:
-        """Insert `slot` into a lane at index `at` (0 = front) and repoint it
-        and the vehicle behind it at their new leaders."""
-        _, first_lane, length, limit, arm, approach = self._edge_info[edge_id]
-        occupants = self._lanes[edge_id][lane]
+    def _occupy(self, slot: int, info: tuple, lane: int, at: int) -> None:
+        """Insert `slot` into lane `lane` of the edge `info` describes, at
+        index `at` (0 = front), and repoint it and the vehicle behind it at
+        their new leaders."""
+        _, first_lane, length, limit, arm, halt, span, lanes = info
+        occupants = lanes[lane]
         leader = self._leader
         leader[slot] = occupants[at - 1] if at else self._speed.size + first_lane + lane
         if at < len(occupants):
@@ -487,15 +520,15 @@ class Simulation:
         self._cap[slot] = min(self._handles[slot].max_speed, limit)
         self._end[slot] = length
         self._lane_of[slot] = first_lane + lane
-        self._inbound[slot] = arm >= 0
-        self._watch[slot] = approach
+        self._halt[slot] = halt
+        self._span[slot] = span
         if arm >= 0:
             self._arm_count[arm] += 1
 
-    def _vacate_front(self, edge_id: str, lane: int) -> None:
+    def _vacate_front(self, info: tuple, lane: int) -> None:
         """Take the front vehicle out of a lane; the next one leads it now."""
-        _, first_lane, _, _, arm, _ = self._edge_info[edge_id]
-        occupants = self._lanes[edge_id][lane]
+        _, first_lane, _, _, arm, _, _, lanes = info
+        occupants = lanes[lane]
         del occupants[0]
         if occupants:
             self._leader[occupants[0]] = self._speed.size + first_lane + lane
@@ -503,18 +536,18 @@ class Simulation:
             self._arm_count[arm] -= 1
 
     def _add_vehicle(self, vehicle_id: str, vtype: str, max_speed: float,
-                     route: tuple[str, ...], lane: int, at: int, pos: float,
-                     speed: float, wait: int) -> Vehicle:
+                     route: tuple[str, ...], plan: tuple, lane: int, at: int,
+                     pos: float, speed: float, wait: int) -> Vehicle:
         if not self._free:
-            self._resize(2 * self._speed.size)
+            self._relayout(2 * self._speed.size)
         slot = self._free.pop()
-        v = Vehicle(self, slot, vehicle_id, vtype, max_speed, route)
+        v = Vehicle(self, slot, vehicle_id, vtype, max_speed, route, plan)
         v.lane = lane
         self._handles[slot] = v
         self._pos[slot] = pos
         self._speed[slot] = speed
         self._wait[slot] = wait
-        self._occupy(slot, route[0], lane, at)
+        self._occupy(slot, plan[0][0], lane, at)
         self.active_count += 1
         return v
 
@@ -522,8 +555,13 @@ class Simulation:
         """Free an arrived vehicle's slot and make it inert."""
         self._handles[slot].slot = None
         self._handles[slot] = None
-        for name, fill, _ in self._SLOT_FIELDS:
-            getattr(self, name)[slot] = fill
+        self._speed[slot] = 0.0
+        self._wait[slot] = 0
+        self._cap[slot] = 0.0
+        self._end[slot] = math.inf
+        self._lane_of[slot] = -1
+        self._halt[slot] = 0.0
+        self._span[slot] = -math.inf
         self._leader[slot] = slot
         self._pos[slot] = 0.0
         self._free.append(slot)
@@ -542,39 +580,45 @@ class Simulation:
         if len(set(route)) != len(route):
             raise ValueError("route repeats an edge")
 
-    def _allowed_lanes(self, route: tuple[str, ...], idx: int) -> tuple[int, ...]:
-        """Lanes permitted on route[idx], set by the next junction movement.
+    def _route_plan(self, route: tuple[str, ...]) -> tuple:
+        """Per route index: the edge's info and the lanes permitted on it,
+        which the movement at the next signalized junction sets.
 
-        Memoized per (route, idx); a route swap makes a new route tuple.
+        Memoized per route; a route swap makes a new route tuple.
         """
-        key = (route, idx)
-        allowed = self._allowed.get(key)
-        if allowed is not None:
-            return allowed
-        lane_count = self.net.edges[route[idx]].lane_count
-        allowed = tuple(range(lane_count))
-        j = next((j for j in range(idx, len(route)) if route[j] in self._jin_arm), None)
-        if lane_count > 1 and j is not None and j + 1 < len(route):
-            arm = self._jin_arm[route[j]]
-            exit_arm = self._jout_arm.get(route[j + 1])
-            if exit_arm == LEFT_EXIT[arm]:
-                allowed = (0,)
-            elif exit_arm == RIGHT_EXIT[arm]:
-                allowed = (lane_count - 1,)
-            elif exit_arm is not None:
-                allowed = tuple(lane for lane in (1, 2) if lane < lane_count)
-        self._allowed[key] = allowed
-        return allowed
+        plan = self._plans.get(route)
+        if plan is not None:
+            return plan
+        steps = []
+        turn = None  # movement at the next junction ahead; None allows any lane
+        for idx in range(len(route) - 1, -1, -1):
+            eid = route[idx]
+            arm = self._jin_arm.get(eid)
+            if arm is not None:
+                exit_arm = self._jout_arm.get(route[idx + 1]) if idx + 1 < len(route) else None
+                turn = (None if exit_arm is None else "left" if exit_arm == LEFT_EXIT[arm]
+                        else "right" if exit_arm == RIGHT_EXIT[arm] else "through")
+            lane_count = self.net.edges[eid].lane_count
+            allowed = tuple(range(lane_count))
+            if lane_count > 1:
+                if turn == "left":
+                    allowed = (0,)
+                elif turn == "right":
+                    allowed = (lane_count - 1,)
+                elif turn == "through":
+                    allowed = tuple(lane for lane in (1, 2) if lane < lane_count)
+            steps.append((self._edge_info[eid], allowed))
+        plan = self._plans[route] = tuple(reversed(steps))
+        return plan
 
-    def _pick_lane(self, edge_id: str, allowed: tuple[int, ...],
+    def _pick_lane(self, info: tuple, allowed: tuple[int, ...],
                    positions: np.ndarray) -> tuple[int, float]:
         """Allowed lane with the most headroom (rear gap); ties take the lowest.
 
         `positions` is the buffer to read the rear vehicles from (see the
         module notes on pre-step and post-step room).
         """
-        length = self._edge_info[edge_id][2]
-        lanes = self._lanes[edge_id]
+        _, _, length, _, _, _, _, lanes = info
         best_lane = allowed[0]
         best_room = -1.0
         for lane in allowed:
@@ -595,7 +639,8 @@ class Simulation:
 
         One array pass moves every vehicle; then the few that passed their
         edge end cross the node, arrive or hold, one lane at a time in
-        (_edge_order, lane) order (see the module notes).
+        (_edge_order, lane) order (see the module notes).  Last, the slot
+        arrays shrink if at most a quarter of them are in use.
         """
         signals = self.signals
         signals.tick_begin()
@@ -625,15 +670,15 @@ class Simulation:
             handles = self._handles
             for slot in sorted(crossing.tolist(), key=self._lane_of.item):
                 v = handles[slot]
-                here = v.route[v.route_idx]
-                rank, _, length, _, _, _ = self._edge_info[here]
+                idx = v.route_idx
+                plan = v.plan
+                here = plan[idx][0]  # edge info, laid out as in __init__
+                rank, length = here[0], here[2]
                 before = prev.item(slot)
-                if v.route_idx + 1 < len(v.route):
-                    next_id = v.route[v.route_idx + 1]
-                    allowed = self._allowed_lanes(v.route, v.route_idx + 1)
-                    later = self._edge_info[next_id][0] > rank
-                    new_lane, room = self._pick_lane(next_id, allowed,
-                                                     prev if later else pos)
+                if idx + 1 < len(plan):
+                    ahead, allowed = plan[idx + 1]
+                    new_lane, room = self._pick_lane(
+                        ahead, allowed, prev if ahead[0] > rank else pos)
                     entry = pos.item(slot) - length
                     limit = room - MIN_GAP
                     if limit < entry:
@@ -643,12 +688,11 @@ class Simulation:
                         speed[slot] = length - before
                         continue
                     self._vacate_front(here, v.lane)
-                    v.route_idx += 1
+                    v.route_idx = idx + 1
                     v.lane = new_lane
                     pos[slot] = prev[slot] = entry
                     speed[slot] = (length - before) + entry
-                    self._occupy(slot, next_id, new_lane,
-                                 len(self._lanes[next_id][new_lane]))
+                    self._occupy(slot, ahead, new_lane, len(ahead[7][new_lane]))
                 else:
                     self._vacate_front(here, v.lane)
                     self.active_count -= 1
@@ -660,46 +704,49 @@ class Simulation:
         signals.tick_end()
         self.clock = clock + 1
         self._post_step_accounting()
+        size = self._speed.size
+        while size > INITIAL_SLOTS and 4 * self.active_count <= size:
+            size //= 2
+        if size < self._speed.size:
+            self._relayout(size)
 
     def _attempt_spawns(self, clock: int) -> None:
         while self._future and self._future[0].depart <= clock:
             self._waiting.append(self._future.popleft())
         if not self._waiting:
             return
+        plans = self._plans
         still: list[SpawnSpec] = []
         for spec in self._waiting:
-            first = spec.route[0]
-            allowed = self._allowed_lanes(spec.route, 0)
-            lane, room = self._pick_lane(first, allowed, self._pos)
+            plan = plans[spec.route]
+            info, allowed = plan[0]
+            lane, room = self._pick_lane(info, allowed, self._pos)
             if room >= MIN_GAP:
                 self._add_vehicle(spec.vehicle_id, spec.vtype, spec.max_speed,
-                                  spec.route, lane, len(self._lanes[first][lane]),
+                                  spec.route, plan, lane, len(info[7][lane]),
                                   0.0, 0.0, 0)
             else:
                 still.append(spec)
         self._waiting = still
 
     def _post_step_accounting(self) -> None:
-        pos = self._pos[:self._speed.size]
+        pos = self._pos
         speed = self._speed
-        halted = speed < HALT_SPEED
-        halted &= self._inbound
+        halted = speed < self._halt
         self._wait += halted
         self._halted_sum += int(np.count_nonzero(halted))
         for a, count in enumerate(self._arm_count):
             self._det_count_sum[a] += count
-        near = ((pos <= DETECTOR_SPAN) & self._watch).nonzero()[0]
+        near = (pos[:speed.size] <= self._span).nonzero()[0]
         if near.size:
             # Add the speeds in (arm, lane, front-to-back) order.
-            lanes = self._lane_of[near]
-            if near.size > 1:
-                order = np.lexsort((-pos[near], lanes))
-                near, lanes = near[order], lanes[order]
+            lane_of = self._lane_of
             handles = self._handles
-            for slot, a, v in zip(near.tolist(), self._lane_arm[lanes].tolist(),
-                                  speed[near].tolist()):
+            for lane, _, slot in sorted([(lane_of.item(slot), -pos.item(slot), slot)
+                                         for slot in near.tolist()]):
+                a = self._lane_arm.item(lane)
                 self._det_seen[a].add(handles[slot].id)
-                self._det_speed_sum[a] += v
+                self._det_speed_sum[a] += speed.item(slot)
                 self._det_speed_n[a] += 1
 
         if self.clock % DETECTOR_PERIOD == 0:
@@ -746,28 +793,24 @@ class Simulation:
 
     # ------------------------------------------------------------- metrics
 
-    def iter_vehicles(self):
-        handles = self._handles
-        for eid in self._edge_order:
-            for lane in self._lanes[eid]:
-                for slot in lane:
-                    yield handles[slot]
-
     def vehicles_on_edge(self, edge_id: str) -> list[Vehicle]:
         return [self._handles[slot] for lane in self._lanes[edge_id] for slot in lane]
 
-    def _on_arm(self, arm: str) -> np.ndarray:
-        return self._lane_arm[self._lane_of] == ARM_ORDER.index(arm)
+    def positions_on_edge(self, edge_id: str) -> list[float]:
+        """The positions of `vehicles_on_edge(edge_id)`, in the same order."""
+        return self._pos[[slot for lane in self._lanes[edge_id] for slot in lane]].tolist()
 
-    def arm_wait(self, arm: str) -> int:
-        return int(self._wait[self._on_arm(arm)].sum())
-
-    def arm_queue(self, arm: str) -> int:
-        return int(np.count_nonzero(self._on_arm(arm) & (self._speed < HALT_SPEED)))
+    def arm_loads(self) -> list[tuple[int, int]]:
+        """Per arm in ARM_ORDER: the accrued waiting of, and the number of
+        halted vehicles among, the vehicles on its inbound edges."""
+        bins = self._lane_arm[self._lane_of] + 1  # 0: off the arms, or free
+        waits = np.bincount(bins, weights=self._wait, minlength=len(ARM_ORDER) + 1)
+        queues = np.bincount(bins[self._speed < self._halt], minlength=len(ARM_ORDER) + 1)
+        return [(int(w), q) for w, q in zip(waits[1:].tolist(), queues[1:].tolist())]
 
     def cumulative_wait(self) -> int:
         """Accrued waiting of everyone currently on an inbound arm edge."""
-        return int(self._wait[self._inbound].sum())
+        return int(self._wait[self._halt > 0.0].sum())
 
     def cum_delay(self) -> int:
         """All waiting ever accrued: finished trips plus vehicles en route."""
@@ -804,15 +847,16 @@ class Simulation:
         edge = self.net.edges[route[0]]
         if not 0.0 <= pos <= edge.length:
             raise ValueError(f"pos {pos} outside edge {route[0]} (0..{edge.length})")
+        plan = self._route_plan(route)
         if lane is None:
-            lane = self._pick_lane(route[0], self._allowed_lanes(route, 0), self._pos)[0]
+            lane = self._pick_lane(*plan[0], self._pos)[0]
         if not 0 <= lane < edge.lane_count:
             raise ValueError(f"lane {lane} out of range for {route[0]}")
         occupants = self._lanes[route[0]][lane]
         at = 0
         while at < len(occupants) and self._pos[occupants[at]] > pos:
             at += 1
-        v = self._add_vehicle(vehicle_id, vtype, VEHICLE_MAX_SPEED[vtype], route,
+        v = self._add_vehicle(vehicle_id, vtype, VEHICLE_MAX_SPEED[vtype], route, plan,
                               lane, at, float(pos), float(speed), wait)
         self.scheduled_total += 1
         return v
@@ -826,6 +870,7 @@ class Simulation:
         if self.net.edges[new_route[-1]].to_node != old_dest:
             raise ValueError("replacement route must keep the destination")
         vehicle.route = new_route
+        vehicle.plan = self._route_plan(new_route)
 
     def validate(self) -> None:
         """Raise InvariantViolation if any physical or accounting rule broke,
@@ -836,8 +881,8 @@ class Simulation:
         active = 0
         arm_count = [0] * len(ARM_ORDER)
         for eid in self._edge_order:
-            _, first_lane, length, limit, arm, approach = self._edge_info[eid]
-            for lane_idx, lane in enumerate(self._lanes[eid]):
+            _, first_lane, length, limit, arm, halt, span, lanes = self._edge_info[eid]
+            for lane_idx, lane in enumerate(lanes):
                 ahead = n + first_lane + lane_idx  # the lane's sentinel
                 for slot in lane:
                     v = self._handles[slot]
@@ -852,6 +897,8 @@ class Simulation:
                         raise InvariantViolation(
                             f"{v.id} bookkeeping mismatch: on {eid}/{lane_idx}, "
                             f"thinks {v.edge_id}/{v.lane}")
+                    if v.plan is not self._route_plan(v.route):
+                        raise InvariantViolation(f"{v.id} holds another route's plan")
                     if not 0.0 <= pos[slot] <= length + 1e-9:
                         raise InvariantViolation(
                             f"{v.id} at pos {pos[slot]} outside {eid}")
@@ -865,9 +912,9 @@ class Simulation:
                         raise InvariantViolation(
                             f"{v.id} follows slot {self._leader[slot]}, not {ahead}")
                     if ((self._lane_of[slot], self._end[slot], self._cap[slot],
-                         self._inbound[slot], self._watch[slot])
+                         self._halt[slot], self._span[slot])
                             != (first_lane + lane_idx, length, min(v.max_speed, limit),
-                                arm >= 0, approach)):
+                                halt, span)):
                         raise InvariantViolation(f"{v.id} slot state is stale")
                     ahead = slot
                 if arm >= 0:
@@ -878,6 +925,8 @@ class Simulation:
         if arm_count != self._arm_count:
             raise InvariantViolation(
                 f"inbound counts {self._arm_count} but counted {arm_count}")
+        if n > INITIAL_SLOTS and 4 * active <= n:
+            raise InvariantViolation(f"{n} slots kept for {active} active vehicles")
         free = np.array(self._free, dtype=np.intp)
         if len(set(self._free)) + active != n or any(self._handles[s] for s in self._free):
             raise InvariantViolation(

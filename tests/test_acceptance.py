@@ -49,6 +49,8 @@ from flowctl.roadnet import (
 from flowctl.rerouter import apply_rerouting
 from flowctl.simcore import MIN_GAP, Simulation, spawn_schedule
 
+from simstate import iter_vehicles
+
 NET = build_default_network()
 
 
@@ -236,7 +238,7 @@ def test_acceptance_3_rewards_telescope_to_waiting_drop():
 
 def assert_lane_gaps(sim):
     by_lane: dict[tuple[str, int], list[float]] = {}
-    for v in sim.iter_vehicles():
+    for v in iter_vehicles(sim):
         by_lane.setdefault((v.edge_id, v.lane), []).append(v.pos)
     for positions in by_lane.values():
         positions.sort(reverse=True)

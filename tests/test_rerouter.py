@@ -11,13 +11,14 @@ from flowctl.rerouter import (
     RerouteDecision,
     apply_rerouting,
     candidate_vehicles,
-    expected_arm_wait,
     flagged_arms,
     stop_line_waits,
     surcharged_weights,
     tail_cost,
 )
 from flowctl.simcore import DETECTOR_PERIOD, DetectorReading, Simulation
+
+from simstate import iter_vehicles
 
 NET = build_default_network()
 
@@ -106,7 +107,7 @@ def reference_rerouting(sim: Simulation, readings, threshold: float,
     waits = stop_line_waits(sim, flagged)
     decisions = []
     for arm in flagged:
-        for vehicle in candidate_vehicles(sim, arm):
+        for vehicle, _ in candidate_vehicles(sim, arm):
             edge = sim.net.edges[vehicle.edge_id]
             old_remaining = vehicle.remaining_route
             current_tail = vehicle.route[vehicle.route_idx + 1:]
@@ -161,12 +162,13 @@ def test_expected_arm_wait_is_wait_per_queued_vehicle():
                       lane=1, pos=97.5, wait=10)
     sim.place_vehicle("q2", ("jct_n_in", "jct_s_out", "app_s_out"),
                       lane=2, pos=97.5, wait=20)
-    assert expected_arm_wait(sim, "n") == pytest.approx(15.0)
-    assert expected_arm_wait(sim, "e") == 0.0
+    waits = stop_line_waits(sim, ["n", "e"])
+    assert waits["jct_n_in"] == pytest.approx(15.0)
+    assert waits["jct_e_in"] == 0.0
     # A moving vehicle contributes its accrued wait but not to the queue.
     sim.place_vehicle("m", ("app_n_in", "jct_n_in", "jct_s_out", "app_s_out"),
                       lane=1, pos=100.0, speed=13.89, wait=7)
-    assert expected_arm_wait(sim, "n") == pytest.approx(37 / 2)
+    assert stop_line_waits(sim, ["n"])["jct_n_in"] == pytest.approx(37 / 2)
 
 
 def test_surcharge_applies_only_to_flagged_inbound_edges():
@@ -197,7 +199,8 @@ def test_candidate_filter_and_ordering():
     # Excluded: remaining route skips the junction edge entirely.
     sim.place_vehicle("n", ("app_w_in", "app_w_out", "diag_wn", "diag_ne"),
                       lane=0, pos=700.0)
-    assert [v.id for v in candidate_vehicles(sim, "w")] == ["a", "d", "b"]
+    assert [(v.id, pos) for v, pos in candidate_vehicles(sim, "w")] == \
+        [("a", 500.0), ("d", 500.0), ("b", 200.0)]
     assert candidate_vehicles(sim, "e") == []
 
 
@@ -220,7 +223,7 @@ def test_stay_decision_matches_hand_computed_estimates():
     assert front.u_twt < front.best_alternative
     assert front.old_route == STRAIGHT_W
     assert front.new_route == STRAIGHT_W
-    vehicles = {v.id: v for v in sim.iter_vehicles()}
+    vehicles = {v.id: v for v in iter_vehicles(sim)}
     assert vehicles["cand0"].rerouted is False
     assert vehicles["cand0"].route == STRAIGHT_W
 
@@ -258,7 +261,7 @@ def test_switch_fires_once_waiting_dominates_the_bypass():
         assert d.new_route[-3:] == ("app_w_out", "diag_wn", "diag_ne")
         assert "jct_w_in" not in d.new_route
         assert "jct_w_in" in d.old_route
-    vehicles = {v.id: v for v in sim.iter_vehicles()}
+    vehicles = {v.id: v for v in iter_vehicles(sim)}
     for i in range(3):
         v = vehicles[f"cand{i}"]
         assert v.rerouted is True
@@ -327,7 +330,7 @@ def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
         readings = sim.read_detectors()
         pairs = {(NET.edges[v.edge_id].to_node, NET.edges[v.route[-1]].to_node)
                  for arm in flagged_arms(readings, threshold)
-                 for v in candidate_vehicles(sim, arm)}
+                 for v, _ in candidate_vehicles(sim, arm)}
         before = len(calls)
         decisions = apply_rerouting(sim, readings, threshold, 4)
         assert sorted(calls[before:]) == sorted(pairs)

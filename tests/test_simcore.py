@@ -24,6 +24,7 @@ from flowctl.simcore import (
 )
 
 from fileformats import network_to_text
+from simstate import iter_vehicles
 
 NET = build_default_network()
 
@@ -314,7 +315,7 @@ def test_through_traffic_spawns_on_middle_lanes():
              if len(s.route) == 4][:40]
     sim = make_sim(sched)
     run_steps(sim, 60)
-    for v in sim.iter_vehicles():
+    for v in iter_vehicles(sim):
         if v.edge_id.startswith("app_") and v.edge_id.endswith("_in"):
             assert v.lane in (1, 2)
 
@@ -480,9 +481,9 @@ def test_wait_accrues_only_while_halted_on_inbound_edges():
     assert stuck.wait == 10
     assert cruising.wait == 0
     assert sim.cumulative_wait() == 10
-    assert sim.arm_wait("w") == 10
-    assert sim.arm_queue("w") == 1
-    assert sum(sim.arm_queue(a) for a in ARM_ORDER) == 1
+    loads = sim.arm_loads()
+    assert loads[ARM_ORDER.index("w")] == (10, 1)
+    assert sum(queue for _, queue in loads) == 1
 
 
 def test_wait_leaves_cumulative_on_departure_but_stays_in_delay():
@@ -534,7 +535,7 @@ def test_conservation_and_invariants_over_random_episode():
 def test_determinism_same_seed_same_trajectory():
     def snapshot(sim):
         return [(v.id, v.edge_id, v.lane, round(v.pos, 9), round(v.speed, 9), v.wait)
-                for v in sim.iter_vehicles()]
+                for v in iter_vehicles(sim)]
 
     def run(seed):
         sched = spawn_schedule(NET, count=80, seed=seed, horizon=60)

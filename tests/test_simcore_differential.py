@@ -51,6 +51,8 @@ from flowctl.simcore import (
     spawn_schedule,
 )
 
+from simstate import iter_vehicles
+
 MAX_STEPS = 240
 
 
@@ -343,10 +345,10 @@ COMMAND = st.tuples(st.integers(1, 25), st.integers(0, 3),
 
 # ---------------------------------------------------------------- helpers
 
-def lane_state(sim):
-    """Every vehicle in (edge order, lane, front-to-back) order."""
+def lane_state(vehicles):
+    """The state of vehicles given in (edge order, lane, front-to-back) order."""
     return [(v.id, v.edge_id, v.lane, v.pos, v.speed, v.wait, v.route_idx)
-            for v in sim.iter_vehicles()]
+            for v in vehicles]
 
 
 def counters(sim):
@@ -359,7 +361,7 @@ def counters(sim):
 def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
     """A (vehicle id, new suffix) route swap picked from the live vehicles,
     or None when the picked vehicle has no other way to its destination."""
-    vehicles = list(sim.iter_vehicles())
+    vehicles = list(iter_vehicles(sim))
     if not vehicles:
         return None
     v = vehicles[vehicle_pick % len(vehicles)]
@@ -377,7 +379,7 @@ def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
 
 def lane_ids(sim: Simulation) -> dict[tuple[str, int], list[str]]:
     lanes: dict[tuple[str, int], list[str]] = {}
-    for v in sim.iter_vehicles():
+    for v in iter_vehicles(sim):
         lanes.setdefault((v.edge_id, v.lane), []).append(v.id)
     return lanes
 
@@ -393,7 +395,7 @@ def step_both(sim: Simulation, ref: ReferenceSimulation) -> None:
         left = set(ids) - set(after.get(key, ()))
         assert left <= {ids[0]}
     sim.validate()
-    assert lane_state(sim) == lane_state(ref)
+    assert lane_state(iter_vehicles(sim)) == lane_state(ref.iter_vehicles())
     assert counters(sim) == counters(ref)
     if sim.clock % DETECTOR_PERIOD == 0:
         assert sim.read_detectors() == ref._det_last
@@ -420,9 +422,8 @@ def test_one_pass_step_matches_reference_step(text, count, seed, horizon, comman
             picked = swap_route(sim, weights, *swap)
             if picked is not None:
                 vid, suffix = picked
-                for s in (sim, ref):
-                    s.replace_route_suffix(
-                        next(v for v in s.iter_vehicles() if v.id == vid), suffix)
+                for s, vehicles in ((sim, iter_vehicles(sim)), (ref, ref.iter_vehicles())):
+                    s.replace_route_suffix(next(v for v in vehicles if v.id == vid), suffix)
         for _ in range(seconds):
             if sim.done or sim.clock == MAX_STEPS:
                 break
@@ -445,9 +446,30 @@ def test_slots_grow_past_initial_capacity_and_are_reused():
             ref.set_phase((t // 20) % 4)
         step_both(sim, ref)
         peak = max(peak, sim.active_count)
-        for v in sim.iter_vehicles():
+        for v in iter_vehicles(sim):
             holders.setdefault(v.slot, set()).add(v.id)
     assert peak > INITIAL_SLOTS
     assert len(holders) >= peak
     assert any(len(ids) > 1 for ids in holders.values())
     assert sim.arrived_count > 0
+
+
+def test_slot_arrays_shrink_as_traffic_drains():
+    """A demand burst grows the slot arrays past their initial size; as it
+    drains they halve back to it, with the lane state equal to the
+    reference after every step."""
+    net = build_default_network()
+    schedule = spawn_schedule(net, 5 * INITIAL_SLOTS, 8, 60)
+    sim = Simulation(net, schedule)
+    ref = ReferenceSimulation(net, schedule)
+    sizes = [sim._speed.size]
+    while not sim.done:
+        if sim.clock % 20 == 0 and not sim.signals.in_yellow:
+            sim.set_phase((sim.clock // 20) % 4)
+            ref.set_phase((sim.clock // 20) % 4)
+        step_both(sim, ref)
+        sizes.append(sim._speed.size)
+    assert ref.done
+    assert max(sizes) >= 4 * INITIAL_SLOTS
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] == INITIAL_SLOTS
