@@ -11,4 +11,3 @@ def iter_vehicles(sim: Simulation):
         for lane in sim._lanes[eid]:
             for slot in lane:
                 yield sim._handles[slot]
-

@@ -89,4 +89,3 @@ def test_array_draws_match_the_scalar_loop(count, seed, horizon):
     # repr also tells Python numbers from numpy scalars of the same value.
     got = [repr(tuple(spec)) for spec in spawn_schedule(NET, count, seed, horizon)]
     assert got == [repr(spec) for spec in reference_schedule(NET, count, seed, horizon)]
-
