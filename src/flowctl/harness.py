@@ -143,8 +143,8 @@ def desk_profile() -> RunConfig:
 
 
 def paper_scale_profile() -> RunConfig:
-    """Full-size experiment tables: about 0.4 s per fixed-time episode and
-    1 s per learning episode, so minutes for a 200-episode run."""
+    """Full-size experiment tables: about 0.2 s per fixed-time episode and
+    0.4 s per learning episode, so about 75 s for a 200-episode learning run."""
     return RunConfig(
         train=TrainConfig(),  # 200 episodes, buffer 4500, 2500 steps, lr 1e-3
         vehicles=4000,

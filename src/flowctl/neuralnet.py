@@ -175,12 +175,27 @@ def apply_update(net: PolicyNetwork, grads: GradientSet, scale: float,
     corr2 = 1.0 - ADAM_BETA2 ** t
 
     def adam(param, g, m, v):
+        # m2 = beta1 m + (1 - beta1) g and v2 = beta2 v + (1 - beta2) (g g),
+        # with g scaled first; step = lr (m2 / corr1) / (sqrt(v2 / corr2) + eps).
+        # Each operation is the one the plain expressions would do, in the
+        # same order, but into two scratch arrays, so the result is the same
+        # to the bit.  The new parameter, m2 and v2 are fresh arrays.
         if g.shape != param.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {param.shape}")
-        g = scale * g
-        m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        step = opt.learning_rate * (m2 / corr1) / (np.sqrt(v2 / corr2) + ADAM_EPS)
+        g = np.multiply(g, scale)
+        step = np.multiply(g, 1.0 - ADAM_BETA1)
+        m2 = np.multiply(m, ADAM_BETA1)
+        m2 += step
+        g *= g
+        g *= 1.0 - ADAM_BETA2
+        v2 = np.multiply(v, ADAM_BETA2)
+        v2 += g
+        np.divide(m2, corr1, out=step)
+        step *= opt.learning_rate
+        np.divide(v2, corr2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        step /= g
         return param + step, m2, v2
 
     params, m, v = zip(*[adam(*args) for args in zip(

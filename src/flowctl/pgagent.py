@@ -161,8 +161,22 @@ def compute_reward(previous_wait: int, current_wait: int) -> float:
 
 
 def select_action(net: PolicyNetwork, state: np.ndarray,
-                  rng: np.random.Generator) -> int:
-    probs = forward(net, state)
+                  rng: np.random.Generator, memo: dict | None = None) -> int:
+    """Sample a phase from the policy's probabilities at `state`.
+
+    `memo`, if given, holds the probabilities of the states already seen
+    under this same `net`, keyed by shape and float64 bytes, so a repeated
+    state costs no forward pass.  The draw is the same either way, since
+    `rng.choice` gets the same probabilities.
+    """
+    if memo is None:
+        probs = forward(net, state)
+    else:
+        x = np.asarray(state, dtype=np.float64)
+        key = (x.shape, x.tobytes())
+        probs = memo.get(key)
+        if probs is None:
+            probs = memo[key] = forward(net, x)
     return int(rng.choice(len(probs), p=probs))
 
 
@@ -293,9 +307,11 @@ class Learner:
         self._buffer = ReplayBuffer(cfg.buffer_capacity)
 
     def chooser(self):
-        """A phase chooser sampling from the current policy."""
-        net, rng = self.agent.net, self._rng
-        return lambda state: select_action(net, state, rng)
+        """A phase chooser sampling from the current policy.  The net stays
+        fixed until `end_episode`, so the chooser, made once per episode,
+        computes each distinct state's probabilities once."""
+        net, rng, memo = self.agent.net, self._rng, {}
+        return lambda state: select_action(net, state, rng, memo)
 
     def end_episode(self, episode: int, transitions) -> None:
         """Store the episode's (state, action, reward) decisions, then take

@@ -836,31 +836,6 @@ class Simulation:
     def done(self) -> bool:
         return self.finished or self.out_of_time
 
-    # ------------------------------------------------------------- testing
-
-    def place_vehicle(self, vehicle_id: str, route, lane: int | None = None,
-                      pos: float = 0.0, speed: float = 0.0, vtype: str = "car",
-                      wait: int = 0) -> Vehicle:
-        """Inject a vehicle mid-network (test setup helper)."""
-        route = tuple(route)
-        self._check_route(route)
-        edge = self.net.edges[route[0]]
-        if not 0.0 <= pos <= edge.length:
-            raise ValueError(f"pos {pos} outside edge {route[0]} (0..{edge.length})")
-        plan = self._route_plan(route)
-        if lane is None:
-            lane = self._pick_lane(*plan[0], self._pos)[0]
-        if not 0 <= lane < edge.lane_count:
-            raise ValueError(f"lane {lane} out of range for {route[0]}")
-        occupants = self._lanes[route[0]][lane]
-        at = 0
-        while at < len(occupants) and self._pos[occupants[at]] > pos:
-            at += 1
-        v = self._add_vehicle(vehicle_id, vtype, VEHICLE_MAX_SPEED[vtype], route, plan,
-                              lane, at, float(pos), float(speed), wait)
-        self.scheduled_total += 1
-        return v
-
     def replace_route_suffix(self, vehicle: Vehicle, suffix) -> None:
         """Swap everything after the vehicle's current edge for a new tail."""
         suffix = tuple(suffix)

@@ -49,7 +49,7 @@ from flowctl.roadnet import (
 from flowctl.rerouter import apply_rerouting
 from flowctl.simcore import MIN_GAP, Simulation, spawn_schedule
 
-from simstate import iter_vehicles
+from simstate import iter_vehicles, place_vehicle
 
 NET = build_default_network()
 
@@ -381,11 +381,11 @@ def build_west_jam() -> Simulation:
     i = 0
     for lane in (1, 2):
         for k in range(40):
-            sim.place_vehicle(f"blk{i}", JAM_ROUTE[1:], lane=lane,
-                              pos=97.5 - 2.5 * k)
+            place_vehicle(sim, f"blk{i}", JAM_ROUTE[1:], lane=lane,
+                          pos=97.5 - 2.5 * k)
             i += 1
     for k, pos in enumerate((1000.0, 997.5, 995.0)):
-        sim.place_vehicle(f"c{k}", JAM_ROUTE, lane=1, pos=pos)
+        place_vehicle(sim, f"c{k}", JAM_ROUTE, lane=1, pos=pos)
     return sim
 
 

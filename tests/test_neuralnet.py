@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from flowctl.neuralnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GradientSet,
     PolicyNetwork,
     accumulate_logp_gradients,
@@ -271,6 +274,49 @@ def test_apply_update_rejects_shape_mismatch():
     g = logp_gradient(other, np.ones(6), 0)
     with pytest.raises(ValueError):
         apply_update(net, g, 1.0, opt)
+
+
+def textbook_adam(params, grads, m, v, t, scale, lr):
+    """Kingma & Ba's update, ascending scale * grads, written out plainly."""
+    out = []
+    for p, g, m_t, v_t in zip(params, grads, m, v):
+        g = scale * g
+        m_t = ADAM_BETA1 * m_t + (1 - ADAM_BETA1) * g
+        v_t = ADAM_BETA2 * v_t + (1 - ADAM_BETA2) * g ** 2
+        m_hat = m_t / (1 - ADAM_BETA1 ** t)
+        v_hat = v_t / (1 - ADAM_BETA2 ** t)
+        out.append((p + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m_t, v_t))
+    return [list(column) for column in zip(*out)]
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0, 0.37])
+def test_apply_update_is_textbook_adam_to_the_bit(scale):
+    net = small_net(35)
+    opt = init_optimizer(net, learning_rate=0.01)
+    params, m, v = list(net.weights + net.biases), list(opt.m), list(opt.v)
+    rng = np.random.default_rng(36)
+    for t in range(1, 6):
+        g = GradientSet(weights=tuple(rng.normal(size=w.shape) for w in net.weights),
+                        biases=tuple(rng.normal(size=b.shape) for b in net.biases))
+        net, opt = apply_update(net, g, scale, opt)
+        params, m, v = textbook_adam(params, g.weights + g.biases, m, v, t, scale, 0.01)
+        assert opt.step == t
+        for got, want in zip(net.weights + net.biases + opt.m + opt.v, params + m + v):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_apply_update_leaves_its_inputs_alone_and_returns_fresh_arrays():
+    net = small_net(37)
+    opt = init_optimizer(net)
+    net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
+    grads = logp_gradient(net, np.full(6, 0.5), 2)
+    inputs = net.weights + net.biases + grads.weights + grads.biases + opt.m + opt.v
+    before = [a.copy() for a in inputs]
+    net2, opt2 = apply_update(net, grads, 0.37, opt)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    for new in net2.weights + net2.biases + opt2.m + opt2.v:
+        assert not any(np.shares_memory(new, old) for old in inputs)
 
 
 def test_bandit_convergence():

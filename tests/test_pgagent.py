@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from flowctl.harness import RunConfig, run_experiment
+from flowctl import pgagent
+from flowctl.harness import RunConfig, desk_profile, run_experiment
 from flowctl.neuralnet import forward, init_network
 from flowctl.pgagent import (
+    AGENT_STREAM,
     AgentState,
     EpisodeMetrics,
     Learner,
@@ -238,6 +240,52 @@ def test_select_action_follows_distribution():
     counts = np.bincount([select_action(net, state, rng) for _ in range(400)],
                          minlength=4)
     assert (counts > 0).all()
+
+
+def desk_episode(choose):
+    """One desk-profile episode's decisions under `choose`."""
+    cfg = desk_profile()
+    sim = Simulation(NET, spawn_schedule(NET, count=cfg.vehicles, seed=83,
+                                         horizon=cfg.spawn_horizon),
+                     yellow_duration=cfg.train.yellow_duration)
+    transitions, _ = drive_episode(sim, choose, green_duration=cfg.train.green_duration,
+                                   max_decisions=cfg.train.max_agent_steps)
+    return transitions
+
+
+def test_chooser_memo_samples_as_plain_select_action_calls():
+    learner = Learner(desk_profile().train, seed=11)
+    net = learner.agent.net
+    rng = np.random.default_rng(np.random.SeedSequence([11, AGENT_STREAM]))
+    with_memo = desk_episode(learner.chooser())
+    plain = desk_episode(lambda state: select_action(net, state, rng))
+    assert [a for _, a, _ in with_memo] == [a for _, a, _ in plain]
+    assert learner._rng.bit_generator.state == rng.bit_generator.state
+    # The episode repeats states, so the memo was hit.
+    assert len({s.tobytes() for s, _, _ in with_memo}) < len(with_memo)
+
+
+def test_chooser_runs_one_forward_per_distinct_state(monkeypatch):
+    calls = []
+
+    def counting_forward(net, state):
+        calls.append(state.tobytes())
+        return forward(net, state)
+
+    monkeypatch.setattr(pgagent, "forward", counting_forward)
+    transitions = desk_episode(Learner(desk_profile().train, seed=11).chooser())
+    distinct = {s.tobytes() for s, _, _ in transitions}
+    assert len(calls) == len(set(calls)) == len(distinct) < len(transitions)
+
+
+def test_chooser_rejects_a_wrong_shaped_state_on_every_call():
+    choose = Learner(small_cfg(), seed=2).chooser()
+    choose(np.zeros(80))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            choose(np.zeros(40))
+        with pytest.raises(ValueError):
+            choose(np.zeros((80, 1)))  # the bytes of a state already seen
 
 
 # ---------------------------------------------------------------- training

@@ -18,7 +18,7 @@ from flowctl.rerouter import (
 )
 from flowctl.simcore import DETECTOR_PERIOD, DetectorReading, Simulation
 
-from simstate import iter_vehicles
+from simstate import iter_vehicles, place_vehicle
 
 NET = build_default_network()
 
@@ -64,10 +64,10 @@ def build_west_jam() -> Simulation:
     sim = make_sim()
     for lane in (1, 2):
         for i in range(40):
-            sim.place_vehicle(f"b{lane}_{i}", BLOCK_ROUTE, lane=lane,
-                              pos=97.5 - 2.5 * i)
+            place_vehicle(sim, f"b{lane}_{i}", BLOCK_ROUTE, lane=lane,
+                          pos=97.5 - 2.5 * i)
     for i, pos in enumerate((1000.0, 997.5, 995.0)):
-        sim.place_vehicle(f"cand{i}", STRAIGHT_W, lane=1, pos=pos)
+        place_vehicle(sim, f"cand{i}", STRAIGHT_W, lane=1, pos=pos)
     return sim
 
 
@@ -86,10 +86,10 @@ def build_two_arm_jam() -> Simulation:
         for lane, to in enumerate(exits):
             route = (f"app_{arm}_in", f"jct_{arm}_in", f"jct_{to}_out", f"app_{to}_out")
             for i in range(40):
-                sim.place_vehicle(f"b{arm}{lane}_{i}", route[1:], lane=lane,
-                                  pos=97.5 - 2.5 * i)
+                place_vehicle(sim, f"b{arm}{lane}_{i}", route[1:], lane=lane,
+                              pos=97.5 - 2.5 * i)
             for i, pos in enumerate((1000.0, 997.5)):
-                sim.place_vehicle(f"c{arm}{lane}_{i}", route, lane=lane, pos=pos)
+                place_vehicle(sim, f"c{arm}{lane}_{i}", route, lane=lane, pos=pos)
     return sim
 
 
@@ -158,16 +158,16 @@ def test_flagging_is_strictly_above_threshold():
 
 def test_expected_arm_wait_is_wait_per_queued_vehicle():
     sim = make_sim()
-    sim.place_vehicle("q1", ("jct_n_in", "jct_s_out", "app_s_out"),
-                      lane=1, pos=97.5, wait=10)
-    sim.place_vehicle("q2", ("jct_n_in", "jct_s_out", "app_s_out"),
-                      lane=2, pos=97.5, wait=20)
+    place_vehicle(sim, "q1", ("jct_n_in", "jct_s_out", "app_s_out"),
+                  lane=1, pos=97.5, wait=10)
+    place_vehicle(sim, "q2", ("jct_n_in", "jct_s_out", "app_s_out"),
+                  lane=2, pos=97.5, wait=20)
     waits = stop_line_waits(sim, ["n", "e"])
     assert waits["jct_n_in"] == pytest.approx(15.0)
     assert waits["jct_e_in"] == 0.0
     # A moving vehicle contributes its accrued wait but not to the queue.
-    sim.place_vehicle("m", ("app_n_in", "jct_n_in", "jct_s_out", "app_s_out"),
-                      lane=1, pos=100.0, speed=13.89, wait=7)
+    place_vehicle(sim, "m", ("app_n_in", "jct_n_in", "jct_s_out", "app_s_out"),
+                  lane=1, pos=100.0, speed=13.89, wait=7)
     assert stop_line_waits(sim, ["n"])["jct_n_in"] == pytest.approx(37 / 2)
 
 
@@ -188,17 +188,17 @@ def test_surcharge_applies_only_to_flagged_inbound_edges():
 
 def test_candidate_filter_and_ordering():
     sim = make_sim()
-    sim.place_vehicle("a", STRAIGHT_W, lane=2, pos=500.0)
-    sim.place_vehicle("d", STRAIGHT_W, lane=3, pos=500.0)
-    sim.place_vehicle("b", STRAIGHT_W, lane=1, pos=200.0)
+    place_vehicle(sim, "a", STRAIGHT_W, lane=2, pos=500.0)
+    place_vehicle(sim, "d", STRAIGHT_W, lane=3, pos=500.0)
+    place_vehicle(sim, "b", STRAIGHT_W, lane=1, pos=200.0)
     # Excluded: already past the approach edge.
-    sim.place_vehicle("j", BLOCK_ROUTE, lane=1, pos=50.0)
+    place_vehicle(sim, "j", BLOCK_ROUTE, lane=1, pos=50.0)
     # Excluded: already diverted once.
-    prior = sim.place_vehicle("r", STRAIGHT_W, lane=1, pos=600.0)
+    prior = place_vehicle(sim, "r", STRAIGHT_W, lane=1, pos=600.0)
     prior.rerouted = True
     # Excluded: remaining route skips the junction edge entirely.
-    sim.place_vehicle("n", ("app_w_in", "app_w_out", "diag_wn", "diag_ne"),
-                      lane=0, pos=700.0)
+    place_vehicle(sim, "n", ("app_w_in", "app_w_out", "diag_wn", "diag_ne"),
+                  lane=0, pos=700.0)
     assert [(v.id, pos) for v, pos in candidate_vehicles(sim, "w")] == \
         [("a", 500.0), ("d", 500.0), ("b", 200.0)]
     assert candidate_vehicles(sim, "e") == []

@@ -24,7 +24,7 @@ from flowctl.simcore import (
 )
 
 from fileformats import network_to_text
-from simstate import iter_vehicles
+from simstate import iter_vehicles, place_vehicle
 
 NET = build_default_network()
 
@@ -181,7 +181,7 @@ def test_spawn_schedule_validates_args():
 
 def test_free_acceleration_to_speed_limit():
     sim = make_sim()
-    v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=0.0)
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=0.0)
     sim.set_phase(2)  # west main green
     speeds = []
     for _ in range(8):
@@ -193,7 +193,7 @@ def test_free_acceleration_to_speed_limit():
 
 def test_slow_vehicle_keeps_its_own_top_speed():
     sim = make_sim()
-    v = sim.place_vehicle("t", STRAIGHT_W, lane=1, pos=0.0, vtype="trailer")
+    v = place_vehicle(sim, "t", STRAIGHT_W, lane=1, pos=0.0, vtype="trailer")
     sim.set_phase(2)
     run_steps(sim, 10)
     assert v.speed == pytest.approx(10.0)
@@ -201,8 +201,8 @@ def test_slow_vehicle_keeps_its_own_top_speed():
 
 def test_red_light_halts_one_meter_out():
     sim = make_sim()  # phase 0: west arm is red
-    v = sim.place_vehicle("x", ("jct_w_in", "jct_e_out", "app_e_out"),
-                          lane=1, pos=99.0, speed=0.0)
+    v = place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
+                      lane=1, pos=99.0, speed=0.0)
     run_steps(sim, 5)
     assert v.pos == 99.0
     assert v.speed == 0.0
@@ -211,8 +211,8 @@ def test_red_light_halts_one_meter_out():
 
 def test_red_light_stops_at_margin():
     sim = make_sim()
-    v = sim.place_vehicle("x", ("jct_w_in", "jct_e_out", "app_e_out"),
-                          lane=2, pos=0.0)
+    v = place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
+                      lane=2, pos=0.0)
     run_steps(sim, 30)
     assert v.pos == pytest.approx(100.0 - MIN_GAP)
     assert v.speed == 0.0
@@ -220,8 +220,8 @@ def test_red_light_stops_at_margin():
 
 def test_green_releases_the_stopped_vehicle():
     sim = make_sim()
-    v = sim.place_vehicle("x", ("jct_w_in", "jct_e_out", "app_e_out"),
-                          lane=1, pos=97.5)
+    v = place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
+                      lane=1, pos=97.5)
     run_steps(sim, 3)
     assert v.pos == 97.5
     sim.set_phase(2)
@@ -231,12 +231,12 @@ def test_green_releases_the_stopped_vehicle():
 
 def test_follower_respects_gap_behind_stopped_leader():
     sim = make_sim()
-    lead = sim.place_vehicle("lead", ("jct_w_in", "jct_e_out", "app_e_out"),
-                             lane=1, pos=97.5)
+    lead = place_vehicle(sim, "lead", ("jct_w_in", "jct_e_out", "app_e_out"),
+                         lane=1, pos=97.5)
     # Occupy lane 2 as well so the follower cannot pick the empty lane.
-    sim.place_vehicle("lead2", ("jct_w_in", "jct_e_out", "app_e_out"),
-                      lane=2, pos=97.5)
-    back = sim.place_vehicle("back", STRAIGHT_W, lane=1, pos=900.0, speed=13.89)
+    place_vehicle(sim, "lead2", ("jct_w_in", "jct_e_out", "app_e_out"),
+                  lane=2, pos=97.5)
+    back = place_vehicle(sim, "back", STRAIGHT_W, lane=1, pos=900.0, speed=13.89)
     for _ in range(40):
         sim.step()
         sim.validate()
@@ -252,7 +252,7 @@ def test_queue_discharge_rate_is_plausible():
     sim = make_sim()
     route = ("jct_n_in", "jct_s_out", "app_s_out")
     for i in range(30):
-        sim.place_vehicle(f"q{i}", route, lane=1, pos=97.5 - 2.5 * i)
+        place_vehicle(sim, f"q{i}", route, lane=1, pos=97.5 - 2.5 * i)
     sim.set_phase(0)
     run_steps(sim, 30)
     left = 30 - len([v for v in sim.vehicles_on_edge("jct_n_in")])
@@ -261,8 +261,8 @@ def test_queue_discharge_rate_is_plausible():
 
 def test_one_crossing_per_lane_per_step():
     sim = make_sim()
-    a = sim.place_vehicle("a", STRAIGHT_N, lane=1, pos=997.0, speed=13.0)
-    b = sim.place_vehicle("b", STRAIGHT_N, lane=1, pos=993.0, speed=13.0)
+    a = place_vehicle(sim, "a", STRAIGHT_N, lane=1, pos=997.0, speed=13.0)
+    b = place_vehicle(sim, "b", STRAIGHT_N, lane=1, pos=993.0, speed=13.0)
     sim.step()
     assert a.edge_id == "jct_n_in"
     assert b.edge_id == "app_n_in"  # held behind the node until next step
@@ -272,7 +272,7 @@ def test_one_crossing_per_lane_per_step():
 def test_transition_carries_overflow_and_entry_speed():
     sim = make_sim()
     sim.set_phase(2)
-    v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=995.0, speed=13.89)
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=995.0, speed=13.89)
     sim.step()
     assert v.edge_id == "jct_w_in"
     assert v.pos == pytest.approx(8.89)
@@ -286,8 +286,8 @@ def test_blocked_entry_holds_at_node():
     route = ("jct_w_in", "jct_e_out", "app_e_out")
     for lane in (1, 2):
         for i in range(40):
-            sim.place_vehicle(f"b{lane}_{i}", route, lane=lane, pos=97.5 - 2.5 * i)
-    v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=995.0, speed=13.89)
+            place_vehicle(sim, f"b{lane}_{i}", route, lane=lane, pos=97.5 - 2.5 * i)
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=995.0, speed=13.89)
     sim.step()
     assert v.edge_id == "app_w_in"
     assert v.pos == 1000.0
@@ -300,7 +300,7 @@ def test_blocked_entry_holds_at_node():
 
 def test_arrival_removes_vehicle_and_keeps_books():
     sim = make_sim()
-    v = sim.place_vehicle("x", ("app_e_out",), lane=0, pos=995.0, speed=13.89)
+    v = place_vehicle(sim, "x", ("app_e_out",), lane=0, pos=995.0, speed=13.89)
     sim.step()
     assert sim.arrived_count == 1
     assert sim.active_count == 0
@@ -323,28 +323,28 @@ def test_through_traffic_spawns_on_middle_lanes():
 def test_left_turn_route_uses_lane_zero():
     sim = make_sim()
     # north in, exiting east = a left turn
-    v = sim.place_vehicle("x", ("app_n_in", "jct_n_in", "jct_e_out", "app_e_out"))
+    v = place_vehicle(sim, "x", ("app_n_in", "jct_n_in", "jct_e_out", "app_e_out"))
     assert v.lane == 0
 
 
 def test_right_turn_route_uses_outer_lane():
     sim = make_sim()
     # north in, exiting west = a right turn
-    v = sim.place_vehicle("x", ("app_n_in", "jct_n_in", "jct_w_out", "app_w_out"))
+    v = place_vehicle(sim, "x", ("app_n_in", "jct_n_in", "jct_w_out", "app_w_out"))
     assert v.lane == 3
 
 
 def test_no_junction_ahead_spreads_by_headroom():
     sim = make_sim()
-    a = sim.place_vehicle("a", ("app_n_out",), pos=0.0)
+    a = place_vehicle(sim, "a", ("app_n_out",), pos=0.0)
     assert a.lane == 0
-    b = sim.place_vehicle("b", ("app_n_out",), pos=0.0)
+    b = place_vehicle(sim, "b", ("app_n_out",), pos=0.0)
     assert b.lane == 1
 
 
 def test_diagonal_is_single_lane():
     sim = make_sim()
-    v = sim.place_vehicle("x", ("diag_ne",))
+    v = place_vehicle(sim, "x", ("diag_ne",))
     assert v.lane == 0
 
 
@@ -357,7 +357,7 @@ def test_through_traffic_on_a_two_lane_edge_uses_lane_one():
         lines.append(" ".join(fields))
     sim = Simulation(build_network("\n".join(lines) + "\n"))
     route = ("diag_ne", "app_e_in", "jct_e_in", "jct_w_out", "app_w_out")
-    v = sim.place_vehicle("x", route)
+    v = place_vehicle(sim, "x", route)
     assert v.lane == 1
     sim.set_phase(2)
     run_steps(sim, 400)
@@ -373,7 +373,7 @@ def test_spawn_blocks_until_entry_clears():
     sim = Simulation(NET, [spec])
     for lane in (1, 2):
         for i in range(40):
-            sim.place_vehicle(f"b{lane}_{i}", route, lane=lane, pos=97.5 - 2.5 * i)
+            place_vehicle(sim, f"b{lane}_{i}", route, lane=lane, pos=97.5 - 2.5 * i)
     run_steps(sim, 3)
     assert sim.pending_count == 1   # rear vehicles sit at pos 0: no room
     sim.set_phase(2)                # green drains the queue from the front;
@@ -391,8 +391,8 @@ def test_sensors_empty_network_all_zero():
 
 def test_sensor_cell_for_west_straight_ten_meters_out():
     sim = make_sim()
-    sim.place_vehicle("x", ("jct_w_in", "jct_e_out", "app_e_out"),
-                      lane=1, pos=90.0)
+    place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
+                  lane=1, pos=90.0)
     sensors = sim.read_sensors()
     assert sensors[71] == 1.0
     assert sensors.sum() == 1.0
@@ -400,8 +400,8 @@ def test_sensor_cell_for_west_straight_ten_meters_out():
 
 def test_sensor_left_lane_goes_to_left_group():
     sim = make_sim()
-    sim.place_vehicle("x", ("jct_w_in", "jct_s_out", "app_s_out"),
-                      lane=0, pos=90.0)
+    place_vehicle(sim, "x", ("jct_w_in", "jct_s_out", "app_s_out"),
+                  lane=0, pos=90.0)
     sensors = sim.read_sensors()
     assert sensors[61] == 1.0  # 3*20 + 0 + 1
     assert sensors.sum() == 1.0
@@ -410,18 +410,18 @@ def test_sensor_left_lane_goes_to_left_group():
 def test_sensor_range_spans_approach_edge():
     sim = make_sim()
     # 1050 m from the stop line: beyond sensing range
-    sim.place_vehicle("far", STRAIGHT_W, lane=1, pos=50.0)
+    place_vehicle(sim, "far", STRAIGHT_W, lane=1, pos=50.0)
     assert sim.read_sensors().sum() == 0.0
     # 500 m out: cell [400, 1000) of the west main group
-    sim.place_vehicle("mid", STRAIGHT_W, lane=2, pos=600.0)
+    place_vehicle(sim, "mid", STRAIGHT_W, lane=2, pos=600.0)
     sensors = sim.read_sensors()
     assert sensors[3 * 20 + 10 + 9] == 1.0
 
 
 def test_sensor_arm_blocks_are_ordered_n_e_s_w():
     sim = make_sim()
-    sim.place_vehicle("a", ("jct_n_in", "jct_s_out", "app_s_out"), lane=1, pos=99.0)
-    sim.place_vehicle("b", ("jct_e_in", "jct_w_out", "app_w_out"), lane=1, pos=99.0)
+    place_vehicle(sim, "a", ("jct_n_in", "jct_s_out", "app_s_out"), lane=1, pos=99.0)
+    place_vehicle(sim, "b", ("jct_e_in", "jct_w_out", "app_w_out"), lane=1, pos=99.0)
     sensors = sim.read_sensors()
     assert sensors[10] == 1.0  # north main, closest cell
     assert sensors[30] == 1.0  # east main, closest cell
@@ -450,7 +450,7 @@ def test_detector_density_of_standing_queue():
     route = ("jct_w_in", "jct_e_out", "app_e_out")
     for i in range(40):
         lane = 1 if i < 20 else 2
-        sim.place_vehicle(f"q{i}", route, lane=lane, pos=97.5 - 2.5 * (i % 20))
+        place_vehicle(sim, f"q{i}", route, lane=lane, pos=97.5 - 2.5 * (i % 20))
     run_steps(sim, 30)
     readings = sim.read_detectors()
     assert readings["w"].density == pytest.approx(0.04)
@@ -474,9 +474,9 @@ def test_detector_counts_distinct_vehicles_in_span():
 
 def test_wait_accrues_only_while_halted_on_inbound_edges():
     sim = make_sim()
-    stuck = sim.place_vehicle("stuck", ("jct_w_in", "jct_e_out", "app_e_out"),
-                              lane=1, pos=97.5)
-    cruising = sim.place_vehicle("free", ("diag_ne",), pos=0.0, speed=13.89)
+    stuck = place_vehicle(sim, "stuck", ("jct_w_in", "jct_e_out", "app_e_out"),
+                          lane=1, pos=97.5)
+    cruising = place_vehicle(sim, "free", ("diag_ne",), pos=0.0, speed=13.89)
     run_steps(sim, 10)
     assert stuck.wait == 10
     assert cruising.wait == 0
@@ -488,8 +488,8 @@ def test_wait_accrues_only_while_halted_on_inbound_edges():
 
 def test_wait_leaves_cumulative_on_departure_but_stays_in_delay():
     sim = make_sim()
-    v = sim.place_vehicle("x", ("jct_w_in", "jct_e_out", "app_e_out"),
-                          lane=1, pos=97.5)
+    v = place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
+                      lane=1, pos=97.5)
     run_steps(sim, 6)
     assert sim.cumulative_wait() == 6
     sim.set_phase(2)
@@ -504,8 +504,8 @@ def test_wait_leaves_cumulative_on_departure_but_stays_in_delay():
 
 def test_avg_queue_len_counts_halted_per_step():
     sim = make_sim()
-    sim.place_vehicle("x", ("jct_w_in", "jct_e_out", "app_e_out"),
-                      lane=1, pos=97.5)
+    place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
+                  lane=1, pos=97.5)
     run_steps(sim, 10)
     assert sim.avg_queue_len == pytest.approx(1.0)
 
@@ -555,7 +555,7 @@ def test_determinism_same_seed_same_trajectory():
 
 def test_validate_catches_corruption():
     sim = make_sim()
-    v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=10.0)
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=10.0)
     sim._pos[v.slot] = 5000.0
     with pytest.raises(InvariantViolation):
         sim.validate()
@@ -563,9 +563,9 @@ def test_validate_catches_corruption():
 
 def test_place_vehicle_repoints_the_leaders_around_it():
     sim = make_sim()
-    front = sim.place_vehicle("front", STRAIGHT_W, lane=1, pos=50.0)
-    back = sim.place_vehicle("back", STRAIGHT_W, lane=1, pos=10.0)
-    middle = sim.place_vehicle("middle", STRAIGHT_W, lane=1, pos=30.0)
+    front = place_vehicle(sim, "front", STRAIGHT_W, lane=1, pos=50.0)
+    back = place_vehicle(sim, "back", STRAIGHT_W, lane=1, pos=10.0)
+    middle = place_vehicle(sim, "middle", STRAIGHT_W, lane=1, pos=30.0)
     sim.validate()
     assert sim._leader[back.slot] == middle.slot
     assert sim._leader[middle.slot] == front.slot
@@ -573,8 +573,8 @@ def test_place_vehicle_repoints_the_leaders_around_it():
 
 def test_validate_catches_slot_corruption():
     sim = make_sim()
-    front = sim.place_vehicle("front", STRAIGHT_W, lane=1, pos=50.0)
-    back = sim.place_vehicle("back", STRAIGHT_W, lane=1, pos=10.0)
+    front = place_vehicle(sim, "front", STRAIGHT_W, lane=1, pos=50.0)
+    back = place_vehicle(sim, "back", STRAIGHT_W, lane=1, pos=10.0)
     sim.validate()
     sim._leader[back.slot] = back.slot
     with pytest.raises(InvariantViolation, match="follows"):
@@ -594,20 +594,20 @@ def test_validate_catches_slot_corruption():
 
 def test_replace_route_suffix_checks_connectivity_and_destination():
     sim = make_sim()
-    v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=10.0)
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=10.0)
     # Divert: double back at the inner node, then bypass via two diagonals.
     sim.replace_route_suffix(v, ("app_w_out", "diag_wn", "diag_ne"))
     assert v.route == ("app_w_in", "app_w_out", "diag_wn", "diag_ne")
     with pytest.raises(ValueError):
         sim.replace_route_suffix(v, ("jct_w_in",))  # breaks the chain
-    fresh = sim.place_vehicle("y", STRAIGHT_W, lane=2, pos=10.0)
+    fresh = place_vehicle(sim, "y", STRAIGHT_W, lane=2, pos=10.0)
     with pytest.raises(ValueError):
         sim.replace_route_suffix(fresh, ("app_w_out", "diag_wn"))  # wrong dest
 
 
 def test_rerouted_vehicle_double_back_drives_to_destination():
     sim = make_sim()  # west arm stays red the whole time (phase 0)
-    v = sim.place_vehicle("x", STRAIGHT_W, lane=1, pos=500.0, speed=10.0)
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=500.0, speed=10.0)
     sim.replace_route_suffix(v, ("app_w_out", "diag_wn", "diag_ne"))
     assert v.route == ("app_w_in", "app_w_out", "diag_wn", "diag_ne")
     for _ in range(700):

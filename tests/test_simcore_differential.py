@@ -22,7 +22,7 @@ from collections import deque
 import itertools
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from flowctl.roadnet import (
     build_default_network,
@@ -403,7 +403,10 @@ def step_both(sim: Simulation, ref: ReferenceSimulation) -> None:
 
 # ------------------------------------------------------------------ tests
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# No shrink phase: shrinking examples of up to 150 vehicles against the
+# pure-Python reference took minutes, so a failure is reported as drawn.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(text=crossroad_text(), count=st.integers(1, 150), seed=st.integers(0, 2**32 - 1),
        horizon=st.integers(1, 90), commands=st.lists(COMMAND, min_size=1, max_size=20))
 def test_one_pass_step_matches_reference_step(text, count, seed, horizon, commands):
