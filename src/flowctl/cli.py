@@ -36,7 +36,7 @@ from .harness import (  # noqa: E402 - numpy must see the thread settings
     run_phase,
     run_sweep,
     summarize,
-    write_text,
+    write_lines,
 )
 
 
@@ -113,7 +113,7 @@ def cmd_summarize(args) -> int:
                        series.get("rl_reroute"))
     sys.stdout.write(report)
     if args.out:
-        write_text(Path(args.out), report)
+        write_lines(Path(args.out), (report,))
     return 0
 
 

@@ -21,9 +21,11 @@ final-quarter reward.
 
 Each file job has one path: `_read` for the config, network and schedule
 files (a failed read is a ConfigError), `_key_value_lines` and
-`_key_value_text` for the `key = value` format, `csv_text` with the one
+`_key_value_text` for the `key = value` format, `csv_lines` with the one
 scalar formatter `_fmt` for every table, and `_atomic_write` (temp file,
-then rename) for every artifact, `policy.bin` included.
+then rename) for every artifact, `policy.bin` included.  `write_lines`
+streams each table's lines into the temp file as they are rendered, so no
+table, the reroute log of a long run included, is held as one string.
 """
 
 from __future__ import annotations
@@ -187,13 +189,24 @@ def _atomic_write(path: Path, write) -> Path:
     return path
 
 
-def write_text(path: Path, text: str) -> Path:
-    """Write a text artifact through `_atomic_write`, creating its directory."""
-    return _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+def write_lines(path: Path, lines) -> Path:
+    """Write text lines, one at a time, through `_atomic_write`, creating
+    the directory."""
+    def write(tmp):
+        with open(tmp, "w") as handle:
+            handle.writelines(lines)
+    return _atomic_write(path, write)
 
 
 def _fmt(value) -> str:
-    """Stable scalar rendering: ints plain, floats via repr."""
+    """Stable scalar rendering: strings as they are, ints plain, floats via
+    repr.  Exact str, float and int cost one class test; bools, numpy
+    scalars and subclasses take the general branches."""
+    cls = value.__class__
+    if cls is str:
+        return value
+    if cls is float or cls is int:
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -203,14 +216,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def csv_text(header: str, rows) -> str:
-    """A header line, then one line per row of cells.  String cells are
-    written as they are and every other cell through `_fmt`: the reroute
-    log runs to tens of thousands of mostly-string rows."""
-    lines = [header]
-    lines.extend(",".join([cell if cell.__class__ is str else _fmt(cell)
-                           for cell in row]) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_lines(header: str, rows):
+    """A header line, then one line per row of cells, rendered as the lines
+    are consumed.  String cells are written as they are, without a call,
+    and every other cell through `_fmt`: the reroute log runs to tens of
+    thousands of mostly-string rows."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join([cell if cell.__class__ is str else _fmt(cell)
+                        for cell in row]) + "\n"
 
 
 def _key_value_lines(text: str):
@@ -447,14 +461,14 @@ def run_many(jobs: list[tuple[RunConfig, str, int]],
 
 # ------------------------------------------------------------ CSV pipeline
 
-def metrics_csv(metrics: tuple[EpisodeMetrics, ...]) -> str:
-    return csv_text(METRICS_HEADER, (
+def metrics_csv(metrics: tuple[EpisodeMetrics, ...]):
+    return csv_lines(METRICS_HEADER, (
         (m.episode, m.cum_delay_s, m.avg_queue_len, m.cum_negative_reward,
          m.sim_time_s) for m in metrics))
 
 
-def reroutes_csv(decisions: tuple[RerouteDecision, ...]) -> str:
-    return csv_text(REROUTE_HEADER, (
+def reroutes_csv(decisions: tuple[RerouteDecision, ...]):
+    return csv_lines(REROUTE_HEADER, (
         (d.time, d.vehicle, "|".join(d.old_route), "|".join(d.new_route),
          d.u_twt, "" if d.best_alternative is None else d.best_alternative,
          d.decision) for d in decisions))
@@ -572,16 +586,16 @@ def write_run_artifacts(out_dir: str | Path, cfg: RunConfig,
     """Persist one run: metrics, config echo, summary, detector log, and —
     where applicable — the trained policy and the reroute log."""
     out = Path(out_dir)
-    texts = {
+    tables = {
         "metrics.csv": metrics_csv(result.metrics),
-        "config.txt": config_text(cfg),
-        "summary.txt": _summary_text(result),
-        "detectors.csv": csv_text(DETECTOR_HEADER, result.detector_rows),
+        "config.txt": (config_text(cfg),),
+        "summary.txt": (_summary_text(result),),
+        "detectors.csv": csv_lines(DETECTOR_HEADER, result.detector_rows),
     }
     if result.mode == "rl_reroute":
-        texts["reroutes.csv"] = reroutes_csv(result.reroutes)
-    written = {name: write_text(out / name, text)
-               for name, text in texts.items()}
+        tables["reroutes.csv"] = reroutes_csv(result.reroutes)
+    written = {name: write_lines(out / name, lines)
+               for name, lines in tables.items()}
     if result.network is not None:
         written["policy.bin"] = _atomic_write(
             out / "policy.bin", lambda tmp: save_network(result.network, tmp))
@@ -646,8 +660,6 @@ def run_sweep(cfg: RunConfig, axis: str, seeds: tuple[int, ...],
                              rank, flag))
 
     out = Path(out_dir)
-    write_text(out / "comparison.csv",
-               csv_text(COMPARISON_HEADER, comparison_rows))
-    write_text(out / "summary.csv",
-               csv_text(SWEEP_SUMMARY_HEADER, summary_rows))
+    write_lines(out / "comparison.csv", csv_lines(COMPARISON_HEADER, comparison_rows))
+    write_lines(out / "summary.csv", csv_lines(SWEEP_SUMMARY_HEADER, summary_rows))
     return comparison_rows, summary_rows

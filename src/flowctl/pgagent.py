@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .neuralnet import (
 from .simcore import DETECTOR_PERIOD, Simulation
 
 AGENT_STREAM = 1  # seed-sequence lane for the agent's own randomness
+PROB_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # as Generator.choice allows
 
 
 @dataclass(frozen=True)
@@ -160,24 +162,36 @@ def compute_reward(previous_wait: int, current_wait: int) -> float:
     return float(previous_wait - current_wait)
 
 
+def action_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative distribution `rng.choice(len(probs), p=probs)` draws
+    from, after its checks: finite, non-negative, summing to 1."""
+    if not (np.isfinite(probs).all() and (probs >= 0).all()
+            and abs(math.fsum(probs) - 1.0) <= PROB_SUM_TOL):
+        raise ValueError(f"not a probability vector: {probs}")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def select_action(net: PolicyNetwork, state: np.ndarray,
                   rng: np.random.Generator, memo: dict | None = None) -> int:
-    """Sample a phase from the policy's probabilities at `state`.
+    """Sample a phase from the policy's probabilities at `state`: one
+    `rng.random()` searched in `action_cdf`, the same draw and action as
+    `rng.choice` without its checks on every call.
 
-    `memo`, if given, holds the probabilities of the states already seen
+    `memo`, if given, holds the distributions of the states already seen
     under this same `net`, keyed by shape and float64 bytes, so a repeated
-    state costs no forward pass.  The draw is the same either way, since
-    `rng.choice` gets the same probabilities.
+    state costs no forward pass and no check.
     """
     if memo is None:
-        probs = forward(net, state)
+        cdf = action_cdf(forward(net, state))
     else:
         x = np.asarray(state, dtype=np.float64)
         key = (x.shape, x.tobytes())
-        probs = memo.get(key)
-        if probs is None:
-            probs = memo[key] = forward(net, x)
-    return int(rng.choice(len(probs), p=probs))
+        cdf = memo.get(key)
+        if cdf is None:
+            cdf = memo[key] = action_cdf(forward(net, x))
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:

@@ -24,9 +24,10 @@ comparison, switch or stay, is recorded.
 The weights and stop-line waits are fixed for a whole window, so the route
 search is shared per window: one `apply_rerouting` call searches each
 distinct (next node, destination) pair once and prices each searched tail
-once, and every vehicle with that pair reuses the result.  Only the part of
-the estimate that depends on the vehicle, its unfinished current edge, is
-computed per vehicle.
+once.  Vehicles with the same remaining route also share its price and
+the list of alternatives.  Only the part of the estimate that depends on
+the vehicle, its unfinished current edge, is computed per vehicle, and a
+stay records its old route tuple again.
 
 In a run, `harness.run_experiment` calls `apply_rerouting` at every
 detector window with the readings it has just logged, and with the
@@ -35,7 +36,7 @@ threshold and alternative count that `harness.RunConfig` validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .roadnet import enumerate_routes, free_flow_weights
 from .simcore import ARM_ORDER, DetectorReading, Simulation, Vehicle
@@ -43,8 +44,7 @@ from .simcore import ARM_ORDER, DetectorReading, Simulation, Vehicle
 SURCHARGE_RATE = 2.0  # seconds of penalty per estimated vehicle on the edge
 
 
-@dataclass(frozen=True)
-class RerouteDecision:
+class RerouteDecision(NamedTuple):
     """One stay-or-switch comparison for one vehicle at one window."""
 
     time: int
@@ -120,76 +120,58 @@ def tail_cost(tail: tuple[str, ...], weights: dict[str, float],
             sum(wait for eid, wait in waits.items() if eid in crossed))
 
 
-def evaluate_vehicle(sim: Simulation, vehicle: Vehicle, pos: float,
-                     weights: dict[str, float], waits: dict[str, float],
-                     max_alternatives: int,
-                     searches: dict[tuple[str, str], list]) -> RerouteDecision:
-    """Compare staying on the current route against the best alternatives,
-    and rewrite the vehicle's route if switching wins strictly.  `pos` is
-    the vehicle's position on its current edge.
-
-    `searches` maps (next node, destination) to the route tails found for
-    it, each with its `tail_cost` under these weights and waits; a missing
-    pair is searched and added, so callers share one dict across all
-    vehicles of one window."""
-    net = sim.net
-    edge = net.edges[vehicle.edge_id]
-    old_remaining = vehicle.remaining_route
-    current_tail = vehicle.route[vehicle.route_idx + 1:]
-    base = (edge.length - pos) / edge.length * weights[vehicle.edge_id]
-
-    destination = net.edges[vehicle.route[-1]].to_node
-    key = (edge.to_node, destination)
-    priced = searches.get(key)
-    if priced is None:
-        priced = searches[key] = [
-            (route.edges, *tail_cost(route.edges, weights, waits))
-            for route in enumerate_routes(net, edge.to_node, destination, weights,
-                                          k=max_alternatives)]
-    # The current tail is usually one of the searched routes; it is priced
-    # apart only when it is not.
-    current = None
-    options = []
-    for tail, weight_sum, wait_sum in priced:
-        if tail == current_tail:
-            current = (weight_sum, wait_sum)
-        else:
-            options.append((base + weight_sum + wait_sum, tail))
-    weight_sum, wait_sum = current or tail_cost(current_tail, weights, waits)
-    u_twt = base + weight_sum + wait_sum
-    options.sort()
-    alternative_times = tuple(t for t, _ in options)
-
-    if options and u_twt > options[0][0]:
-        sim.replace_route_suffix(vehicle, options[0][1])
-        vehicle.rerouted = True
-        decision = "switch"
-    else:
-        decision = "stay"
-    return RerouteDecision(
-        time=sim.clock,
-        vehicle=vehicle.id,
-        old_route=old_remaining,
-        new_route=vehicle.remaining_route,
-        decision=decision,
-        u_twt=u_twt,
-        alternative_times=alternative_times,
-    )
-
-
 def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
                     threshold: float, max_alternatives: int) -> list[RerouteDecision]:
-    """One full pass: flag arms, build the cost model, evaluate candidates."""
+    """One full pass: flag arms, build the cost model, and decide every
+    candidate.  A candidate switches to its best alternative, and is marked
+    as rerouted, only if its current-route estimate is strictly worse.
+
+    Candidates with the same remaining route, so the same current edge,
+    next node, destination and current tail, form a group whose tails are
+    priced once (see the module notes).  Per vehicle only `base` and the
+    additions and sort that use it are computed, the same operations in
+    the same order as pricing each vehicle alone."""
     flagged = flagged_arms(readings, threshold)
     if not flagged:
         return []
+    net = sim.net
     weights = surcharged_weights(sim, readings, flagged)
     waits = stop_line_waits(sim, flagged)
     searches: dict[tuple[str, str], list] = {}
+    groups: dict[tuple[str, ...], tuple] = {}
     decisions: list[RerouteDecision] = []
     for arm in flagged:
         for vehicle, pos in candidate_vehicles(sim, arm):
-            decisions.append(evaluate_vehicle(sim, vehicle, pos, weights, waits,
-                                              max_alternatives, searches))
+            old_route = vehicle.remaining_route
+            group = groups.get(old_route)
+            if group is None:
+                edge = net.edges[old_route[0]]
+                pair = (edge.to_node, net.edges[old_route[-1]].to_node)
+                tail = old_route[1:]
+                priced = searches.get(pair)
+                if priced is None:
+                    priced = searches[pair] = [
+                        (route.edges, *tail_cost(route.edges, weights, waits))
+                        for route in enumerate_routes(net, *pair, weights,
+                                                      k=max_alternatives)]
+                # The current tail is usually one of the searched routes;
+                # it is priced apart only when it is not.
+                current = [cost for found, *cost in priced if found == tail]
+                group = groups[old_route] = (
+                    edge.length, weights[edge.id],
+                    *(current[0] if current else tail_cost(tail, weights, waits)),
+                    [entry for entry in priced if entry[0] != tail])
+            length, weight, weight_sum, wait_sum, others = group
+            base = (length - pos) / length * weight
+            u_twt = base + weight_sum + wait_sum
+            options = sorted([(base + w + s, alt) for alt, w, s in others])
+            if options and u_twt > options[0][0]:
+                sim.replace_route_suffix(vehicle, options[0][1])
+                vehicle.rerouted = True
+                new_route, decision = vehicle.remaining_route, "switch"
+            else:
+                new_route, decision = old_route, "stay"
+            decisions.append(RerouteDecision(sim.clock, vehicle.id, old_route, new_route,
+                                             decision, u_twt,
+                                             tuple([t for t, _ in options])))
     return decisions
-

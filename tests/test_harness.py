@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from flowctl.harness import (
     ConfigError,
     RunConfig,
     config_text,
-    csv_text,
+    csv_lines,
     desk_profile,
     final_quarter,
     load_schedule_file,
@@ -38,6 +39,7 @@ from flowctl.harness import (
     run_sweep,
     schedule_seed,
     summarize,
+    write_lines,
     write_run_artifacts,
 )
 from flowctl.pgagent import EpisodeMetrics
@@ -47,6 +49,7 @@ from flowctl.rerouter import RerouteDecision
 from fileformats import load_network, network_to_text
 
 NET = build_default_network()
+STAY_ROUTE = ("app_w_in", "jct_w_in", "jct_e_out", "app_e_out")
 
 
 def tiny_profile(**overrides) -> RunConfig:
@@ -341,7 +344,7 @@ def test_full_scale_fixed_episode_fits_time_cap():
 
 def test_metrics_csv_header_and_round_trip():
     metrics = fake_metrics([100.0, 90.0, 80.0, 70.0])
-    text = metrics_csv(metrics)
+    text = "".join(metrics_csv(metrics))
     assert text.splitlines()[0] == METRICS_HEADER
     back = read_metrics_csv(text)
     assert [m.sim_time_s for m in back] == [100, 90, 80, 70]
@@ -353,14 +356,14 @@ def test_reroutes_csv_shape():
                         old_route=("a", "b"), new_route=("a", "c", "d"),
                         decision="switch", u_twt=123.5,
                         alternative_times=(100.25, 140.0))
-    text = reroutes_csv((d,))
+    text = "".join(reroutes_csv((d,)))
     lines = text.splitlines()
     assert lines[0] == REROUTE_HEADER
     assert lines[1] == "60,v3,a|b,a|c|d,123.5,100.25,switch"
 
 
 def test_detectors_csv_shape():
-    text = csv_text(DETECTOR_HEADER, ((30, "n", 2, 3.5, 0.004),))
+    text = "".join(csv_lines(DETECTOR_HEADER, ((30, "n", 2, 3.5, 0.004),)))
     lines = text.splitlines()
     assert lines[0] == DETECTOR_HEADER
     assert lines[1] == "30,n,2,3.5,0.004"
@@ -412,6 +415,58 @@ def test_failed_policy_write_leaves_no_file(tmp_path, monkeypatch):
         write_run_artifacts(tmp_path, cfg, result)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["config.txt", "detectors.csv", "metrics.csv", "summary.txt"]
+
+
+class Unprintable:
+    """A cell whose rendering fails, and which records the reroute log's
+    temp file as it stood at that moment."""
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.temp_files = None
+
+    def __str__(self):
+        self.temp_files = [p.name for p in self.directory.iterdir()
+                           if p.name.startswith(".reroutes.csv.")]
+        raise OSError("disk full")
+
+
+def test_failed_reroute_row_leaves_no_file(tmp_path):
+    cfg = tiny_profile(density_threshold=0.0005)
+    result = run_experiment(cfg, "rl_reroute", 7)
+    assert len(result.reroutes) > 3
+    bad = Unprintable(tmp_path)
+    reroutes = list(result.reroutes)
+    reroutes[2] = reroutes[2]._replace(vehicle=bad)
+    with pytest.raises(OSError, match="disk full"):
+        write_run_artifacts(tmp_path, cfg, dataclasses.replace(result, reroutes=tuple(reroutes)))
+    # The failure came partway through the stream into the temp file.
+    assert len(bad.temp_files) == 1
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["config.txt", "detectors.csv", "metrics.csv", "summary.txt"]
+
+
+def test_reroute_log_is_written_without_holding_its_text(tmp_path):
+    """The write streams rows: its peak allocation is a small fraction of
+    the file it writes, which a whole-text write could not be."""
+    decisions = tuple(RerouteDecision(
+        time=30 * (i // 100), vehicle=f"v{i % 1000}",
+        old_route=STAY_ROUTE, new_route=STAY_ROUTE, decision="stay",
+        u_twt=100.0 + i / 7, alternative_times=(200.0 + i / 3, 300.0 + i / 11))
+        for i in range(50_000))
+    lines = reroutes_csv(decisions)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_lines(tmp_path / "reroutes.csv", lines)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "reroutes.csv").stat().st_size
+    assert size > 5_000_000
+    assert peak < size / 50
+    text = (tmp_path / "reroutes.csv").read_text()
+    assert text == "".join(reroutes_csv(decisions))
 
 
 def test_run_phase_rl_writes_policy_and_is_deterministic(tmp_path):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
+from hypothesis import Phase, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from flowctl.harness import RunConfig, desk_profile, run_experiment
 from flowctl.neuralnet import forward, init_network
 from flowctl.pgagent import (
     AGENT_STREAM,
+    PROB_SUM_TOL,
     AgentState,
     EpisodeMetrics,
     Learner,
     ReplayBuffer,
     TrainConfig,
     Transition,
+    action_cdf,
     compute_reward,
     discounted_returns,
     drive_episode,
@@ -240,6 +244,46 @@ def test_select_action_follows_distribution():
     counts = np.bincount([select_action(net, state, rng) for _ in range(400)],
                          minlength=4)
     assert (counts > 0).all()
+
+
+# Probability vectors as a softmax may give them: exact zeros, values down
+# to the subnormals, and one dominant entry, normalised to sum to 1.
+probability_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-12, 1.0),
+              st.floats(1.0, 1e6)),
+    min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(weights=probability_vectors, seed=st.integers(0, 2**64 - 1))
+def test_select_action_draws_as_generator_choice(weights, seed):
+    probs = np.array(weights) / math.fsum(weights)
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    memo = {}
+    with mock.patch.object(pgagent, "forward", lambda net, state: probs):
+        for i in range(20):
+            state = np.full(3, i % 4, dtype=np.float64)  # four states, repeated
+            action = select_action(None, state, ours, memo if i % 2 else None)
+            assert action == int(ref.choice(len(probs), p=probs))
+    assert probs[action] > 0
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_action_cdf_keeps_the_checks_of_generator_choice():
+    rng = np.random.default_rng(0)
+    off = 2 * PROB_SUM_TOL
+    for bad in ([0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [1.2, -0.2],
+                [0.5, 0.5 + off], [0.5, 0.5 - off]):
+        probs = np.array(bad)
+        with pytest.raises(ValueError):
+            rng.choice(len(probs), p=probs)
+        with pytest.raises(ValueError):
+            action_cdf(probs)
+    near = np.array([0.5, 0.5 + PROB_SUM_TOL / 2])  # inside the tolerance
+    rng.choice(2, p=near)
+    cdf = action_cdf(near)
+    assert cdf[-1] == 1.0 and cdf[0] == 0.5 / near.sum()
 
 
 def desk_episode(choose):

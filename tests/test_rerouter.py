@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+from hypothesis import Phase, example, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from flowctl import rerouter
@@ -16,7 +20,13 @@ from flowctl.rerouter import (
     surcharged_weights,
     tail_cost,
 )
-from flowctl.simcore import DETECTOR_PERIOD, DetectorReading, Simulation
+from flowctl.simcore import (
+    ARM_ORDER,
+    DETECTOR_PERIOD,
+    DetectorReading,
+    Simulation,
+    spawn_schedule,
+)
 
 from simstate import iter_vehicles, place_vehicle
 
@@ -384,3 +394,112 @@ def test_monitor_as_drive_episode_boundary_hook():
     assert len(stays) == 15          # 3 candidates x windows 30..150
     assert len(switches) == 3        # everyone bails at the 180 s window
     assert {d.time for d in switches} == {180}
+
+
+# ---------------------------------------------------- random inputs
+
+def park_queue(sim: Simulation, arm: str) -> None:
+    """Park 40 vehicles on each lane of the arm's junction edge, bound for
+    the lane's exit (left, through, through, right), so that traffic on the
+    approach queues behind them while the arm is red."""
+    i = ARM_ORDER.index(arm)
+    for lane, turn in enumerate((1, 2, 2, 3)):
+        to = ARM_ORDER[(i + turn) % 4]
+        for j in range(40):
+            place_vehicle(sim, f"b{arm}{lane}_{j}", (f"jct_{arm}_in", f"jct_{to}_out",
+                                                   f"app_{to}_out"),
+                          lane=lane, pos=97.5 - 2.5 * j)
+
+
+def window_cost(route, pos, weights, waits):
+    """The window's estimate for a vehicle at `pos` on route[0] that drives
+    the rest of `route`, written out as `reference_rerouting` prices it."""
+    edge = NET.edges[route[0]]
+    tail = route[1:]
+    total = (edge.length - pos) / edge.length * weights[route[0]]
+    total += sum(weights[eid] for eid in tail)
+    return total + sum(wait for eid, wait in waits.items() if eid in tail)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+# Two runs that are known to switch: all arms parked, and one phase held
+# for eight or more windows, so the red arms' bypasses win.
+@example(count=280, seed=3, horizon=160, parked=set(ARM_ORDER), windows=8, hold=8,
+         phases=[0], threshold=0.0, max_alternatives=5, density_seed=1)
+@example(count=200, seed=4, horizon=90, parked={"n", "e", "s"}, windows=10, hold=10,
+         phases=[2, 0], threshold=0.05, max_alternatives=4, density_seed=2)
+@given(count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       horizon=st.integers(1, 240), parked=st.sets(st.sampled_from(ARM_ORDER)),
+       windows=st.integers(1, 12), hold=st.integers(1, 12),
+       phases=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       threshold=st.floats(0.0, 0.12), max_alternatives=st.integers(1, 5),
+       density_seed=st.integers(0, 2**32 - 1))
+def test_grouped_rerouting_matches_the_per_vehicle_reference(
+        count, seed, horizon, parked, windows, hold, phases, threshold,
+        max_alternatives, density_seed):
+    """Drawn demand, parked queues, phase plans (each phase held for `hold`
+    windows, so that long reds build the stop-line waits that make bypasses
+    win), thresholds and alternative counts.  About a third of the vehicles
+    get one of their four cheapest free-flow routes, drawn at random, so
+    vehicles bound for one destination differ in their current tails.  At
+    each window every arm keeps its measured density or gets a drawn one.
+    Both simulations must log equal decisions and stay equal, and every
+    switch must be a strictly cheaper, connected route to the same
+    destination."""
+    rng = np.random.default_rng(density_seed)
+    free_flow = free_flow_weights(NET)
+
+    def detour(spec):
+        if rng.random() >= 1 / 3:
+            return spec
+        origin = NET.edges[spec.route[0]].from_node
+        destination = NET.edges[spec.route[-1]].to_node
+        routes = enumerate_routes(NET, origin, destination, free_flow, k=4)
+        return spec._replace(route=routes[rng.integers(len(routes))].edges)
+
+    schedule = [detour(spec) for spec in spawn_schedule(NET, count, seed, horizon)]
+    sim, ref = make_sim(schedule), make_sim(schedule)
+    for arm in sorted(parked):
+        park_queue(sim, arm)
+        park_queue(ref, arm)
+    switched = set()
+    for window in range(windows):
+        for s in (sim, ref):
+            s.set_phase(phases[window // hold % len(phases)])
+        for _ in range(DETECTOR_PERIOD):
+            sim.step()
+            ref.step()
+        readings = {arm: r if rng.random() < 0.4 else
+                    dataclasses.replace(r, density=rng.uniform(0.0, 0.3))
+                    for arm, r in sim.read_detectors().items()}
+        assert readings.keys() == ref.read_detectors().keys()
+        flagged = flagged_arms(readings, threshold)
+        weights = surcharged_weights(sim, readings, flagged)
+        waits = stop_line_waits(sim, flagged)
+        positions = {v.id: pos for arm in flagged for v, pos in candidate_vehicles(sim, arm)}
+
+        got = apply_rerouting(sim, readings, threshold, max_alternatives)
+        assert got == reference_rerouting(ref, readings, threshold, max_alternatives)
+        assert [d.vehicle for d in got] == list(positions)
+        vehicles = {v.id: v for v in iter_vehicles(sim)}
+        for d in got:
+            assert type(d) is RerouteDecision and d.time == sim.clock
+            if d.decision == "stay":
+                assert d.new_route is d.old_route
+                continue
+            assert d.vehicle not in switched
+            switched.add(d.vehicle)
+            old, new = d.old_route, d.new_route
+            assert new[0] == old[0] and new != old
+            assert NET.edges[new[-1]].to_node == NET.edges[old[-1]].to_node
+            assert all(NET.edges[a].to_node == NET.edges[b].from_node
+                       for a, b in zip(new, new[1:]))
+            pos = positions[d.vehicle]
+            assert window_cost(old, pos, weights, waits) == d.u_twt
+            assert window_cost(new, pos, weights, waits) == d.best_alternative < d.u_twt
+            vehicle = vehicles[d.vehicle]
+            assert vehicle.rerouted and vehicle.remaining_route == new
+        assert [(v.id, v.route, v.lane, v.pos) for v in iter_vehicles(sim)] == \
+            [(v.id, v.route, v.lane, v.pos) for v in iter_vehicles(ref)]
+    sim.validate()
