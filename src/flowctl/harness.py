@@ -448,13 +448,13 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
                             learner.agent.net if learner else None)
 
 
-def run_many(jobs: list[tuple[RunConfig, str, int]],
-             max_workers: int | None = None) -> list[ExperimentResult]:
+def run_many(jobs: list[tuple[RunConfig, str, int]]) -> list[ExperimentResult]:
     """Run independent experiments, in parallel processes when there are
-    several.  Results come back in job order."""
+    several, one process per job up to the CPU count.  Results come back in
+    job order."""
     if len(jobs) <= 1:
         return [run_experiment(*job) for job in jobs]
-    workers = max_workers or min(len(jobs), os.cpu_count() or 1)
+    workers = min(len(jobs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_experiment, *zip(*jobs)))
 
@@ -626,7 +626,7 @@ def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
 
 
 def run_sweep(cfg: RunConfig, axis: str, seeds: tuple[int, ...],
-              out_dir: str | Path, max_workers: int | None = None):
+              out_dir: str | Path):
     """One rl run per (declared sweep value, seed); emits the comparison CSV
     and a ranking summary.  Returns (comparison_rows, summary_rows)."""
     if axis not in SWEEP_AXES:
@@ -637,7 +637,7 @@ def run_sweep(cfg: RunConfig, axis: str, seeds: tuple[int, ...],
     values = SWEEP_AXES[axis]
     grid = [(value, seed) for value in values for seed in seeds]
     results = run_many([(sweep_config(cfg, axis, value), "rl", seed)
-                        for value, seed in grid], max_workers=max_workers)
+                        for value, seed in grid])
 
     comparison_rows = []
     by_value: dict = {value: [] for value in values}

@@ -3,10 +3,11 @@
 The agent observes the 80-cell occupancy grid, picks one of the four signal
 phases, holds it for a fixed green interval (plus the amber interval when
 the phase changes), and receives the drop in accrued queue waiting time as
-its reward.  Decisions land in a bounded FIFO replay memory; after every
-episode a batch is drawn, grouped back into per-episode traces, turned into
-discounted returns, centered by a baseline, and pushed through one ascent
-step on log-likelihood weighted by advantage.
+its reward.  Decisions land in a bounded replay memory, four arrays in
+decision order (`Memory`); after every episode a batch is drawn, kept in
+that order, split into per-episode traces where the episode changes, turned
+into discounted returns, centered by a baseline, and pushed through one
+ascent step on log-likelihood weighted by advantage.
 
 The default baseline is the across-trace mean return at each trace position
 (positions carried by longer traces only average over the traces that reach
@@ -28,13 +29,14 @@ and learned control, is `harness.run_experiment`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .neuralnet import (
+    INPUT_SIZE,
     OptimizerState,
     PolicyNetwork,
     accumulate_logp_gradients,
@@ -93,17 +95,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One decision: observed state, chosen phase, resulting reward."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    episode: int
-    step: int
-
-
-@dataclass(frozen=True)
 class EpisodeMetrics:
     """Per-episode summary row (see the metrics CSV)."""
 
@@ -125,26 +116,14 @@ class AgentState:
     value_opt: OptimizerState | None = None
 
 
-class ReplayBuffer:
-    """Bounded FIFO of transitions; sampling is uniform without replacement."""
+class Memory(NamedTuple):
+    """The replay memory, one row per decision, oldest first: so episodes
+    run in order and each episode's decisions in step order."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._items: deque[Transition] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def append(self, item: Transition) -> None:
-        self._items.append(item)
-
-    def sample(self, rng: np.random.Generator, k: int) -> list[Transition]:
-        if not 1 <= k <= len(self._items):
-            raise ValueError(f"cannot sample {k} of {len(self._items)}")
-        idx = rng.choice(len(self._items), size=k, replace=False)
-        items = list(self._items)
-        return [items[i] for i in np.sort(idx)]
+    states: np.ndarray    # (n, INPUT_SIZE) float64
+    actions: np.ndarray   # (n,) int64
+    rewards: np.ndarray   # (n,) float64
+    episodes: np.ndarray  # (n,) int64
 
 
 def init_agent(cfg: TrainConfig, seed: int) -> AgentState:
@@ -174,23 +153,20 @@ def action_cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def select_action(net: PolicyNetwork, state: np.ndarray,
-                  rng: np.random.Generator, memo: dict | None = None) -> int:
+                  rng: np.random.Generator, memo: dict) -> int:
     """Sample a phase from the policy's probabilities at `state`: one
     `rng.random()` searched in `action_cdf`, the same draw and action as
     `rng.choice` without its checks on every call.
 
-    `memo`, if given, holds the distributions of the states already seen
-    under this same `net`, keyed by shape and float64 bytes, so a repeated
-    state costs no forward pass and no check.
+    `memo` holds the distributions of the states already seen under this
+    same `net`, keyed by shape and float64 bytes, so a repeated state costs
+    no forward pass and no check.
     """
-    if memo is None:
-        cdf = action_cdf(forward(net, state))
-    else:
-        x = np.asarray(state, dtype=np.float64)
-        key = (x.shape, x.tobytes())
-        cdf = memo.get(key)
-        if cdf is None:
-            cdf = memo[key] = action_cdf(forward(net, x))
+    x = np.asarray(state, dtype=np.float64)
+    key = (x.shape, x.tobytes())
+    cdf = memo.get(key)
+    if cdf is None:
+        cdf = memo[key] = action_cdf(forward(net, x))
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -217,23 +193,18 @@ def positional_baseline(returns_by_trace: list[np.ndarray]) -> np.ndarray:
     return sums / counts
 
 
-def policy_update(agent: AgentState, buffer: ReplayBuffer,
+def policy_update(agent: AgentState, memory: Memory,
                   rng: np.random.Generator, cfg: TrainConfig) -> AgentState:
-    """One ascent step from a uniformly drawn batch, grouped into traces."""
-    if len(buffer) == 0:
+    """One ascent step from a uniformly drawn batch.  The drawn rows are
+    sorted, so in memory order, and each episode's rows form one trace."""
+    n = len(memory.actions)
+    if n == 0:
         return agent
-    k = min(cfg.batch_size, len(buffer))
-    batch = buffer.sample(rng, k)
-
-    groups: dict[int, list[Transition]] = {}
-    for tr in batch:
-        groups.setdefault(tr.episode, []).append(tr)
-    traces = [sorted(groups[ep], key=lambda t: t.step) for ep in sorted(groups)]
-    returns = [discounted_returns([t.reward for t in trace], cfg.gamma)
-               for trace in traces]
-
-    states = np.stack([t.state for trace in traces for t in trace])
-    actions = np.array([t.action for trace in traces for t in trace], dtype=np.int64)
+    idx = np.sort(rng.choice(n, size=min(cfg.batch_size, n), replace=False))
+    states, actions = memory.states[idx], memory.actions[idx]
+    cuts = np.flatnonzero(np.diff(memory.episodes[idx])) + 1
+    returns = [discounted_returns(trace, cfg.gamma)
+               for trace in np.split(memory.rewards[idx], cuts)]
     flat_returns = np.concatenate(returns)
 
     value_net, value_opt = agent.value_net, agent.value_opt
@@ -247,7 +218,7 @@ def policy_update(agent: AgentState, buffer: ReplayBuffer,
         advantages = np.concatenate(
             [r - baseline[:len(r)] for r in returns])
 
-    coeffs = advantages / len(traces)
+    coeffs = advantages / len(returns)
     if not np.any(coeffs):
         # Degenerate batch (e.g. a single trace centers itself to zero):
         # leave parameters and optimizer moments untouched.
@@ -318,7 +289,8 @@ class Learner:
         self._cfg = cfg
         self.agent = init_agent(cfg, seed)
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, AGENT_STREAM]))
-        self._buffer = ReplayBuffer(cfg.buffer_capacity)
+        self._memory = Memory(np.zeros((0, INPUT_SIZE)), np.zeros(0, np.int64),
+                              np.zeros(0), np.zeros(0, np.int64))
 
     def chooser(self):
         """A phase chooser sampling from the current policy.  The net stays
@@ -328,8 +300,14 @@ class Learner:
         return lambda state: select_action(net, state, rng, memo)
 
     def end_episode(self, episode: int, transitions) -> None:
-        """Store the episode's (state, action, reward) decisions, then take
-        one policy update."""
-        for i, (state, action, reward) in enumerate(transitions):
-            self._buffer.append(Transition(state, action, reward, episode, i))
-        self.agent = policy_update(self.agent, self._buffer, self._rng, self._cfg)
+        """Append the episode's (state, action, reward) decisions to the
+        memory, drop the oldest beyond its capacity, then take one policy
+        update."""
+        if transitions:
+            states, actions, rewards = zip(*transitions)
+            rows = (np.stack(states), np.array(actions, np.int64), np.array(rewards),
+                    np.full(len(actions), episode, np.int64))
+            cap = self._cfg.buffer_capacity
+            self._memory = Memory(*(np.concatenate((kept, new))[-cap:]
+                                    for kept, new in zip(self._memory, rows)))
+        self.agent = policy_update(self.agent, self._memory, self._rng, self._cfg)

@@ -19,7 +19,8 @@ back at the inner node and travel the diagonals.
 A vehicle switches only when its current-route estimate is strictly worse
 than the best alternative; ties stay.  Switching rewrites the route tail in
 place and marks the vehicle so it is never diverted twice.  Every
-comparison, switch or stay, is recorded.
+comparison, switch or stay, is recorded with its current-route estimate and
+the best alternative's.
 
 The weights and stop-line waits are fixed for a whole window, so the route
 search is shared per window: one `apply_rerouting` call searches each
@@ -53,11 +54,7 @@ class RerouteDecision(NamedTuple):
     new_route: tuple[str, ...]
     decision: str  # "switch" or "stay"
     u_twt: float
-    alternative_times: tuple[float, ...]
-
-    @property
-    def best_alternative(self) -> float | None:
-        return self.alternative_times[0] if self.alternative_times else None
+    best_alternative: float | None  # None when no alternative was found
 
 
 def flagged_arms(readings: dict[str, DetectorReading],
@@ -173,5 +170,5 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
                 new_route, decision = old_route, "stay"
             decisions.append(RerouteDecision(sim.clock, vehicle.id, old_route, new_route,
                                              decision, u_twt,
-                                             tuple([t for t, _ in options])))
+                                             options[0][0] if options else None))
     return decisions

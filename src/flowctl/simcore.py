@@ -384,10 +384,10 @@ class Simulation:
     """One crossroad, one signal controller, and a population of vehicles."""
 
     def __init__(self, net: RoadNetwork, schedule=(), *,
-                 yellow_duration: int = YELLOW_DURATION, initial_phase: int = 0):
+                 yellow_duration: int = YELLOW_DURATION):
         self.net = net
         self.center, self.arms = infer_layout(net)
-        self.signals = SignalController(yellow_duration, initial_phase)
+        self.signals = SignalController(yellow_duration)
         self.clock = 0
 
         self._jin_arm = {q.junction_in: a for a, q in self.arms.items()}

@@ -62,7 +62,7 @@ def desk_runs():
     cfg = desk_profile()
     jobs = [(cfg, mode, seed) for seed in (7, 8, 9) for mode in MODES]
     t0 = perf_counter()
-    results = run_many(jobs, max_workers=None)
+    results = run_many(jobs)
     elapsed = perf_counter() - t0
     by_key = {(mode, seed): res
               for (_, mode, seed), res in zip(jobs, results)}
@@ -377,7 +377,7 @@ JAM_ROUTE = ("app_w_in", "jct_w_in", "jct_e_out", "app_e_out")
 
 def build_west_jam() -> Simulation:
     """Standing queue on the west arm while the signal never serves it."""
-    sim = Simulation(NET, initial_phase=0)  # north/south through green
+    sim = Simulation(NET)  # phase 0: north/south through green
     i = 0
     for lane in (1, 2):
         for k in range(40):

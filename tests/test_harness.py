@@ -322,8 +322,8 @@ def test_unknown_mode_is_config_error():
 
 def test_run_many_results_do_not_depend_on_job_order():
     cfg = tiny_profile()
-    forward = run_many([(cfg, "fixed", 1), (cfg, "fixed", 2)], max_workers=2)
-    backward = run_many([(cfg, "fixed", 2), (cfg, "fixed", 1)], max_workers=2)
+    forward = run_many([(cfg, "fixed", 1), (cfg, "fixed", 2)])
+    backward = run_many([(cfg, "fixed", 2), (cfg, "fixed", 1)])
     assert forward[0].metrics == backward[1].metrics
     assert forward[1].metrics == backward[0].metrics
     assert forward[0].metrics != forward[1].metrics  # seeds differ
@@ -355,7 +355,7 @@ def test_reroutes_csv_shape():
     d = RerouteDecision(time=60, vehicle="v3",
                         old_route=("a", "b"), new_route=("a", "c", "d"),
                         decision="switch", u_twt=123.5,
-                        alternative_times=(100.25, 140.0))
+                        best_alternative=100.25)
     text = "".join(reroutes_csv((d,)))
     lines = text.splitlines()
     assert lines[0] == REROUTE_HEADER
@@ -452,7 +452,7 @@ def test_reroute_log_is_written_without_holding_its_text(tmp_path):
     decisions = tuple(RerouteDecision(
         time=30 * (i // 100), vehicle=f"v{i % 1000}",
         old_route=STAY_ROUTE, new_route=STAY_ROUTE, decision="stay",
-        u_twt=100.0 + i / 7, alternative_times=(200.0 + i / 3, 300.0 + i / 11))
+        u_twt=100.0 + i / 7, best_alternative=200.0 + i / 3)
         for i in range(50_000))
     lines = reroutes_csv(decisions)
     tracemalloc.start()
@@ -554,8 +554,7 @@ def test_sweep_rejects_unknown_axis_and_empty_seeds(tmp_path):
 
 def test_gamma_sweep_writes_ranked_tables(tmp_path):
     cfg = tiny_profile(vehicles=25)
-    comparison, summary = run_sweep(cfg, "gamma", (3, 4), tmp_path,
-                                    max_workers=4)
+    comparison, summary = run_sweep(cfg, "gamma", (3, 4), tmp_path)
     assert len(comparison) == 8  # 4 values x 2 seeds
     assert [(v, s) for v, s, *_ in comparison] == [
         (v, s) for v in (0.3, 0.5, 0.7, 0.9) for s in (3, 4)]

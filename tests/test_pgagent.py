@@ -18,9 +18,8 @@ from flowctl.pgagent import (
     AgentState,
     EpisodeMetrics,
     Learner,
-    ReplayBuffer,
+    Memory,
     TrainConfig,
-    Transition,
     action_cdf,
     compute_reward,
     discounted_returns,
@@ -67,57 +66,23 @@ def test_positional_baseline_empty():
     assert positional_baseline([]).shape == (0,)
 
 
-# ------------------------------------------------------------------ buffer
-
-def test_replay_buffer_fifo_eviction():
-    buf = ReplayBuffer(5)
-    for i in range(8):
-        buf.append(Transition(np.zeros(2), 0, float(i), episode=0, step=i))
-    assert len(buf) == 5
-    rng = np.random.default_rng(0)
-    rewards = {t.reward for t in buf.sample(rng, 5)}
-    assert rewards == {3.0, 4.0, 5.0, 6.0, 7.0}
-
-
-def test_replay_buffer_sample_bounds():
-    buf = ReplayBuffer(4)
-    buf.append(Transition(np.zeros(2), 0, 0.0, 0, 0))
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        buf.sample(rng, 2)
-    with pytest.raises(ValueError):
-        buf.sample(rng, 0)
-
-
-def test_replay_buffer_sample_deterministic():
-    buf = ReplayBuffer(50)
-    for i in range(50):
-        buf.append(Transition(np.zeros(1), 0, float(i), episode=i // 10, step=i))
-    a = [t.reward for t in buf.sample(np.random.default_rng(7), 10)]
-    b = [t.reward for t in buf.sample(np.random.default_rng(7), 10)]
-    assert a == b
-
-
 # ------------------------------------------------------------------ update
 
-def one_state_buffer(pairs) -> ReplayBuffer:
-    """pairs: (episode, action, reward) on a shared fixed state."""
+def one_state_memory(pairs) -> Memory:
+    """pairs: (episode, action, reward) on a shared fixed state, in episode
+    order as the learner stores them."""
     state = np.zeros(80)
     state[5] = 1.0
-    buf = ReplayBuffer(100)
-    steps = {}
-    for ep, action, reward in pairs:
-        step = steps.get(ep, 0)
-        steps[ep] = step + 1
-        buf.append(Transition(state, action, reward, ep, step))
-    return buf
+    episodes, actions, rewards = zip(*pairs)
+    return Memory(np.tile(state, (len(pairs), 1)), np.array(actions, np.int64),
+                  np.array(rewards), np.array(episodes, np.int64))
 
 
 def test_policy_update_single_trace_is_noop():
     cfg = small_cfg()
     agent = init_agent(cfg, seed=0)
-    buf = one_state_buffer([(0, 1, 5.0), (0, 2, -3.0), (0, 1, 1.0)])
-    updated = policy_update(agent, buf, np.random.default_rng(0), cfg)
+    memory = one_state_memory([(0, 1, 5.0), (0, 2, -3.0), (0, 1, 1.0)])
+    updated = policy_update(agent, memory, np.random.default_rng(0), cfg)
     for a, b in zip(agent.net.weights, updated.net.weights):
         assert np.array_equal(a, b)
     assert updated.opt.step == agent.opt.step
@@ -131,11 +96,11 @@ def test_policy_update_moves_toward_rewarded_action():
     pairs = []
     for ep in range(10):
         pairs.append((ep, 0, 10.0) if ep % 2 == 0 else (ep, 1, -10.0))
-    buf = one_state_buffer(pairs)
+    memory = one_state_memory(pairs)
     before = forward(agent.net, state)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        agent = policy_update(agent, buf, rng, cfg)
+        agent = policy_update(agent, memory, rng, cfg)
     after = forward(agent.net, state)
     assert after[0] > before[0]
     assert after[1] < before[1]
@@ -144,17 +109,18 @@ def test_policy_update_moves_toward_rewarded_action():
 def test_policy_update_empty_buffer_returns_agent():
     cfg = small_cfg()
     agent = init_agent(cfg, seed=0)
-    assert policy_update(agent, ReplayBuffer(10),
-                         np.random.default_rng(0), cfg) is agent
+    empty = Memory(np.zeros((0, 80)), np.zeros(0, np.int64), np.zeros(0),
+                   np.zeros(0, np.int64))
+    assert policy_update(agent, empty, np.random.default_rng(0), cfg) is agent
 
 
 def test_value_baseline_path_runs_and_fits():
     cfg = small_cfg(use_value_baseline=True, batch_size=40)
     agent = init_agent(cfg, seed=2)
     assert agent.value_net is not None
-    buf = one_state_buffer([(ep, ep % 4, float(ep % 3) - 1.0)
-                            for ep in range(20)])
-    updated = policy_update(agent, buf, np.random.default_rng(1), cfg)
+    memory = one_state_memory([(ep, ep % 4, float(ep % 3) - 1.0)
+                               for ep in range(20)])
+    updated = policy_update(agent, memory, np.random.default_rng(1), cfg)
     changed = any(not np.array_equal(a, b) for a, b in
                   zip(agent.value_net.weights, updated.value_net.weights))
     assert changed
@@ -241,7 +207,7 @@ def test_select_action_follows_distribution():
     net = init_network(8, 1, seed=0)
     rng = np.random.default_rng(0)
     state = np.zeros(80)
-    counts = np.bincount([select_action(net, state, rng) for _ in range(400)],
+    counts = np.bincount([select_action(net, state, rng, {}) for _ in range(400)],
                          minlength=4)
     assert (counts > 0).all()
 
@@ -264,7 +230,7 @@ def test_select_action_draws_as_generator_choice(weights, seed):
     with mock.patch.object(pgagent, "forward", lambda net, state: probs):
         for i in range(20):
             state = np.full(3, i % 4, dtype=np.float64)  # four states, repeated
-            action = select_action(None, state, ours, memo if i % 2 else None)
+            action = select_action(None, state, ours, memo if i % 2 else {})
             assert action == int(ref.choice(len(probs), p=probs))
     assert probs[action] > 0
     assert ours.bit_generator.state == ref.bit_generator.state
@@ -302,7 +268,7 @@ def test_chooser_memo_samples_as_plain_select_action_calls():
     net = learner.agent.net
     rng = np.random.default_rng(np.random.SeedSequence([11, AGENT_STREAM]))
     with_memo = desk_episode(learner.chooser())
-    plain = desk_episode(lambda state: select_action(net, state, rng))
+    plain = desk_episode(lambda state: select_action(net, state, rng, {}))
     assert [a for _, a, _ in with_memo] == [a for _, a, _ in plain]
     assert learner._rng.bit_generator.state == rng.bit_generator.state
     # The episode repeats states, so the memo was hit.

@@ -137,7 +137,7 @@ def reference_rerouting(sim: Simulation, readings, threshold: float,
                 time=sim.clock, vehicle=vehicle.id, old_route=old_remaining,
                 new_route=vehicle.remaining_route,
                 decision="switch" if switch else "stay", u_twt=u_twt,
-                alternative_times=tuple(t for t, _ in options)))
+                best_alternative=options[0][0] if options else None))
     return decisions
 
 
@@ -227,9 +227,7 @@ def test_stay_decision_matches_hand_computed_estimates():
     # Everyone on the arm has waited the full 30 s, so the per-vehicle
     # stop-line wait is exactly 30.
     assert front.u_twt == pytest.approx(u_front(30.0), rel=1e-12)
-    assert front.alternative_times == pytest.approx(
-        (alt_via_north(30.0), alt_via_north(30.0), ALT_DIAGONALS), rel=1e-12)
-    assert front.best_alternative == front.alternative_times[0]
+    assert front.best_alternative == pytest.approx(alt_via_north(30.0), rel=1e-12)
     assert front.u_twt < front.best_alternative
     assert front.old_route == STRAIGHT_W
     assert front.new_route == STRAIGHT_W
@@ -307,10 +305,13 @@ def test_apply_rerouting_without_flagged_arms_is_empty():
 
 
 def test_best_alternative_empty_when_no_options():
-    d = RerouteDecision(time=30, vehicle="x", old_route=("a",),
-                        new_route=("a",), decision="stay", u_twt=1.0,
-                        alternative_times=())
-    assert d.best_alternative is None
+    """With k = 1 the one route searched is the current tail, so no
+    alternative is left: the vehicle stays and logs none."""
+    sim = build_west_jam()
+    new = run_to_next_window(
+        sim, lambda s: apply_rerouting(s, s.read_detectors(), 0.05, max_alternatives=1))
+    assert [(d.decision, d.best_alternative) for d in new] == [("stay", None)] * 3
+    assert new[0].u_twt == pytest.approx(u_front(30.0), rel=1e-12)
 
 
 # ------------------------------------------------- searches shared per window
