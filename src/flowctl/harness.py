@@ -12,6 +12,10 @@ Three run modes share one episode loop, `run_experiment`:
 Each detector window is handled by one function inside `run_experiment`:
 it reads the detectors once, appends one row per arm to the detector log,
 and in rl_reroute passes the same readings to `rerouter.apply_rerouting`.
+The detector log keeps the last episode only, so only that episode's
+simulation samples per-vehicle count and mean speed.  The others publish
+density alone, which is all the rerouter reads; in fixed and rl their
+windows call nothing.
 
 Every run consumes per-episode demand schedules derived deterministically
 from one base seed and is reproducible byte-for-byte.  Sweeps fan the rl
@@ -145,8 +149,9 @@ def desk_profile() -> RunConfig:
 
 
 def paper_scale_profile() -> RunConfig:
-    """Full-size experiment tables: about 0.2 s per fixed-time episode and
-    0.4 s per learning episode, so about 75 s for a 200-episode learning run."""
+    """Full-size experiment tables: about 0.17 s per fixed-time episode and
+    0.32 s per learning episode (4 episodes per mode at seed 7, one BLAS
+    thread, a 2-CPU Xeon host), so about 65 s for a 200-episode learning run."""
     return RunConfig(
         train=TrainConfig(),  # 200 episodes, buffer 4500, 2500 steps, lr 1e-3
         vehicles=4000,
@@ -396,9 +401,9 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
 
     Fixed-time control cycles phases 0-3 with a fixed green and learns
     nothing.  The learning modes sample phases from the current policy and
-    update it after every episode.  At every detector window the readings
-    are read once and logged, and rl_reroute also reroutes on them.  The
-    detector log keeps the last episode only.
+    update it after every episode.  At every detector window rl_reroute
+    reroutes on the readings.  The detector log keeps the last episode
+    only, so only that episode samples its detectors and logs the readings.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -417,22 +422,24 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
 
     def on_window(sim: Simulation) -> None:
         readings = sim.read_detectors()
-        for arm in ARM_ORDER:
-            r = readings[arm]
-            detector_rows.append((r.window_start, arm, r.vehicle_count,
-                                  float(r.mean_speed), float(r.density)))
+        if sim.sample_detectors:
+            for arm in ARM_ORDER:
+                r = readings[arm]
+                detector_rows.append((r.window_start, arm, r.vehicle_count,
+                                      float(r.mean_speed), float(r.density)))
         if mode == "rl_reroute":
             reroutes.extend(rerouter.apply_rerouting(
                 sim, readings, cfg.density_threshold, cfg.max_alternatives))
 
     for episode in range(cfg.train.episodes):
+        logged = episode == cfg.train.episodes - 1
         sim = Simulation(net, _schedule_for(net, cfg, seed, episode, file_specs),
-                         yellow_duration=cfg.train.yellow_duration)
-        detector_rows.clear()
+                         yellow_duration=cfg.train.yellow_duration,
+                         sample_detectors=logged)
         choose = learner.chooser() if learner else fixed_cycle_policy()
         transitions, cum_negative = drive_episode(
             sim, choose, green_duration=green, max_decisions=max_decisions,
-            boundary_hook=on_window)
+            boundary_hook=on_window if logged or mode == "rl_reroute" else None)
         if learner:
             learner.end_episode(episode, transitions)
         history.append(EpisodeMetrics(

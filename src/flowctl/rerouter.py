@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .roadnet import enumerate_routes, free_flow_weights
 from .simcore import ARM_ORDER, DetectorReading, Simulation, Vehicle
 
@@ -95,15 +97,18 @@ def stop_line_waits(sim: Simulation, flagged: list[str]) -> dict[str, float]:
 def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]:
     """Divertable vehicles with their positions: on the flagged arm's
     approach edge, never diverted before, and still routed through that
-    arm's junction edge.  Ordered front of queue first (then lane, then id)
-    for determinism."""
+    arm's junction edge.  Ordered front of queue first, then by lane.
+
+    The edge lists its vehicles lane by lane, each lane front to back, and
+    vehicles in one lane stand at least MIN_GAP apart.  So a stable sort by
+    descending position breaks ties by lane, and never needs the id."""
     quad = sim.arms[arm]
     junction_edge = quad.junction_in
-    picked = [(v, pos) for v, pos in zip(sim.vehicles_on_edge(quad.approach_in),
-                                         sim.positions_on_edge(quad.approach_in))
-              if not v.rerouted and junction_edge in v.remaining_route]
-    picked.sort(key=lambda vp: (-vp[1], vp[0].lane, vp[0].id))
-    return picked
+    vehicles = sim.vehicles_on_edge(quad.approach_in)
+    positions = sim.positions_on_edge(quad.approach_in)
+    order = np.argsort(np.negative(positions), kind="stable").tolist()
+    return [(vehicles[i], positions[i]) for i in order
+            if not vehicles[i].rerouted and junction_edge in vehicles[i].remaining_route]
 
 
 def tail_cost(tail: tuple[str, ...], weights: dict[str, float],

@@ -25,7 +25,10 @@ Mechanics, all on 1-second steps:
 * Demand is a spawn schedule; blocked spawns stay pending and retry in
   order.  Waiting time accrues per vehicle-step spent below a halt speed on
   an inbound arm edge, and windowed detectors report per-arm count, mean
-  speed, and time-averaged density.
+  speed, and time-averaged density.  Density is kept in every simulation.
+  The count and mean speed need a per-vehicle pass over the detector span
+  each step, so a simulation made with `sample_detectors=False` skips that
+  pass and reports them as None.
 
 The signal plan has four phases: 0 = north/south main lanes, 1 = north/south
 left lane, 2 = east/west main lanes, 3 = east/west left lane.  A phase
@@ -240,12 +243,13 @@ class ArmEdges:
 
 @dataclass(frozen=True)
 class DetectorReading:
-    """Aggregates for one arm over one detector window."""
+    """Aggregates for one arm over one detector window.  The count and mean
+    speed are None from a simulation that does not sample its detectors."""
 
     arm: str
     window_start: int
-    vehicle_count: int
-    mean_speed: float
+    vehicle_count: int | None
+    mean_speed: float | None
     density: float
 
 
@@ -381,11 +385,14 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
 
 
 class Simulation:
-    """One crossroad, one signal controller, and a population of vehicles."""
+    """One crossroad, one signal controller, and a population of vehicles;
+    with `sample_detectors` off, detector windows report density only."""
 
     def __init__(self, net: RoadNetwork, schedule=(), *,
-                 yellow_duration: int = YELLOW_DURATION):
+                 yellow_duration: int = YELLOW_DURATION,
+                 sample_detectors: bool = True):
         self.net = net
+        self.sample_detectors = sample_detectors
         self.center, self.arms = infer_layout(net)
         self.signals = SignalController(yellow_duration)
         self.clock = 0
@@ -447,8 +454,6 @@ class Simulation:
         self.active_count = 0
         self.arrived_count = 0
         self.arrived_wait_sum = 0
-
-        self._halted_sum = 0
 
         self._det_seen = [set() for _ in ARM_ORDER]
         self._det_speed_sum = [0.0] * len(ARM_ORDER)
@@ -732,18 +737,16 @@ class Simulation:
     def _post_step_accounting(self) -> None:
         pos = self._pos
         speed = self._speed
-        halted = speed < self._halt
-        self._wait += halted
-        self._halted_sum += int(np.count_nonzero(halted))
+        self._wait += speed < self._halt
         for a, count in enumerate(self._arm_count):
             self._det_count_sum[a] += count
-        near = (pos[:speed.size] <= self._span).nonzero()[0]
-        if near.size:
+        if self.sample_detectors:
             # Add the speeds in (arm, lane, front-to-back) order.
+            near = (pos[:speed.size] <= self._span).nonzero()[0].tolist()
             lane_of = self._lane_of
             handles = self._handles
             for lane, _, slot in sorted([(lane_of.item(slot), -pos.item(slot), slot)
-                                         for slot in near.tolist()]):
+                                         for slot in near]):
                 a = self._lane_arm.item(lane)
                 self._det_seen[a].add(handles[slot].id)
                 self._det_speed_sum[a] += speed.item(slot)
@@ -753,12 +756,16 @@ class Simulation:
             start = self.clock - DETECTOR_PERIOD
             readings = {}
             for a, arm in enumerate(ARM_ORDER):
-                n = self._det_speed_n[a]
+                count = mean = None
+                if self.sample_detectors:
+                    n = self._det_speed_n[a]
+                    count = len(self._det_seen[a])
+                    mean = self._det_speed_sum[a] / n if n else 0.0
                 readings[arm] = DetectorReading(
                     arm=arm,
                     window_start=start,
-                    vehicle_count=len(self._det_seen[a]),
-                    mean_speed=self._det_speed_sum[a] / n if n else 0.0,
+                    vehicle_count=count,
+                    mean_speed=mean,
                     density=(self._det_count_sum[a] / DETECTOR_PERIOD)
                             / DENSITY_NORM_LENGTH,
                 )
@@ -818,7 +825,10 @@ class Simulation:
 
     @property
     def avg_queue_len(self) -> float:
-        return self._halted_sum / self.clock if self.clock else 0.0
+        """Halted vehicle-steps per second so far.  Each halted vehicle-step
+        adds one to a vehicle's wait, so this is `cum_delay()` over the
+        clock; a vehicle placed with a nonzero wait counts that wait too."""
+        return self.cum_delay() / self.clock if self.clock else 0.0
 
     @property
     def pending_count(self) -> int:

@@ -44,6 +44,7 @@ from flowctl.harness import (
 )
 from flowctl.pgagent import EpisodeMetrics
 from flowctl.roadnet import build_default_network
+from flowctl.simcore import ARM_ORDER
 from flowctl.rerouter import RerouteDecision
 
 from fileformats import load_network, network_to_text
@@ -313,6 +314,40 @@ def test_window_hook_reroutes_in_rl_reroute_only_and_logs_the_last_episode(
                    for clock in range(30, m.sim_time_s + 1, 30)]
         assert calls == windows
         assert result.reroutes == tuple(returned) and returned
+
+
+def test_rl_reroute_samples_and_logs_only_the_last_episode(monkeypatch):
+    """The detector log covers exactly the last episode's windows, and
+    that episode's simulation is the only one that samples its detectors.
+    Sampling in every episode changes no decision, metric or weight."""
+    sampled = []
+    make = harness.Simulation
+    force = False
+
+    def recording(*args, sample_detectors, **kwargs):
+        sampled.append(sample_detectors)
+        return make(*args, sample_detectors=sample_detectors or force, **kwargs)
+
+    monkeypatch.setattr(harness, "Simulation", recording)
+    cfg = tiny_profile(density_threshold=0.0005)
+    result = run_experiment(cfg, "rl_reroute", 7)
+    assert sampled == [False, False, True]
+    last_time = result.metrics[-1].sim_time_s
+    assert [row[:2] for row in result.detector_rows] == [
+        (start, arm) for start in range(0, 30 * (last_time // 30), 30)
+        for arm in ARM_ORDER]
+    assert all(isinstance(row[2], int) for row in result.detector_rows)
+    assert any(row[2] for row in result.detector_rows)
+    assert result.reroutes
+    force = True
+    full = run_experiment(cfg, "rl_reroute", 7)
+    assert (full.metrics, full.reroutes) == (result.metrics, result.reroutes)
+    # Every sampling episode logs, and the last one's rows come last.
+    assert len(full.detector_rows) > len(result.detector_rows)
+    assert full.detector_rows[-len(result.detector_rows):] == result.detector_rows
+    for a, b in zip(full.network.weights + full.network.biases,
+                    result.network.weights + result.network.biases):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_unknown_mode_is_config_error():

@@ -470,6 +470,41 @@ def test_detector_counts_distinct_vehicles_in_span():
     assert readings["w"].mean_speed > 0.0
 
 
+def test_unsampled_detectors_change_nothing_but_count_and_mean_speed():
+    """Sampling on and off, the same desk demand and random phases move
+    every vehicle bit for bit alike and publish the same densities; only
+    the sampling simulation reports count and mean speed."""
+    sched = spawn_schedule(NET, count=1000, seed=17, horizon=300)
+    on, off = make_sim(sched), make_sim(sched, sample_detectors=False)
+    rng = np.random.default_rng(3)
+    windows = counted = 0
+    while not on.done:
+        phase = int(rng.integers(0, 4))
+        steps = 4 + 2 * (phase != on.signals.phase)
+        on.set_phase(phase)
+        off.set_phase(phase)
+        for _ in range(steps):
+            on.step()
+            off.step()
+            for name in ("_pos", "_speed", "_wait"):
+                assert getattr(on, name).tobytes() == getattr(off, name).tobytes()
+            assert on.clock == off.clock
+            if on.clock % 30 == 0:
+                windows += 1
+                sampled, unsampled = on.read_detectors(), off.read_detectors()
+                for arm in ARM_ORDER:
+                    assert unsampled[arm].window_start == sampled[arm].window_start
+                    assert unsampled[arm].density == sampled[arm].density
+                    assert unsampled[arm].vehicle_count is None
+                    assert unsampled[arm].mean_speed is None
+                    assert isinstance(sampled[arm].vehicle_count, int)
+                    counted += sampled[arm].vehicle_count
+            if on.done:
+                break
+    assert off.done and off.avg_queue_len == on.avg_queue_len
+    assert windows > 10 and counted > 0
+
+
 # ----------------------------------------------------------- waits/rewards
 
 def test_wait_accrues_only_while_halted_on_inbound_edges():
