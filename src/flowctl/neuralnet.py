@@ -1,8 +1,9 @@
 """Hand-written feedforward policy network: ReLU hidden layers, softmax head.
 
 Everything is float64 numpy with explicit backpropagation — no autograd.
-Parameter containers are frozen dataclasses treated as immutable values;
-apply_update returns fresh arrays, so old references stay valid snapshots.
+Parameter containers are frozen dataclasses, but the arrays they hold are
+not snapshots: apply_update writes the new parameters and Adam moments into
+the arrays it was given.  Copy an array to keep its value across an update.
 
 Persistence format (little-endian):
 
@@ -29,6 +30,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DEFAULT_LEARNING_RATE = 1e-3
+# Elements per block of an Adam update: the block's slices of a parameter,
+# its gradient, both moments and two scratch arrays take 384 KiB, so the
+# operations of one block run in cache.
+ADAM_BLOCK = 8192
 
 _MAGIC = b"FLOWNN01"
 _FORMAT_VERSION = 1
@@ -36,7 +41,10 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class PolicyNetwork:
-    """Weight/bias stacks for a fully connected net; W[i] has shape (out, in)."""
+    """Weight/bias stacks for a fully connected net; W[i] has shape (out, in).
+
+    apply_update changes the arrays in place, so a net passed to it is
+    updated, not kept."""
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -57,7 +65,8 @@ class GradientSet:
 @dataclass(frozen=True)
 class OptimizerState:
     """First and second moment estimates, ordered as the network's weights
-    then its biases, plus the step counter."""
+    then its biases, plus the step counter.  apply_update changes `m` and
+    `v` in place."""
 
     m: tuple[np.ndarray, ...]
     v: tuple[np.ndarray, ...]
@@ -89,8 +98,12 @@ def init_optimizer(net: PolicyNetwork,
                    learning_rate: float = DEFAULT_LEARNING_RATE) -> OptimizerState:
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    zeros = tuple(np.zeros_like(p) for p in net.weights + net.biases)
-    return OptimizerState(m=zeros, v=zeros, step=0, learning_rate=learning_rate)
+    # Each moment gets its own array, since apply_update writes into them.
+    # np.zeros leaves the pages untouched until the first update.
+    params = net.weights + net.biases
+    return OptimizerState(m=tuple(np.zeros(p.shape) for p in params),
+                          v=tuple(np.zeros(p.shape) for p in params),
+                          step=0, learning_rate=learning_rate)
 
 
 def activations(net: PolicyNetwork, states: np.ndarray) -> list[np.ndarray]:
@@ -164,45 +177,62 @@ def accumulate_logp_gradients(net: PolicyNetwork, states: np.ndarray,
 
 def apply_update(net: PolicyNetwork, grads: GradientSet, scale: float,
                  opt: OptimizerState) -> tuple[PolicyNetwork, OptimizerState]:
-    """Ascend scale*grads via adaptive moment estimation; returns new values."""
+    """Ascend scale*grads via adaptive moment estimation, in place.
+
+    The new parameters and moments are written into the arrays of `net` and
+    `opt`, ADAM_BLOCK elements at a time; the returned net and state hold
+    those same arrays, with the step counter advanced.  Every input is
+    checked before the first write, so a rejected update changes nothing.
+    """
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
-    for g in (*grads.weights, *grads.biases):
+    groups = list(zip(net.weights + net.biases, grads.weights + grads.biases,
+                      opt.m, opt.v, strict=True))
+    for param, g, m, v in groups:
+        if not g.shape == m.shape == v.shape == param.shape:
+            raise ValueError(f"gradient {g.shape} and moments {m.shape}, {v.shape} "
+                             f"do not match parameter {param.shape}")
+        # A reshape of a non-contiguous array is a copy, and the update
+        # written into it would be lost.
+        if not all(a.flags.c_contiguous and a.flags.writeable for a in (param, m, v)):
+            raise ValueError("parameters and moments must be C-contiguous and writeable")
         if not np.all(np.isfinite(g)):
             raise ValueError("gradient contains non-finite values")
     t = opt.step + 1
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
+    scratch_g, scratch_step = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
 
-    def adam(param, g, m, v):
-        # m2 = beta1 m + (1 - beta1) g and v2 = beta2 v + (1 - beta2) (g g),
-        # with g scaled first; step = lr (m2 / corr1) / (sqrt(v2 / corr2) + eps).
-        # Each operation is the one the plain expressions would do, in the
-        # same order, but into two scratch arrays, so the result is the same
-        # to the bit.  The new parameter, m2 and v2 are fresh arrays.
-        if g.shape != param.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {param.shape}")
-        g = np.multiply(g, scale)
-        step = np.multiply(g, 1.0 - ADAM_BETA1)
-        m2 = np.multiply(m, ADAM_BETA1)
-        m2 += step
-        g *= g
-        g *= 1.0 - ADAM_BETA2
-        v2 = np.multiply(v, ADAM_BETA2)
-        v2 += g
-        np.divide(m2, corr1, out=step)
-        step *= opt.learning_rate
-        np.divide(v2, corr2, out=g)
-        np.sqrt(g, out=g)
-        g += ADAM_EPS
-        step /= g
-        return param + step, m2, v2
+    # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) (g g), with g
+    # scaled first; param += lr (m / corr1) / (sqrt(v / corr2) + eps).  Each
+    # operation is the one the plain expressions would do, in the same order,
+    # elementwise, so the result is the same to the bit whatever the blocks.
+    for param, g, m, v in groups:
+        param, g, m, v = (a.reshape(-1) for a in (param, g, m, v))
+        for lo in range(0, param.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, param.size)
+            gb, step = scratch_g[:hi - lo], scratch_step[:hi - lo]
+            mb, vb = m[lo:hi], v[lo:hi]
+            np.multiply(g[lo:hi], scale, out=gb)
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+            mb *= ADAM_BETA1
+            mb += step
+            gb *= gb
+            gb *= 1.0 - ADAM_BETA2
+            vb *= ADAM_BETA2
+            vb += gb
+            np.divide(mb, corr1, out=step)
+            step *= opt.learning_rate
+            np.divide(vb, corr2, out=gb)
+            np.sqrt(gb, out=gb)
+            gb += ADAM_EPS
+            step /= gb
+            param[lo:hi] += step
 
-    params, m, v = zip(*[adam(*args) for args in zip(
-        net.weights + net.biases, grads.weights + grads.biases, opt.m, opt.v, strict=True)])
-    n = len(net.weights)
-    return (PolicyNetwork(weights=params[:n], biases=params[n:]),
-            OptimizerState(m, v, t, opt.learning_rate))
+    # New containers around the same arrays: `policy_update` returns its
+    # input net itself only when it skips the update.
+    return (PolicyNetwork(weights=net.weights, biases=net.biases),
+            OptimizerState(opt.m, opt.v, t, opt.learning_rate))
 
 
 # ------------------------------------------------------------- persistence

@@ -293,9 +293,10 @@ class Learner:
                               np.zeros(0), np.zeros(0, np.int64))
 
     def chooser(self):
-        """A phase chooser sampling from the current policy.  The net stays
-        fixed until `end_episode`, so the chooser, made once per episode,
-        computes each distinct state's probabilities once."""
+        """A phase chooser sampling from the current policy, valid for one
+        episode: `end_episode` updates the net in place, and the chooser's
+        memo holds probabilities computed before.  Within the episode the
+        net stays fixed, so each distinct state costs one forward pass."""
         net, rng, memo = self.agent.net, self._rng, {}
         return lambda state: select_action(net, state, rng, memo)
 

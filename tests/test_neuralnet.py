@@ -8,8 +8,10 @@ import pytest
 from flowctl.neuralnet import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     GradientSet,
+    OptimizerState,
     PolicyNetwork,
     accumulate_logp_gradients,
     apply_update,
@@ -233,23 +235,24 @@ def test_apply_update_moves_along_gradient_sign():
     opt = init_optimizer(net, learning_rate=0.05)
     x = np.random.default_rng(5).random(6)
     g = logp_gradient(net, x, 1)
+    before = forward(net, x)[1]
     net2, opt2 = apply_update(net, g, 1.0, opt)
     assert opt2.step == 1
     # Ascent on log pi(1|x) must increase that probability.
-    assert forward(net2, x)[1] > forward(net, x)[1]
-    # Originals untouched.
+    assert forward(net2, x)[1] > before
+    # The update is written into the arrays it was given; the step counter
+    # of the state passed in is left alone.
+    assert forward(net, x)[1] == forward(net2, x)[1]
     assert opt.step == 0
-    assert forward(net, x)[1] == pytest.approx(forward(net, x)[1])
 
 
 def test_apply_update_scale_zero_is_noop_from_fresh_optimizer():
     net = small_net(32)
     opt = init_optimizer(net)
     g = logp_gradient(net, np.ones(6), 0)
+    before = [a.copy() for a in net.weights + net.biases]
     net2, opt2 = apply_update(net, g, 0.0, opt)
-    for a, b in zip(net.weights, net2.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(net.biases, net2.biases):
+    for a, b in zip(before, net2.weights + net2.biases, strict=True):
         assert np.array_equal(a, b)
     assert opt2.step == 1
 
@@ -289,34 +292,108 @@ def textbook_adam(params, grads, m, v, t, scale, lr):
     return [list(column) for column in zip(*out)]
 
 
-@pytest.mark.parametrize("scale", [1.0, -1.0, 0.37])
-def test_apply_update_is_textbook_adam_to_the_bit(scale):
-    net = small_net(35)
+def copies(arrays) -> list[np.ndarray]:
+    return [a.copy() for a in arrays]
+
+
+def same_bits(got, want) -> bool:
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+# The small net fits in one block of ADAM_BLOCK.  In the wide one each
+# 300x300 weight spans ten whole blocks and ends in a partial one, and every
+# bias fits in one block.
+@pytest.mark.parametrize("scale, sizes", [
+    pytest.param(scale, sizes, id=f"{scale}{suffix}")
+    for sizes, suffix in (((6, 5, 4, 3), ""), ((80, 300, 300, 4), "-wide"))
+    for scale in (1.0, -1.0, 0.37)])
+def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
+    assert 300 * 300 == 10 * ADAM_BLOCK + 8_080
+    net = small_net(35, sizes)
     opt = init_optimizer(net, learning_rate=0.01)
-    params, m, v = list(net.weights + net.biases), list(opt.m), list(opt.v)
+    params = copies(net.weights + net.biases)
+    m, v = copies(opt.m), copies(opt.v)
     rng = np.random.default_rng(36)
     for t in range(1, 6):
         g = GradientSet(weights=tuple(rng.normal(size=w.shape) for w in net.weights),
                         biases=tuple(rng.normal(size=b.shape) for b in net.biases))
-        net, opt = apply_update(net, g, scale, opt)
         params, m, v = textbook_adam(params, g.weights + g.biases, m, v, t, scale, 0.01)
+        net, opt = apply_update(net, g, scale, opt)
         assert opt.step == t
-        for got, want in zip(net.weights + net.biases + opt.m + opt.v, params + m + v):
-            assert got.tobytes() == want.tobytes()
+        assert same_bits(net.weights + net.biases + opt.m + opt.v, params + m + v)
 
 
-def test_apply_update_leaves_its_inputs_alone_and_returns_fresh_arrays():
+def test_apply_update_writes_into_its_arrays_and_leaves_the_gradients_alone():
     net = small_net(37)
     opt = init_optimizer(net)
     net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
     grads = logp_gradient(net, np.full(6, 0.5), 2)
-    inputs = net.weights + net.biases + grads.weights + grads.biases + opt.m + opt.v
-    before = [a.copy() for a in inputs]
+    params, m, v = copies(net.weights + net.biases), copies(opt.m), copies(opt.v)
+    grads_before = copies(grads.weights + grads.biases)
     net2, opt2 = apply_update(net, grads, 0.37, opt)
-    for a, b in zip(inputs, before):
-        assert np.array_equal(a, b)
-    for new in net2.weights + net2.biases + opt2.m + opt2.v:
-        assert not any(np.shares_memory(new, old) for old in inputs)
+    for new, old in zip(net2.weights + net2.biases + opt2.m + opt2.v,
+                        net.weights + net.biases + opt.m + opt.v, strict=True):
+        assert new is old
+    assert opt2.step == 2
+    assert same_bits(grads.weights + grads.biases, grads_before)
+    params, m, v = textbook_adam(params, grads_before, m, v, 2, 0.37, opt.learning_rate)
+    assert same_bits(net2.weights + net2.biases + opt2.m + opt2.v, params + m + v)
+
+
+@pytest.mark.parametrize("fault", ["nan_in_last_gradient", "last_gradient_misshaped",
+                                   "infinite_scale"])
+def test_rejected_update_changes_nothing(fault):
+    net = small_net(38)
+    opt = init_optimizer(net)
+    net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
+    g = logp_gradient(net, np.full(6, 0.5), 2)
+    biases, scale = list(g.biases), 1.0
+    if fault == "nan_in_last_gradient":
+        biases[-1] = biases[-1].copy()
+        biases[-1][-1] = np.nan
+    elif fault == "last_gradient_misshaped":
+        biases[-1] = biases[-1][:-1]
+    else:
+        scale = float("inf")
+    arrays = net.weights + net.biases + opt.m + opt.v
+    before = copies(arrays)
+    with pytest.raises(ValueError):
+        apply_update(net, GradientSet(weights=g.weights, biases=tuple(biases)), scale, opt)
+    assert opt.step == 1
+    assert same_bits(arrays, before)
+
+
+@pytest.mark.parametrize("where", ["strided_parameter", "read_only_moment"])
+def test_apply_update_rejects_an_array_it_cannot_write_through(where):
+    net = small_net(39)
+    opt = init_optimizer(net)
+    g = logp_gradient(net, np.ones(6), 0)
+    weights, v = list(net.weights), list(opt.v)
+    if where == "strided_parameter":
+        # Every other column of a wider array: a reshape of it is a copy.
+        wide = np.zeros((weights[1].shape[0], 2 * weights[1].shape[1]))
+        wide[:, ::2] = weights[1]
+        weights[1] = wide[:, ::2]
+    else:
+        v[-1] = v[-1].copy()
+        v[-1].flags.writeable = False
+    net = PolicyNetwork(weights=tuple(weights), biases=net.biases)
+    opt = OptimizerState(opt.m, tuple(v), opt.step, opt.learning_rate)
+    arrays = net.weights + net.biases + opt.m + opt.v
+    before = copies(arrays)
+    with pytest.raises(ValueError, match="C-contiguous and writeable"):
+        apply_update(net, g, 1.0, opt)
+    assert same_bits(arrays, before)
+
+
+def test_init_optimizer_gives_every_moment_its_own_memory():
+    net = init_network(8, 2, seed=0)
+    opt = init_optimizer(net)
+    arrays = net.weights + net.biases + opt.m + opt.v
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for p, m, v in zip(net.weights + net.biases, opt.m, opt.v, strict=True):
+        assert m.shape == v.shape == p.shape and not m.any() and not v.any()
 
 
 def test_bandit_convergence():

@@ -82,8 +82,9 @@ def test_policy_update_single_trace_is_noop():
     cfg = small_cfg()
     agent = init_agent(cfg, seed=0)
     memory = one_state_memory([(0, 1, 5.0), (0, 2, -3.0), (0, 1, 1.0)])
+    before = [w.copy() for w in agent.net.weights]
     updated = policy_update(agent, memory, np.random.default_rng(0), cfg)
-    for a, b in zip(agent.net.weights, updated.net.weights):
+    for a, b in zip(before, updated.net.weights, strict=True):
         assert np.array_equal(a, b)
     assert updated.opt.step == agent.opt.step
 
@@ -120,9 +121,10 @@ def test_value_baseline_path_runs_and_fits():
     assert agent.value_net is not None
     memory = one_state_memory([(ep, ep % 4, float(ep % 3) - 1.0)
                                for ep in range(20)])
+    before = [w.copy() for w in agent.value_net.weights]
     updated = policy_update(agent, memory, np.random.default_rng(1), cfg)
     changed = any(not np.array_equal(a, b) for a, b in
-                  zip(agent.value_net.weights, updated.value_net.weights))
+                  zip(before, updated.value_net.weights, strict=True))
     assert changed
 
 
