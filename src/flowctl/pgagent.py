@@ -18,8 +18,10 @@ update.
 Because sampled batches are drawn from the memory uniformly, a trace drawn
 here is generally a *subsequence* of the original episode; returns are
 computed over the subsequence as-is.  This keeps the memory semantics
-simple and bounded at the cost of a biased return estimate for old
-episodes — in practice most of each fresh episode is present.
+simple and bounded at the cost of a biased return estimate: a uniform
+draw of `batch_size` rows keeps about `batch_size / buffer_capacity` of
+each stored episode, half of it in the desk profile (200 of 400) and
+about 4% at paper scale (200 of 4500).
 
 `drive_episode` runs one episode's decisions for any phase chooser, and
 `Learner` carries the agent, its random stream and the replay memory from

@@ -4,17 +4,21 @@ Every detector window, arms whose inbound density exceeds a threshold are
 flagged.  For each flagged arm, vehicles still on its approach edge that
 have not been diverted before and are heading for the junction estimate a
 door-to-destination time for the current route and for the best few
-alternatives, all under the same congestion model:
+alternatives, all from one table of edge weights:
 
-* edge weights are free-flow traversal times, surcharged on every flagged
-  arm's inbound edges in proportion to the measured density;
-* any route that crosses a flagged stop line additionally pays that arm's
-  expected stop-line wait (accrued waiting per queued vehicle there).
+* each edge weighs its free-flow traversal time; every flagged arm's
+  inbound edges add a surcharge in proportion to the measured density, and
+  its junction edge adds the arm's expected stop-line wait (accrued waiting
+  per queued vehicle there).
 
-Because the stop-line wait charges the bottleneck rather than the vehicle,
-a big queue never makes "take a different exit through the same jam" look
-attractive; the first estimates to win are the bypass routes that double
-back at the inner node and travel the diagonals.
+A route's estimate is the sum of its weights, so the route search ranks
+tails by exactly the cost that the decision compares.  A searched tail is
+node-simple and a current tail never repeats an edge, so every route pays a
+flagged stop line's wait at most once.  Because that wait charges the
+bottleneck rather than the vehicle, a big queue never makes "take a
+different exit through the same jam" look attractive; the first estimates
+to win are the bypass routes that double back at the inner node and travel
+the diagonals.
 
 A vehicle switches only when its current-route estimate is strictly worse
 than the best alternative; ties stay.  Switching rewrites the route tail in
@@ -22,13 +26,13 @@ place and marks the vehicle so it is never diverted twice.  Every
 comparison, switch or stay, is recorded with its current-route estimate and
 the best alternative's.
 
-The weights and stop-line waits are fixed for a whole window, so the route
-search is shared per window: one `apply_rerouting` call searches each
-distinct (next node, destination) pair once and prices each searched tail
-once.  Vehicles with the same remaining route also share its price and
-the list of alternatives.  Only the part of the estimate that depends on
-the vehicle, its unfinished current edge, is computed per vehicle, and a
-stay records its old route tuple again.
+The weights are fixed for a whole window, so the route search is shared
+per window: one `apply_rerouting` call searches each distinct (next node,
+destination) pair once and prices each searched tail once.  Vehicles with
+the same remaining route also share its price and the list of
+alternatives.  Only the part of the estimate that depends on the vehicle,
+its unfinished current edge, is computed per vehicle, and a stay records
+its old route tuple again.
 
 In a run, `harness.run_experiment` calls `apply_rerouting` at every
 detector window with the readings it has just logged, and with the
@@ -68,30 +72,24 @@ def flagged_arms(readings: dict[str, DetectorReading],
 
 def surcharged_weights(sim: Simulation, readings: dict[str, DetectorReading],
                        flagged: list[str]) -> dict[str, float]:
-    """Free-flow traversal times plus a congestion surcharge on flagged arms.
+    """Free-flow traversal times plus the congestion cost of flagged arms.
 
     The surcharge per inbound edge is density x length x SURCHARGE_RATE:
     density x length estimates the vehicles occupying the edge, and each is
-    charged as a fixed clearance cost.
+    charged as a fixed clearance cost.  The junction edge then adds the
+    arm's expected stop-line wait: its accrued waiting per currently queued
+    vehicle, or 0 when nothing is queued.
     """
     weights = dict(free_flow_weights(sim.net))
+    loads = sim.arm_loads()
     for arm in flagged:
         density = readings[arm].density
         quad = sim.arms[arm]
         for eid in (quad.approach_in, quad.junction_in):
             weights[eid] += density * sim.net.edges[eid].length * SURCHARGE_RATE
-    return weights
-
-
-def stop_line_waits(sim: Simulation, flagged: list[str]) -> dict[str, float]:
-    """Expected stop-line wait keyed by the flagged arm's junction edge: the
-    arm's accrued waiting per currently queued vehicle (0 if no queue)."""
-    loads = sim.arm_loads()
-    waits = {}
-    for arm in flagged:
         wait, queue = loads[ARM_ORDER.index(arm)]
-        waits[sim.arms[arm].junction_in] = wait / queue if queue else 0.0
-    return waits
+        weights[quad.junction_in] += wait / queue if queue else 0.0
+    return weights
 
 
 def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]:
@@ -111,17 +109,6 @@ def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]
             if not vehicles[i].rerouted and junction_edge in vehicles[i].remaining_route]
 
 
-def tail_cost(tail: tuple[str, ...], weights: dict[str, float],
-              waits: dict[str, float]) -> tuple[float, float]:
-    """A route tail's two shares of the door-to-destination estimate: the
-    sum of its edge weights, and the summed stop-line wait of every flagged
-    junction edge it crosses.  A vehicle's estimate is base + weight sum +
-    wait sum, where base is the unfinished part of its current edge."""
-    crossed = set(tail)
-    return (sum(weights[eid] for eid in tail),
-            sum(wait for eid, wait in waits.items() if eid in crossed))
-
-
 def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
                     threshold: float, max_alternatives: int) -> list[RerouteDecision]:
     """One full pass: flag arms, build the cost model, and decide every
@@ -138,7 +125,6 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
         return []
     net = sim.net
     weights = surcharged_weights(sim, readings, flagged)
-    waits = stop_line_waits(sim, flagged)
     searches: dict[tuple[str, str], list] = {}
     groups: dict[tuple[str, ...], tuple] = {}
     decisions: list[RerouteDecision] = []
@@ -153,20 +139,16 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
                 priced = searches.get(pair)
                 if priced is None:
                     priced = searches[pair] = [
-                        (route.edges, *tail_cost(route.edges, weights, waits))
+                        (route.edges, sum(weights[eid] for eid in route.edges))
                         for route in enumerate_routes(net, *pair, weights,
                                                       k=max_alternatives)]
-                # The current tail is usually one of the searched routes;
-                # it is priced apart only when it is not.
-                current = [cost for found, *cost in priced if found == tail]
                 group = groups[old_route] = (
-                    edge.length, weights[edge.id],
-                    *(current[0] if current else tail_cost(tail, weights, waits)),
+                    edge.length, weights[edge.id], sum(weights[eid] for eid in tail),
                     [entry for entry in priced if entry[0] != tail])
-            length, weight, weight_sum, wait_sum, others = group
+            length, weight, tail_sum, others = group
             base = (length - pos) / length * weight
-            u_twt = base + weight_sum + wait_sum
-            options = sorted([(base + w + s, alt) for alt, w, s in others])
+            u_twt = base + tail_sum
+            options = sorted([(base + w, alt) for alt, w in others])
             if options and u_twt > options[0][0]:
                 sim.replace_route_suffix(vehicle, options[0][1])
                 vehicle.rerouted = True
