@@ -162,7 +162,7 @@ def test_flagging_is_strictly_above_threshold():
     assert flagged_arms(readings, 0.5) == []
 
 
-def test_flagged_junction_edge_adds_wait_per_queued_vehicle():
+def test_expected_arm_wait_is_wait_per_queued_vehicle():
     """After the density surcharge, each flagged arm's junction edge adds
     the arm's accrued waiting per queued vehicle, and nothing when no
     vehicle is queued there.  An unflagged arm adds nothing, queue or not."""
@@ -185,10 +185,6 @@ def test_flagged_junction_edge_adds_wait_per_queued_vehicle():
     assert weights["jct_e_in"] == JCT_FF  # flagged, nothing queued
     changed = {eid for eid in free if weights[eid] != free[eid]}
     assert changed == {"jct_n_in", "app_n_in"}  # not jct_w_in: w is unflagged
-    # A tail that crosses the north stop line pays its wait once.
-    tail = ("jct_n_in", "jct_s_out", "app_s_out")
-    assert sum(weights[eid] for eid in tail) == pytest.approx(
-        sum(free[eid] for eid in tail) + JAM_DENSITY * 100.0 * 2.0 + 37 / 2, rel=1e-12)
 
 
 def test_surcharge_applies_only_to_flagged_inbound_edges():
@@ -325,6 +321,24 @@ def test_best_alternative_empty_when_no_options():
 
 
 # ------------------------------------------------- searches shared per window
+
+def test_tail_pays_each_flagged_stop_line_it_crosses_once():
+    """A tail's price is the plain sum of its weights, so it pays a flagged
+    arm's stop-line wait once when it crosses that junction edge, and not
+    at all when it bypasses it."""
+    sim = make_sim()
+    place_vehicle(sim, "qw", BLOCK_ROUTE, lane=1, pos=97.5, wait=30)
+    for lane, wait in ((1, 10), (2, 15)):
+        place_vehicle(sim, f"qe{lane}", ("jct_e_in", "jct_w_out", "app_w_out"),
+                      lane=lane, pos=97.5, wait=wait)
+    readings = {a: reading(a, 0.0) for a in "nesw"}
+    weights = surcharged_weights(sim, readings, ["w", "e"])
+    assert weights["jct_e_in"] == JCT_FF + 12.5
+    assert sum(weights[eid] for eid in BLOCK_ROUTE) == \
+        pytest.approx(2 * JCT_FF + APP_FF + 30.0, rel=1e-12)
+    assert sum(weights[eid] for eid in ("app_w_out", "diag_wn", "diag_ne")) == \
+        pytest.approx(APP_FF + 2 * DIAG_FF, rel=1e-12)
+
 
 def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
     calls = []
