@@ -149,9 +149,10 @@ def desk_profile() -> RunConfig:
 
 
 def paper_scale_profile() -> RunConfig:
-    """Full-size experiment tables: about 0.17 s per fixed-time episode and
-    0.32 s per learning episode (4 episodes per mode at seed 7, one BLAS
-    thread, a 2-CPU Xeon host), so about 65 s for a 200-episode learning run."""
+    """Full-size experiment tables: about 0.12 s per fixed-time episode and
+    0.25 s per learning episode (4 episodes per mode at seed 7, one BLAS
+    thread, a 2-CPU Xeon host; repeats read up to 1.4x slower as the host's
+    speed drifts), so about 50 s for a 200-episode learning run."""
     return RunConfig(
         train=TrainConfig(),  # 200 episodes, buffer 4500, 2500 steps, lr 1e-3
         vehicles=4000,

@@ -41,15 +41,15 @@ limit folded into one `min`, which is exact), edge length and two
 thresholds.  `_halt` is HALT_SPEED on an inbound arm edge and 0 elsewhere,
 so `speed < _halt` is the halted set (speed is never negative); `_span` is
 DETECTOR_SPAN on an approach edge and -inf elsewhere, so `pos <= _span` is
-the detector set.  A free slot is inert: no speed, no cap, an edge end at
-infinity, thresholds that nothing meets, and itself as leader.  Lanes keep
-their slots front to back.  Freed slots go on a free list and are reused.
-The arrays double when every slot is taken; at the end of a step in which
-at most a quarter of the slots are active (and more than INITIAL_SLOTS
-exist), they are halved until that no longer holds, never inside the
-crossing loop.  So the array size follows the active count.  Both resizes
-renumber the active slots into the front in lane order and update each
-vehicle's `slot`.
+the detector set.  A free slot is inert: position 0, no speed or wait, no
+cap, an edge end at infinity, thresholds that nothing meets, and itself
+as leader.  Lanes keep their slots front to back.  Freed slots go on a
+free list and are reused.  The arrays double when every slot is taken; at
+the end of a step in which at most a quarter of the slots are active (and
+more than INITIAL_SLOTS exist), they are halved until that no longer
+holds, never inside the crossing loop.  So the array size follows the
+active count.  Both resizes renumber the active slots into the front in
+lane order and update each vehicle's `slot`.
 
 Each slot has a `leader` index into a position buffer that holds the slots
 followed by one sentinel per lane.  A lane's front vehicle points at the
@@ -72,14 +72,26 @@ compares the room behind each target lane's rear vehicle: for target
 edges later in _edge_order than the crossing vehicle's edge it reads
 pre-step positions, and for earlier edges, and for spawns, post-step
 positions.  An entering vehicle's entry position is written to both
-buffers.  `validate()` checks the slot arrays against the lanes.
+buffers.
+
+The crossing loop handles each vehicle in place, with the slot arrays,
+lane lists and arm counters bound once per step: it picks the target lane,
+takes the vehicle off the front of its lane and appends it to the back of
+the next lane, or, on the route's last edge, lets it arrive and makes its
+slot inert.  Admission works the same way on the back of a first lane.  A
+free slot's position, speed and wait are already 0, so admission writes
+only the edge facts; `step` tries it only when a spawn is due or a vehicle
+is waiting.  `validate()` checks the slot arrays against the lanes and
+that every free slot is inert.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -369,9 +381,8 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
     words = iter(rng.integers(0, 4, size=count + (count - n_opposite)).tolist())
     weights = free_flow_weights(net)
     routes: dict[tuple[str, str], tuple[str, ...]] = {}
-    specs = []
-    for i, (depart, vtype, cross) in enumerate(
-            zip(times.tolist(), labels_arr.tolist(), crossing.tolist())):
+    vehicle_routes = []
+    for cross in crossing.tolist():
         origin = ARM_ORDER[next(words)]
         if cross:
             dest = OPPOSITE_ARM[origin]
@@ -380,8 +391,12 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
         route = routes.get((origin, dest))
         if route is None:
             route = routes[origin, dest] = shortest_route(net, origin, dest, weights).edges
-        specs.append(SpawnSpec(depart, f"v{i}", vtype, VEHICLE_MAX_SPEED[vtype], route))
-    return tuple(specs)
+        vehicle_routes.append(route)
+    vtypes = labels_arr.tolist()
+    # tuple.__new__ builds each SpawnSpec without a Python-level call.
+    return tuple(map(tuple.__new__, repeat(SpawnSpec), zip(
+        times.tolist(), [f"v{i}" for i in range(count)], vtypes,
+        map(VEHICLE_MAX_SPEED.__getitem__, vtypes), vehicle_routes)))
 
 
 class Simulation:
@@ -441,7 +456,7 @@ class Simulation:
         self._plans: dict[tuple[str, ...], tuple] = {}
         self._relayout(INITIAL_SLOTS)
 
-        specs = sorted(schedule, key=lambda s: (s.depart, s.vehicle_id))
+        specs = sorted(schedule, key=itemgetter(0, 1))  # depart, then vehicle id
         ids = [s.vehicle_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vehicle ids in schedule")
@@ -511,66 +526,6 @@ class Simulation:
                 lane[:] = range(first, first + len(lane))
                 first += len(lane)
 
-    def _occupy(self, slot: int, info: tuple, lane: int, at: int) -> None:
-        """Insert `slot` into lane `lane` of the edge `info` describes, at
-        index `at` (0 = front), and repoint it and the vehicle behind it at
-        their new leaders."""
-        _, first_lane, length, limit, arm, halt, span, lanes = info
-        occupants = lanes[lane]
-        leader = self._leader
-        leader[slot] = occupants[at - 1] if at else self._speed.size + first_lane + lane
-        if at < len(occupants):
-            leader[occupants[at]] = slot
-        occupants.insert(at, slot)
-        self._cap[slot] = min(self._handles[slot].max_speed, limit)
-        self._end[slot] = length
-        self._lane_of[slot] = first_lane + lane
-        self._halt[slot] = halt
-        self._span[slot] = span
-        if arm >= 0:
-            self._arm_count[arm] += 1
-
-    def _vacate_front(self, info: tuple, lane: int) -> None:
-        """Take the front vehicle out of a lane; the next one leads it now."""
-        _, first_lane, _, _, arm, _, _, lanes = info
-        occupants = lanes[lane]
-        del occupants[0]
-        if occupants:
-            self._leader[occupants[0]] = self._speed.size + first_lane + lane
-        if arm >= 0:
-            self._arm_count[arm] -= 1
-
-    def _add_vehicle(self, vehicle_id: str, vtype: str, max_speed: float,
-                     route: tuple[str, ...], plan: tuple, lane: int, at: int,
-                     pos: float, speed: float, wait: int) -> Vehicle:
-        if not self._free:
-            self._relayout(2 * self._speed.size)
-        slot = self._free.pop()
-        v = Vehicle(self, slot, vehicle_id, vtype, max_speed, route, plan)
-        v.lane = lane
-        self._handles[slot] = v
-        self._pos[slot] = pos
-        self._speed[slot] = speed
-        self._wait[slot] = wait
-        self._occupy(slot, plan[0][0], lane, at)
-        self.active_count += 1
-        return v
-
-    def _release(self, slot: int) -> None:
-        """Free an arrived vehicle's slot and make it inert."""
-        self._handles[slot].slot = None
-        self._handles[slot] = None
-        self._speed[slot] = 0.0
-        self._wait[slot] = 0
-        self._cap[slot] = 0.0
-        self._end[slot] = math.inf
-        self._lane_of[slot] = -1
-        self._halt[slot] = 0.0
-        self._span[slot] = -math.inf
-        self._leader[slot] = slot
-        self._pos[slot] = 0.0
-        self._free.append(slot)
-
     # ------------------------------------------------------------- helpers
 
     def _check_route(self, route: tuple[str, ...]) -> None:
@@ -616,24 +571,6 @@ class Simulation:
         plan = self._plans[route] = tuple(reversed(steps))
         return plan
 
-    def _pick_lane(self, info: tuple, allowed: tuple[int, ...],
-                   positions: np.ndarray) -> tuple[int, float]:
-        """Allowed lane with the most headroom (rear gap); ties take the lowest.
-
-        `positions` is the buffer to read the rear vehicles from (see the
-        module notes on pre-step and post-step room).
-        """
-        _, _, length, _, _, _, _, lanes = info
-        best_lane = allowed[0]
-        best_room = -1.0
-        for lane in allowed:
-            occupants = lanes[lane]
-            room = positions.item(occupants[-1]) if occupants else length
-            if room > best_room + 1e-12:
-                best_room = room
-                best_lane = lane
-        return best_lane, best_room
-
     # ---------------------------------------------------------------- step
 
     def set_phase(self, phase: int) -> None:
@@ -651,16 +588,16 @@ class Simulation:
         signals.tick_begin()
         clock = self.clock
         key = PHASE_COUNT if signals.in_yellow else signals.phase
+        n = self._speed.size
         if key != self._wall_key:
-            n = self._speed.size
             self._pos[n:] = self._spare[n:] = self._walls[key]
             self._wall_key = key
 
-        n = self._speed.size
         prev, pos = self._pos, self._spare
         old = prev[:n]
         speed = self._speed
-        gap = prev.take(self._leader)
+        leader = self._leader
+        gap = prev.take(leader)
         gap -= old
         gap -= MIN_GAP
         speed += MAX_ACCEL
@@ -672,18 +609,30 @@ class Simulation:
         crossing = (pos[:n] > self._end).nonzero()[0]
 
         if crossing.size:
-            handles = self._handles
-            for slot in sorted(crossing.tolist(), key=self._lane_of.item):
+            handles, free, arm_count = self._handles, self._free, self._arm_count
+            wait, cap, end = self._wait, self._cap, self._end
+            lane_of, halt_of, span_of = self._lane_of, self._halt, self._span
+            arrived = wait_sum = 0
+            for slot in sorted(crossing.tolist(), key=lane_of.item):
                 v = handles[slot]
                 idx = v.route_idx
                 plan = v.plan
-                here = plan[idx][0]  # edge info, laid out as in __init__
-                rank, length = here[0], here[2]
+                # Edge info, laid out as in __init__.
+                rank, first_lane, length, _, arm, _, _, lanes = plan[idx][0]
                 before = prev.item(slot)
-                if idx + 1 < len(plan):
-                    ahead, allowed = plan[idx + 1]
-                    new_lane, room = self._pick_lane(
-                        ahead, allowed, prev if ahead[0] > rank else pos)
+                last = idx + 1 == len(plan)
+                if not last:
+                    ((to_rank, to_first, to_length, to_limit, to_arm, to_halt,
+                      to_span, to_lanes), allowed) = plan[idx + 1]
+                    # The allowed lane with the most room behind its rear
+                    # vehicle; ties take the lowest.
+                    rooms = prev if to_rank > rank else pos
+                    new_lane, room = allowed[0], -1.0
+                    for lane in allowed:
+                        occupants = to_lanes[lane]
+                        lane_room = rooms.item(occupants[-1]) if occupants else to_length
+                        if lane_room > room + 1e-12:
+                            new_lane, room = lane, lane_room
                     entry = pos.item(slot) - length
                     limit = room - MIN_GAP
                     if limit < entry:
@@ -692,20 +641,48 @@ class Simulation:
                         pos[slot] = length  # hold at the node and retry
                         speed[slot] = length - before
                         continue
-                    self._vacate_front(here, v.lane)
-                    v.route_idx = idx + 1
-                    v.lane = new_lane
-                    pos[slot] = prev[slot] = entry
-                    speed[slot] = (length - before) + entry
-                    self._occupy(slot, ahead, new_lane, len(ahead[7][new_lane]))
-                else:
-                    self._vacate_front(here, v.lane)
-                    self.active_count -= 1
-                    self.arrived_count += 1
-                    self.arrived_wait_sum += self._wait.item(slot)
-                    self._release(slot)
+                # Leave the front of the lane; the next vehicle leads it now.
+                lane = v.lane
+                occupants = lanes[lane]
+                del occupants[0]
+                if occupants:
+                    leader[occupants[0]] = n + first_lane + lane
+                if arm >= 0:
+                    arm_count[arm] -= 1
+                if last:  # arrive and free the slot, leaving it inert
+                    arrived += 1
+                    wait_sum += wait.item(slot)
+                    v.slot = handles[slot] = None
+                    speed[slot] = pos[slot] = cap[slot] = halt_of[slot] = 0.0
+                    wait[slot] = 0
+                    end[slot] = math.inf
+                    lane_of[slot] = -1
+                    span_of[slot] = -math.inf
+                    leader[slot] = slot
+                    free.append(slot)
+                    continue
+                # Join the back of the chosen lane of the next edge.
+                occupants = to_lanes[new_lane]
+                leader[slot] = occupants[-1] if occupants else n + to_first + new_lane
+                occupants.append(slot)
+                v.route_idx = idx + 1
+                v.lane = new_lane
+                pos[slot] = prev[slot] = entry
+                speed[slot] = (length - before) + entry
+                top = v.max_speed
+                cap[slot] = to_limit if to_limit < top else top
+                end[slot] = to_length
+                lane_of[slot] = to_first + new_lane
+                halt_of[slot] = to_halt
+                span_of[slot] = to_span
+                if to_arm >= 0:
+                    arm_count[to_arm] += 1
+            self.active_count -= arrived
+            self.arrived_count += arrived
+            self.arrived_wait_sum += wait_sum
 
-        self._attempt_spawns(clock)
+        if self._waiting or (self._future and self._future[0].depart <= clock):
+            self._attempt_spawns(clock)
         signals.tick_end()
         self.clock = clock + 1
         self._post_step_accounting()
@@ -716,23 +693,55 @@ class Simulation:
             self._relayout(size)
 
     def _attempt_spawns(self, clock: int) -> None:
-        while self._future and self._future[0].depart <= clock:
-            self._waiting.append(self._future.popleft())
-        if not self._waiting:
-            return
+        """Queue the specs that are due, then admit, in order, each waiting
+        vehicle whose best first lane has MIN_GAP of room behind its rear
+        vehicle, at position 0 on the back of that lane.  A free slot
+        already holds position, speed and wait 0 (validate() checks), so
+        admission writes only the edge facts."""
+        future, waiting = self._future, self._waiting
+        while future and future[0].depart <= clock:
+            waiting.append(future.popleft())
         plans = self._plans
+        free, handles, arm_count = self._free, self._handles, self._arm_count
+        pos, leader, size = self._pos, self._leader, self._speed.size
         still: list[SpawnSpec] = []
-        for spec in self._waiting:
+        admitted = 0
+        for spec in waiting:
             plan = plans[spec.route]
-            info, allowed = plan[0]
-            lane, room = self._pick_lane(info, allowed, self._pos)
-            if room >= MIN_GAP:
-                self._add_vehicle(spec.vehicle_id, spec.vtype, spec.max_speed,
-                                  spec.route, plan, lane, len(info[7][lane]),
-                                  0.0, 0.0, 0)
-            else:
+            (_, first_lane, length, limit, arm, halt, span, lanes), allowed = plan[0]
+            # The allowed lane with the most room behind its rear vehicle;
+            # ties take the lowest.
+            lane, room = allowed[0], -1.0
+            for candidate in allowed:
+                occupants = lanes[candidate]
+                lane_room = pos.item(occupants[-1]) if occupants else length
+                if lane_room > room + 1e-12:
+                    lane, room = candidate, lane_room
+            if room < MIN_GAP:
                 still.append(spec)
+                continue
+            if not free:
+                self._relayout(2 * size)
+                free, handles = self._free, self._handles
+                pos, leader, size = self._pos, self._leader, self._speed.size
+            slot = free.pop()
+            v = handles[slot] = Vehicle(self, slot, spec.vehicle_id, spec.vtype,
+                                        spec.max_speed, spec.route, plan)
+            v.lane = lane
+            occupants = lanes[lane]
+            leader[slot] = occupants[-1] if occupants else size + first_lane + lane
+            occupants.append(slot)
+            top = spec.max_speed
+            self._cap[slot] = limit if limit < top else top
+            self._end[slot] = length
+            self._lane_of[slot] = first_lane + lane
+            self._halt[slot] = halt
+            self._span[slot] = span
+            if arm >= 0:
+                arm_count[arm] += 1
+            admitted += 1
         self._waiting = still
+        self.active_count += admitted
 
     def _post_step_accounting(self) -> None:
         pos = self._pos
@@ -839,12 +848,11 @@ class Simulation:
         return self.pending_count == 0 and self.active_count == 0
 
     @property
-    def out_of_time(self) -> bool:
-        return self.clock >= SIM_TIME_CAP
-
-    @property
     def done(self) -> bool:
-        return self.finished or self.out_of_time
+        """Finished, or at SIM_TIME_CAP; read from the counters directly,
+        since the episode loop asks after every step."""
+        return (not (self._future or self._waiting or self.active_count)
+                or self.clock >= SIM_TIME_CAP)
 
     def replace_route_suffix(self, vehicle: Vehicle, suffix) -> None:
         """Swap everything after the vehicle's current edge for a new tail."""
@@ -921,6 +929,8 @@ class Simulation:
                 raise InvariantViolation(f"a free slot has {name} != {fill}")
         if np.any(self._leader[free] != free):
             raise InvariantViolation("a free slot has a leader")
+        if np.any(pos[free] != 0.0):
+            raise InvariantViolation("a free slot has a position")
         total = self.pending_count + self.active_count + self.arrived_count
         if total != self.scheduled_total:
             raise InvariantViolation(

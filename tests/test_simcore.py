@@ -623,6 +623,11 @@ def test_validate_catches_slot_corruption():
     sim._speed[sim._free[-1]] = 1.0
     with pytest.raises(InvariantViolation, match="free slot"):
         sim.validate()
+    sim._speed[sim._free[-1]] = 0.0
+    sim.validate()
+    sim._pos[sim._free[-1]] = 1.0  # admission relies on a free slot at position 0
+    with pytest.raises(InvariantViolation, match="free slot has a position"):
+        sim.validate()
 
 
 # -------------------------------------------------------------- route swap

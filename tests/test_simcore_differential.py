@@ -475,3 +475,24 @@ def test_slot_arrays_shrink_as_traffic_drains():
     assert ref.done
     assert max(sizes) >= 4 * INITIAL_SLOTS
     assert sizes[-1] == INITIAL_SLOTS
+
+
+def test_busy_crossroad_matches_reference():
+    """A thousand vehicles in five minutes on the default crossroad under a
+    fixed 34 s phase cycle: hundreds of vehicles cross, arrive, hold and
+    are admitted in the same steps, with the lane state equal to the
+    reference after every step."""
+    net = build_default_network()
+    schedule = spawn_schedule(net, 1000, 3, 300)
+    sim = Simulation(net, schedule)
+    ref = ReferenceSimulation(net, schedule)
+    peak = 0
+    for t in range(300):
+        if t % 34 == 0 and not sim.signals.in_yellow:
+            sim.set_phase((t // 34) % 4)
+            ref.set_phase((t // 34) % 4)
+        step_both(sim, ref)
+        peak = max(peak, sim.active_count)
+    assert peak > 12 * INITIAL_SLOTS
+    assert sim._speed.size == 16 * INITIAL_SLOTS
+    assert sim.arrived_count > 0
