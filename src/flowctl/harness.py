@@ -10,8 +10,9 @@ Three run modes share one episode loop, `run_experiment`:
                    detector window.
 
 Each detector window is handled by one function inside `run_experiment`:
-it reads the detectors once, appends one row per arm to the detector log,
-and in rl_reroute passes the same readings to `rerouter.apply_rerouting`.
+`drive_episode` hands it the readings that `Simulation.step` returned at
+the window's end, it appends one row per arm to the detector log, and in
+rl_reroute it passes the same readings to `rerouter.apply_rerouting`.
 The detector log keeps the last episode only, so only that episode's
 simulation samples per-vehicle count and mean speed.  The others publish
 density alone, which is all the rerouter reads; in fixed and rl their
@@ -65,6 +66,7 @@ from .simcore import (
     ARM_ORDER,
     SIM_TIME_CAP,
     VEHICLE_MAX_SPEED,
+    DetectorReading,
     Simulation,
     SpawnSpec,
     spawn_schedule,
@@ -79,6 +81,8 @@ SWEEP_AXES: dict[str, tuple] = {
     "width": (200, 400, 600),
     "depth": (3, 5, 8),
 }
+# The TrainConfig field that each sweep axis sets.
+_SWEEP_FIELDS = {"gamma": "gamma", "width": "hidden_width", "depth": "hidden_count"}
 # Externally claimed best value per axis; reported in sweep summaries as a
 # flag on the row, never asserted.
 REFERENCE_CLAIMS = {"gamma": 0.5, "depth": 5}
@@ -353,12 +357,12 @@ def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
         if vtype not in VEHICLE_MAX_SPEED:
             raise ConfigError(f"schedule line {lineno}: unknown vtype {vtype!r}")
         try:
-            route = shortest_route(net, origin, destination, weights)
+            _, route = shortest_route(net, origin, destination, weights)
         except ValueError as exc:
             raise ConfigError(f"schedule line {lineno}: {exc}") from None
         specs.append(SpawnSpec(depart=depart, vehicle_id=f"v{row}",
                                vtype=vtype, max_speed=VEHICLE_MAX_SPEED[vtype],
-                               route=route.edges))
+                               route=route))
     specs.sort(key=lambda s: (s.depart, s.vehicle_id))
     return tuple(specs)
 
@@ -421,8 +425,7 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
     reroutes: list[RerouteDecision] = []
     detector_rows: list[tuple[int, str, int, float, float]] = []
 
-    def on_window(sim: Simulation) -> None:
-        readings = sim.read_detectors()
+    def on_window(sim: Simulation, readings: dict[str, DetectorReading]) -> None:
         if sim.sample_detectors:
             for arm in ARM_ORDER:
                 r = readings[arm]
@@ -621,15 +624,8 @@ def run_phase(cfg: RunConfig, mode: str, seed: int,
 # ------------------------------------------------------------------ sweeps
 
 def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
-    if axis == "gamma":
-        train = dataclasses.replace(cfg.train, gamma=value)
-    elif axis == "width":
-        train = dataclasses.replace(cfg.train, hidden_width=value)
-    elif axis == "depth":
-        train = dataclasses.replace(cfg.train, hidden_count=value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r} "
-                          f"(expected one of {tuple(SWEEP_AXES)})")
+    """cfg with the sweep axis's TrainConfig field set to value."""
+    train = dataclasses.replace(cfg.train, **{_SWEEP_FIELDS[axis]: value})
     return dataclasses.replace(cfg, train=train)
 
 

@@ -55,14 +55,6 @@ class PolicyNetwork:
 
 
 @dataclass(frozen=True)
-class GradientSet:
-    """Per-layer gradients aligned with PolicyNetwork.weights/biases."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class OptimizerState:
     """First and second moment estimates, ordered as the network's weights
     then its biases, plus the step counter.  apply_update changes `m` and
@@ -121,7 +113,7 @@ def activations(net: PolicyNetwork, states: np.ndarray) -> list[np.ndarray]:
 
 
 def backprop(net: PolicyNetwork, acts: list[np.ndarray],
-             delta: np.ndarray) -> GradientSet:
+             delta: np.ndarray) -> PolicyNetwork:
     """Parameter gradients, summed over the batch, given the activations
     and the (batch, output) derivative of the objective at the head."""
     grads_w: list[np.ndarray] = []
@@ -131,7 +123,7 @@ def backprop(net: PolicyNetwork, acts: list[np.ndarray],
         grads_b.append(delta.sum(axis=0))
         if i > 0:
             delta = (delta @ net.weights[i]) * (acts[i] > 0)
-    return GradientSet(weights=tuple(reversed(grads_w)), biases=tuple(reversed(grads_b)))
+    return PolicyNetwork(weights=tuple(reversed(grads_w)), biases=tuple(reversed(grads_b)))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -150,7 +142,7 @@ def forward(net: PolicyNetwork, state) -> np.ndarray:
 
 
 def accumulate_logp_gradients(net: PolicyNetwork, states: np.ndarray,
-                              actions: np.ndarray, coefficients: np.ndarray) -> GradientSet:
+                              actions: np.ndarray, coefficients: np.ndarray) -> PolicyNetwork:
     """Sum_i coefficients[i] * grad log pi(actions[i] | states[i]), batched.
 
     The logit-level gradient of log-softmax is onehot(action) - probs.
@@ -175,7 +167,7 @@ def accumulate_logp_gradients(net: PolicyNetwork, states: np.ndarray,
     return backprop(net, acts, delta)
 
 
-def apply_update(net: PolicyNetwork, grads: GradientSet, scale: float,
+def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
                  opt: OptimizerState) -> tuple[PolicyNetwork, OptimizerState]:
     """Ascend scale*grads via adaptive moment estimation, in place.
 

@@ -50,7 +50,7 @@ from .neuralnet import (
     value_fit_step,
     value_forward,
 )
-from .simcore import DETECTOR_PERIOD, Simulation
+from .simcore import Simulation
 
 AGENT_STREAM = 1  # seed-sequence lane for the agent's own randomness
 PROB_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # as Generator.choice allows
@@ -136,11 +136,6 @@ def init_agent(cfg: TrainConfig, seed: int) -> AgentState:
         vopt = init_optimizer(vnet, cfg.learning_rate)
         return AgentState(net, opt, vnet, vopt)
     return AgentState(net, opt)
-
-
-def compute_reward(previous_wait: int, current_wait: int) -> float:
-    """Positive when accrued waiting on the inbound arms went down."""
-    return float(previous_wait - current_wait)
 
 
 def action_cdf(probs: np.ndarray) -> np.ndarray:
@@ -236,8 +231,8 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
 
     choose_action(state) -> phase.  Rewards are measured once per decision
     as the drop in cumulative waiting, so they telescope exactly over the
-    episode.  boundary_hook(sim), if given, fires at every detector window
-    boundary (used by the rerouting engine).
+    episode.  boundary_hook(sim, readings), if given, is handed the
+    readings that `sim.step()` returns at every detector window boundary.
 
     Returns (transitions, cum_negative_reward).
     """
@@ -255,13 +250,13 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
             steps += sim.signals.yellow_duration
         prev_phase = action
         for _ in range(steps):
-            sim.step()
-            if boundary_hook is not None and sim.clock % DETECTOR_PERIOD == 0:
-                boundary_hook(sim)
+            readings = sim.step()
+            if readings is not None and boundary_hook is not None:
+                boundary_hook(sim, readings)
             if sim.done:
                 break
         current_wait = sim.cumulative_wait()
-        reward = compute_reward(prev_wait, current_wait)
+        reward = float(prev_wait - current_wait)  # positive when waiting fell
         prev_wait = current_wait
         if reward < 0:
             cum_negative += reward

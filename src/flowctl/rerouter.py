@@ -28,11 +28,12 @@ the best alternative's.
 
 The weights are fixed for a whole window, so the route search is shared
 per window: one `apply_rerouting` call searches each distinct (next node,
-destination) pair once and prices each searched tail once.  Vehicles with
-the same remaining route also share its price and the list of
-alternatives.  Only the part of the estimate that depends on the vehicle,
-its unfinished current edge, is computed per vehicle, and a stay records
-its old route tuple again.
+destination) pair once, and each searched tail takes the search's own
+cost, the same left-to-right sum of its weights.  Vehicles with the same
+remaining route also share its price and the list of alternatives.  Only
+the part of the estimate that depends on the vehicle, its unfinished
+current edge, is computed per vehicle, and a stay records its old route
+tuple again.
 
 In a run, `harness.run_experiment` calls `apply_rerouting` at every
 detector window with the readings it has just logged, and with the
@@ -138,17 +139,15 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
                 tail = old_route[1:]
                 priced = searches.get(pair)
                 if priced is None:
-                    priced = searches[pair] = [
-                        (route.edges, sum(weights[eid] for eid in route.edges))
-                        for route in enumerate_routes(net, *pair, weights,
-                                                      k=max_alternatives)]
+                    priced = searches[pair] = enumerate_routes(net, *pair, weights,
+                                                               k=max_alternatives)
                 group = groups[old_route] = (
                     edge.length, weights[edge.id], sum(weights[eid] for eid in tail),
-                    [entry for entry in priced if entry[0] != tail])
+                    [entry for entry in priced if entry[1] != tail])
             length, weight, tail_sum, others = group
             base = (length - pos) / length * weight
             u_twt = base + tail_sum
-            options = sorted([(base + w, alt) for alt, w in others])
+            options = sorted([(base + w, alt) for w, alt in others])
             if options and u_twt > options[0][0]:
                 sim.replace_route_suffix(vehicle, options[0][1])
                 vehicle.rerouted = True

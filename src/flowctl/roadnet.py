@@ -7,11 +7,13 @@ diagonal bypass edges.  Arms are bidirectional (separate directed edges per
 direction), so a vehicle can double back through a boundary node to reach a
 bypass.
 
-Networks, routes and weight tables are immutable values and every operation
-here is a pure function.  A Route never repeats an *edge* but may repeat a
-node: a rerouted vehicle's path doubles back through the node where it
-diverged.  Route *search* (shortest_route, enumerate_routes) returns
-node-simple paths; callers assemble doubling-back routes by prepending the
+Networks and weight tables are immutable values and every operation here
+is a pure function.  A route is a tuple of edge ids.  It never repeats an
+*edge* but may repeat a node: a rerouted vehicle's path doubles back
+through the node where it diverged.  Route *search* (shortest_route,
+enumerate_routes) returns node-simple paths as (cost, edge ids), the
+search's own heap key: the cost is the left-to-right sum of the edges'
+weights from zero.  Callers assemble doubling-back routes by prepending the
 already-committed edge to a searched suffix.
 """
 
@@ -90,15 +92,6 @@ class RoadNetwork:
     nodes: frozenset[str]
     edges: dict[str, Edge]
     adjacency: dict[str, tuple[str, ...]]  # node -> outgoing edge ids, sorted
-
-
-@dataclass(frozen=True)
-class Route:
-    """An edge-simple directed path from origin to destination."""
-
-    edges: tuple[str, ...]
-    origin: str
-    destination: str
 
 
 def make_network(edges: list[Edge], extra_nodes: tuple[str, ...] = ()) -> RoadNetwork:
@@ -218,8 +211,9 @@ def _edge_weight(weights: dict[str, float], eid: str) -> float:
 
 
 def shortest_route(net: RoadNetwork, origin: str, destination: str,
-                   weights: dict[str, float]) -> Route:
-    """Minimum-weight route; cost ties break on the smallest edge-id sequence.
+                   weights: dict[str, float]) -> tuple[float, tuple[str, ...]]:
+    """(cost, edge ids) of the minimum-weight route; cost ties break on the
+    smallest edge-id sequence.
 
     Dijkstra over (cost, edge-id tuple) keys: tuple comparison gives the
     deterministic lexicographic tie-break, and path extension preserves key
@@ -233,7 +227,7 @@ def shortest_route(net: RoadNetwork, origin: str, destination: str,
         if (cost, path) > best.get(node, (cost, path)):
             continue  # stale entry
         if node == destination:
-            return Route(edges=path, origin=origin, destination=destination)
+            return cost, path
         for eid in net.adjacency.get(node, ()):
             cand = (cost + _edge_weight(weights, eid), path + (eid,))
             target = net.edges[eid].to_node
@@ -245,8 +239,9 @@ def shortest_route(net: RoadNetwork, origin: str, destination: str,
 
 
 def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
-                     weights: dict[str, float], k: int) -> list[Route]:
-    """Up to k cheapest node-simple routes, ascending by (cost, edge ids).
+                     weights: dict[str, float],
+                     k: int) -> list[tuple[float, tuple[str, ...]]]:
+    """(cost, edge ids) of up to k cheapest node-simple routes, ascending.
 
     Exact best-first search over partial node-simple paths.  Element 0 always
     equals shortest_route's pick because both order by the same key.  A
@@ -256,7 +251,7 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
     _check_endpoints(net, origin, destination)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    found: list[Route] = []
+    found: list[tuple[float, tuple[str, ...]]] = []
     heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), origin)]
     pops = 0
     while heap and len(found) < k:
@@ -268,7 +263,7 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
         cost, path, node = heapq.heappop(heap)
         pops += 1
         if node == destination:
-            found.append(Route(edges=path, origin=origin, destination=destination))
+            found.append((cost, path))
             continue
         visited = {origin}
         visited.update(net.edges[eid].to_node for eid in path)

@@ -24,11 +24,11 @@ Mechanics, all on 1-second steps:
   junction ahead spreads by headroom.
 * Demand is a spawn schedule; blocked spawns stay pending and retry in
   order.  Waiting time accrues per vehicle-step spent below a halt speed on
-  an inbound arm edge, and windowed detectors report per-arm count, mean
-  speed, and time-averaged density.  Density is kept in every simulation.
-  The count and mean speed need a per-vehicle pass over the detector span
-  each step, so a simulation made with `sample_detectors=False` skips that
-  pass and reports them as None.
+  an inbound arm edge.  When a detector window closes, `step` returns its
+  per-arm count, mean speed and time-averaged density.  Density is kept in
+  every simulation.  The count and mean speed need a per-vehicle pass over
+  the detector span each step, so a simulation made with
+  `sample_detectors=False` skips that pass and reports them as None.
 
 The signal plan has four phases: 0 = north/south main lanes, 1 = north/south
 left lane, 2 = east/west main lanes, 3 = east/west left lane.  A phase
@@ -96,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .roadnet import RoadNetwork, Route, free_flow_weights, shortest_route
+from .roadnet import RoadNetwork, free_flow_weights, shortest_route
 
 # Motion constants (meters, seconds).
 MAX_ACCEL = 2.6
@@ -148,16 +148,25 @@ class InvariantViolation(RuntimeError):
     """Internal consistency check failed (see validate())."""
 
 
+def phase_is_green(phase: int, arm: str, lane: int) -> bool:
+    """Whether `phase`, once its amber is over, shows green to the lane."""
+    if phase == 0:
+        return arm in ("n", "s") and lane != 0
+    if phase == 1:
+        return arm in ("n", "s") and lane == 0
+    if phase == 2:
+        return arm in ("e", "w") and lane != 0
+    return arm in ("e", "w") and lane == 0
+
+
 class SignalController:
     """Four-phase controller with a mandatory all-red amber on phase change."""
 
-    def __init__(self, yellow_duration: int = YELLOW_DURATION, initial_phase: int = 0):
+    def __init__(self, yellow_duration: int = YELLOW_DURATION):
         if yellow_duration < 1:
             raise ValueError("yellow_duration must be >= 1")
-        if not 0 <= initial_phase < PHASE_COUNT:
-            raise ValueError(f"phase must be in 0..{PHASE_COUNT - 1}")
         self.yellow_duration = yellow_duration
-        self.phase = initial_phase
+        self.phase = 0
         self.in_yellow = False
         self.time_in_state = 0
 
@@ -181,15 +190,7 @@ class SignalController:
         self.time_in_state += 1
 
     def is_green(self, arm: str, lane: int) -> bool:
-        if self.in_yellow:
-            return False
-        if self.phase == 0:
-            return arm in ("n", "s") and lane != 0
-        if self.phase == 1:
-            return arm in ("n", "s") and lane == 0
-        if self.phase == 2:
-            return arm in ("e", "w") and lane != 0
-        return arm in ("e", "w") and lane == 0
+        return not self.in_yellow and phase_is_green(self.phase, arm, lane)
 
 
 class Vehicle:
@@ -202,13 +203,12 @@ class Vehicle:
     and has no position any more.
     """
 
-    __slots__ = ("id", "vtype", "max_speed", "route", "plan", "route_idx", "lane",
+    __slots__ = ("id", "max_speed", "route", "plan", "route_idx", "lane",
                  "rerouted", "slot", "_sim")
 
-    def __init__(self, sim: Simulation, slot: int, vehicle_id: str, vtype: str,
+    def __init__(self, sim: Simulation, slot: int, vehicle_id: str,
                  max_speed: float, route: tuple[str, ...], plan: tuple):
         self.id = vehicle_id
-        self.vtype = vtype
         self.max_speed = max_speed
         self.route = route
         self.plan = plan
@@ -237,10 +237,6 @@ class Vehicle:
     @property
     def remaining_route(self) -> tuple[str, ...]:
         return self.route[self.route_idx:]
-
-    def __repr__(self) -> str:  # debugging aid
-        return (f"Vehicle({self.id} {self.vtype} edge={self.edge_id} "
-                f"lane={self.lane} pos={self.pos:.1f} v={self.speed:.1f})")
 
 
 @dataclass(frozen=True)
@@ -390,7 +386,7 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
             dest = (LEFT_EXIT if next(words) < 2 else RIGHT_EXIT)[origin]
         route = routes.get((origin, dest))
         if route is None:
-            route = routes[origin, dest] = shortest_route(net, origin, dest, weights).edges
+            route = routes[origin, dest] = shortest_route(net, origin, dest, weights)[1]
         vehicle_routes.append(route)
     vtypes = labels_arr.tolist()
     # tuple.__new__ builds each SpawnSpec without a Python-level call.
@@ -408,7 +404,7 @@ class Simulation:
                  sample_detectors: bool = True):
         self.net = net
         self.sample_detectors = sample_detectors
-        self.center, self.arms = infer_layout(net)
+        _, self.arms = infer_layout(net)
         self.signals = SignalController(yellow_duration)
         self.clock = 0
 
@@ -441,7 +437,7 @@ class Simulation:
                     if approach:
                         offset = net.edges[self.arms[ARM_ORDER[arm]].junction_in].length
                 walls = [math.inf if signal_arm is None
-                         or SignalController(initial_phase=p).is_green(signal_arm, lane)
+                         or phase_is_green(p, signal_arm, lane)
                          else edge.length for p in range(PHASE_COUNT)]
                 walls.append(math.inf if signal_arm is None else edge.length)  # amber
                 lane_rows.append((arm, cell, offset, walls))
@@ -474,7 +470,6 @@ class Simulation:
         self._det_speed_sum = [0.0] * len(ARM_ORDER)
         self._det_speed_n = [0] * len(ARM_ORDER)
         self._det_count_sum = [0] * len(ARM_ORDER)
-        self._det_last: dict[str, DetectorReading] = {}
 
     # ------------------------------------------------------------- slots
 
@@ -576,8 +571,9 @@ class Simulation:
     def set_phase(self, phase: int) -> None:
         self.signals.set_phase(phase)
 
-    def step(self) -> None:
-        """Advance the world by one second.
+    def step(self) -> dict[str, DetectorReading] | None:
+        """Advance the world by one second, and return the reading per arm
+        of a detector window that closes with it (None at other steps).
 
         One array pass moves every vehicle; then the few that passed their
         edge end cross the node, arrive or hold, one lane at a time in
@@ -685,12 +681,13 @@ class Simulation:
             self._attempt_spawns(clock)
         signals.tick_end()
         self.clock = clock + 1
-        self._post_step_accounting()
+        readings = self._post_step_accounting()
         size = self._speed.size
         while size > INITIAL_SLOTS and 4 * self.active_count <= size:
             size //= 2
         if size < self._speed.size:
             self._relayout(size)
+        return readings
 
     def _attempt_spawns(self, clock: int) -> None:
         """Queue the specs that are due, then admit, in order, each waiting
@@ -725,8 +722,8 @@ class Simulation:
                 free, handles = self._free, self._handles
                 pos, leader, size = self._pos, self._leader, self._speed.size
             slot = free.pop()
-            v = handles[slot] = Vehicle(self, slot, spec.vehicle_id, spec.vtype,
-                                        spec.max_speed, spec.route, plan)
+            v = handles[slot] = Vehicle(self, slot, spec.vehicle_id, spec.max_speed,
+                                        spec.route, plan)
             v.lane = lane
             occupants = lanes[lane]
             leader[slot] = occupants[-1] if occupants else size + first_lane + lane
@@ -743,7 +740,7 @@ class Simulation:
         self._waiting = still
         self.active_count += admitted
 
-    def _post_step_accounting(self) -> None:
+    def _post_step_accounting(self) -> dict[str, DetectorReading] | None:
         pos = self._pos
         speed = self._speed
         self._wait += speed < self._halt
@@ -782,7 +779,8 @@ class Simulation:
                 self._det_speed_sum[a] = 0.0
                 self._det_speed_n[a] = 0
                 self._det_count_sum[a] = 0
-            self._det_last = readings
+            return readings
+        return None
 
     # ------------------------------------------------------------- sensors
 
@@ -798,14 +796,6 @@ class Simulation:
         near = cell < 10
         out[base[seen[near]] + cell[near]] = 1.0
         return out
-
-    def read_detectors(self) -> dict[str, DetectorReading]:
-        """Window aggregates, available exactly at each window boundary."""
-        if self.clock == 0 or self.clock % DETECTOR_PERIOD != 0:
-            raise RuntimeError(
-                f"detector readings are published every {DETECTOR_PERIOD} s; "
-                f"clock is {self.clock}")
-        return dict(self._det_last)
 
     # ------------------------------------------------------------- metrics
 
@@ -842,10 +832,6 @@ class Simulation:
     @property
     def pending_count(self) -> int:
         return len(self._future) + len(self._waiting)
-
-    @property
-    def finished(self) -> bool:
-        return self.pending_count == 0 and self.active_count == 0
 
     @property
     def done(self) -> bool:

@@ -39,8 +39,8 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     if not sim._free:
         sim._relayout(2 * sim._speed.size)
     slot = sim._free.pop()
-    v = sim._handles[slot] = Vehicle(sim, slot, vehicle_id, vtype,
-                                     VEHICLE_MAX_SPEED[vtype], route, plan)
+    v = sim._handles[slot] = Vehicle(sim, slot, vehicle_id, VEHICLE_MAX_SPEED[vtype],
+                                     route, plan)
     v.lane = lane
     sim._pos[slot] = pos
     sim._speed[slot] = speed

@@ -10,7 +10,6 @@ from flowctl.neuralnet import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
-    GradientSet,
     OptimizerState,
     PolicyNetwork,
     accumulate_logp_gradients,
@@ -36,12 +35,12 @@ def small_net(seed: int, sizes=(6, 5, 4, 3)) -> PolicyNetwork:
     return PolicyNetwork(weights=weights, biases=biases)
 
 
-def logp_gradient(net: PolicyNetwork, state, action: int) -> GradientSet:
+def logp_gradient(net: PolicyNetwork, state, action: int) -> PolicyNetwork:
     return accumulate_logp_gradients(net, np.asarray(state)[None, :], [action], [1.0])
 
 
 def numeric_logp_gradient(net: PolicyNetwork, x: np.ndarray, action: int,
-                          eps: float = 1e-5) -> GradientSet:
+                          eps: float = 1e-5) -> PolicyNetwork:
     """Central finite differences of log pi(action|x) over every parameter."""
 
     def logp(candidate: PolicyNetwork) -> float:
@@ -72,10 +71,10 @@ def numeric_logp_gradient(net: PolicyNetwork, x: np.ndarray, action: int,
             lo = logp(perturbed(li, idx, -eps, "b"))
             g[idx] = (hi - lo) / (2 * eps)
         gb.append(g)
-    return GradientSet(weights=tuple(gw), biases=tuple(gb))
+    return PolicyNetwork(weights=tuple(gw), biases=tuple(gb))
 
 
-def max_rel_error(analytic: GradientSet, numeric: GradientSet) -> float:
+def max_rel_error(analytic: PolicyNetwork, numeric: PolicyNetwork) -> float:
     worst = 0.0
     for a, f in zip((*analytic.weights, *analytic.biases),
                     (*numeric.weights, *numeric.biases)):
@@ -265,7 +264,7 @@ def test_apply_update_rejects_nonfinite():
     bad_w[0] = bad_w[0].copy()
     bad_w[0][0, 0] = np.nan
     with pytest.raises(ValueError):
-        apply_update(net, GradientSet(weights=tuple(bad_w), biases=g.biases), 1.0, opt)
+        apply_update(net, PolicyNetwork(weights=tuple(bad_w), biases=g.biases), 1.0, opt)
     with pytest.raises(ValueError):
         apply_update(net, g, float("inf"), opt)
 
@@ -315,8 +314,8 @@ def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
     m, v = copies(opt.m), copies(opt.v)
     rng = np.random.default_rng(36)
     for t in range(1, 6):
-        g = GradientSet(weights=tuple(rng.normal(size=w.shape) for w in net.weights),
-                        biases=tuple(rng.normal(size=b.shape) for b in net.biases))
+        g = PolicyNetwork(weights=tuple(rng.normal(size=w.shape) for w in net.weights),
+                          biases=tuple(rng.normal(size=b.shape) for b in net.biases))
         params, m, v = textbook_adam(params, g.weights + g.biases, m, v, t, scale, 0.01)
         net, opt = apply_update(net, g, scale, opt)
         assert opt.step == t
@@ -358,7 +357,7 @@ def test_rejected_update_changes_nothing(fault):
     arrays = net.weights + net.biases + opt.m + opt.v
     before = copies(arrays)
     with pytest.raises(ValueError):
-        apply_update(net, GradientSet(weights=g.weights, biases=tuple(biases)), scale, opt)
+        apply_update(net, PolicyNetwork(weights=g.weights, biases=tuple(biases)), scale, opt)
     assert opt.step == 1
     assert same_bits(arrays, before)
 

@@ -21,7 +21,6 @@ from flowctl.pgagent import (
     Memory,
     TrainConfig,
     action_cdf,
-    compute_reward,
     discounted_returns,
     drive_episode,
     fixed_cycle_policy,
@@ -184,8 +183,9 @@ def test_drive_episode_boundary_hook_fires_on_window():
     sim = Simulation(NET, spawn_schedule(NET, count=30, seed=6, horizon=20))
     seen = []
     drive_episode(sim, lambda s: 0, green_duration=4, max_decisions=20,
-                  boundary_hook=lambda s: seen.append(s.clock))
-    assert seen == [30, 60]
+                  boundary_hook=lambda s, readings: seen.append(
+                      (s.clock, {r.window_start for r in readings.values()})))
+    assert seen == [(30, {0}), (60, {30})]
 
 
 def test_fixed_cycle_policy_walks_phases():
@@ -198,11 +198,6 @@ def test_observation_shape():
     state = sim.read_sensors()
     assert state.shape == (80,)
     assert state.dtype == np.float64
-
-
-def test_compute_reward_sign():
-    assert compute_reward(10, 4) == 6.0
-    assert compute_reward(4, 10) == -6.0
 
 
 def test_select_action_follows_distribution():

@@ -121,10 +121,10 @@ def reference_rerouting(sim: Simulation, readings, threshold: float,
             u_twt = tail_time(current_tail, base, weights)
             destination = sim.net.edges[vehicle.route[-1]].to_node
             options = sorted(
-                (tail_time(r.edges, base, weights), r.edges)
-                for r in enumerate_routes(sim.net, edge.to_node, destination,
-                                          weights, k=max_alternatives)
-                if r.edges != current_tail)
+                (tail_time(tail, base, weights), tail)
+                for _, tail in enumerate_routes(sim.net, edge.to_node, destination,
+                                                weights, k=max_alternatives)
+                if tail != current_tail)
             switch = bool(options) and u_twt > options[0][0]
             if switch:
                 sim.replace_route_suffix(vehicle, options[0][1])
@@ -139,14 +139,15 @@ def reference_rerouting(sim: Simulation, readings, threshold: float,
 
 def rerouting(threshold: float):
     """A window hook that reroutes on the window's readings with k = 4."""
-    return lambda sim: apply_rerouting(sim, sim.read_detectors(), threshold, 4)
+    return lambda sim, readings: apply_rerouting(sim, readings, threshold, 4)
 
 
 def run_to_next_window(sim: Simulation, hook):
+    """Step to the next window boundary and call hook(sim, readings)."""
     while True:
-        sim.step()
-        if sim.clock % DETECTOR_PERIOD == 0:
-            return hook(sim)
+        readings = sim.step()
+        if readings is not None:
+            return hook(sim, readings)
 
 
 # ---------------------------------------------------------------- flagging
@@ -245,8 +246,7 @@ def test_stay_decision_matches_hand_computed_estimates():
 def test_detector_density_feeding_the_monitor():
     sim = build_west_jam()
     for _ in range(30):
-        sim.step()
-    readings = sim.read_detectors()
+        readings = sim.step()
     assert readings["w"].density == pytest.approx(JAM_DENSITY)
     assert readings["n"].density == 0.0
 
@@ -315,7 +315,7 @@ def test_best_alternative_empty_when_no_options():
     alternative is left: the vehicle stays and logs none."""
     sim = build_west_jam()
     new = run_to_next_window(
-        sim, lambda s: apply_rerouting(s, s.read_detectors(), 0.05, max_alternatives=1))
+        sim, lambda s, readings: apply_rerouting(s, readings, 0.05, max_alternatives=1))
     assert [(d.decision, d.best_alternative) for d in new] == [("stay", None)] * 3
     assert new[0].u_twt == pytest.approx(u_front(30.0), rel=1e-12)
 
@@ -351,8 +351,7 @@ def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
     threshold = 0.05
     pair_counts = []
 
-    def shared(sim):
-        readings = sim.read_detectors()
+    def shared(sim, readings):
         pairs = {(NET.edges[v.edge_id].to_node, NET.edges[v.route[-1]].to_node)
                  for arm in flagged_arms(readings, threshold)
                  for v, _ in candidate_vehicles(sim, arm)}
@@ -362,8 +361,8 @@ def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
         pair_counts.append(len(pairs))
         return decisions
 
-    def reference(sim):
-        return reference_rerouting(sim, sim.read_detectors(), threshold)
+    def reference(sim, readings):
+        return reference_rerouting(sim, readings, threshold)
 
     sim, ref = build_two_arm_jam(), build_two_arm_jam()
     decisions = []
@@ -400,7 +399,7 @@ def test_monitor_as_drive_episode_boundary_hook():
     reroute = rerouting(0.05)
     decisions = []
     drive_episode(sim, lambda state: 0, green_duration=4, max_decisions=50,
-                  boundary_hook=lambda sim: decisions.extend(reroute(sim)))
+                  boundary_hook=lambda sim, readings: decisions.extend(reroute(sim, readings)))
     assert sim.clock == 200
     times = [d.time for d in decisions]
     assert times and all(t % DETECTOR_PERIOD == 0 for t in times)
@@ -514,7 +513,7 @@ def test_grouped_rerouting_matches_the_per_vehicle_reference(
         origin = NET.edges[spec.route[0]].from_node
         destination = NET.edges[spec.route[-1]].to_node
         routes = enumerate_routes(NET, origin, destination, free_flow, k=4)
-        return spec._replace(route=routes[rng.integers(len(routes))].edges)
+        return spec._replace(route=routes[rng.integers(len(routes))][1])
 
     schedule = [detour(spec) for spec in spawn_schedule(NET, count, seed, horizon)]
     sim, ref = make_sim(schedule), make_sim(schedule)
@@ -526,12 +525,11 @@ def test_grouped_rerouting_matches_the_per_vehicle_reference(
         for s in (sim, ref):
             s.set_phase(phases[window // hold % len(phases)])
         for _ in range(DETECTOR_PERIOD):
-            sim.step()
-            ref.step()
+            measured, ref_measured = sim.step(), ref.step()
         readings = {arm: r if rng.random() < 0.4 else
                     dataclasses.replace(r, density=rng.uniform(0.0, 0.3))
-                    for arm, r in sim.read_detectors().items()}
-        assert readings.keys() == ref.read_detectors().keys()
+                    for arm, r in measured.items()}
+        assert readings.keys() == ref_measured.keys()
         flagged = flagged_arms(readings, threshold)
         weights = surcharged_weights(sim, readings, flagged)
         positions = {v.id: pos for arm in flagged for v, pos in candidate_vehicles(sim, arm)}

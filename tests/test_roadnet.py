@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -7,7 +8,6 @@ from flowctl import roadnet
 from flowctl.roadnet import (
     Edge,
     NetworkSpecError,
-    Route,
     UnreachableError,
     build_default_network,
     build_network,
@@ -22,30 +22,32 @@ from fileformats import network_to_text
 
 # ---------------------------------------------------------------- oracles
 
-def route_travel_time(net, route, weights):
-    """Total weight of a route; every edge must have a weight entry."""
-    for eid in route.edges:
+def route_travel_time(net, edges, weights):
+    """Total weight of a route's edge ids, summed left to right; every edge
+    must have a weight entry."""
+    for eid in edges:
         if eid not in net.edges:
             raise ValueError(f"route references unknown edge {eid!r}")
-    return sum(roadnet._edge_weight(weights, eid) for eid in route.edges)
+    return sum(roadnet._edge_weight(weights, eid) for eid in edges)
 
 
-def validate_route(route, net):
-    """Raise ValueError unless route is a connected edge-simple path in net."""
-    if not route.edges:
+def validate_route(edges, net, origin, destination):
+    """Raise ValueError unless the edge ids form a connected edge-simple
+    path in net from origin to destination."""
+    if not edges:
         raise ValueError("route has no edges")
-    if len(set(route.edges)) != len(route.edges):
+    if len(set(edges)) != len(edges):
         raise ValueError("route repeats an edge")
-    here = route.origin
-    for eid in route.edges:
+    here = origin
+    for eid in edges:
         edge = net.edges.get(eid)
         if edge is None:
             raise ValueError(f"route references unknown edge {eid!r}")
         if edge.from_node != here:
             raise ValueError(f"route breaks at edge {eid!r}: expected tail {here!r}")
         here = edge.to_node
-    if here != route.destination:
-        raise ValueError(f"route ends at {here!r}, not {route.destination!r}")
+    if here != destination:
+        raise ValueError(f"route ends at {here!r}, not {destination!r}")
 
 
 def brute_force_min_cost(net, origin, destination, weights):
@@ -148,8 +150,9 @@ def test_default_network_boundary_connectivity():
         for d in "nesw":
             if o == d:
                 continue
-            route = shortest_route(net, o, d, w)
-            validate_route(route, net)
+            cost, edges = shortest_route(net, o, d, w)
+            validate_route(edges, net, o, d)
+            assert cost == route_travel_time(net, edges, w)
 
 
 def test_edge_validation():
@@ -202,23 +205,20 @@ def test_default_network_round_trips_through_text_format():
 
 def test_shortest_single_edge():
     net = make_network([Edge("ab", "A", "B", 7.0)])
-    route = shortest_route(net, "A", "B", {"ab": 7.0})
-    assert route.edges == ("ab",)
+    assert shortest_route(net, "A", "B", {"ab": 7.0}) == (7.0, ("ab",))
 
 
 def test_shortest_triangle_prefers_two_hop():
     net, w = triangle()
-    route = shortest_route(net, "A", "B", w)
-    assert route.edges == ("ac", "cb")
-    assert route_travel_time(net, route, w) == 4.0
+    assert shortest_route(net, "A", "B", w) == (4.0, ("ac", "cb"))
 
 
 def test_shortest_default_straight_through():
     net = build_default_network()
     w = free_flow_weights(net)
-    route = shortest_route(net, "w", "e", w)
-    assert route.edges == ("app_w_in", "jct_w_in", "jct_e_out", "app_e_out")
-    t = route_travel_time(net, route, w)
+    t, edges = shortest_route(net, "w", "e", w)
+    assert edges == ("app_w_in", "jct_w_in", "jct_e_out", "app_e_out")
+    assert t == route_travel_time(net, edges, w)
     assert math.isclose(t, 2200.0 / 13.89)
     assert 158.2 < t < 158.5
 
@@ -226,8 +226,8 @@ def test_shortest_default_straight_through():
 def test_shortest_adjacent_pair_prefers_diagonal():
     net = build_default_network()
     w = free_flow_weights(net)
-    assert shortest_route(net, "w", "n", w).edges == ("diag_wn",)
-    assert shortest_route(net, "n", "e", w).edges == ("diag_ne",)
+    assert shortest_route(net, "w", "n", w)[1] == ("diag_wn",)
+    assert shortest_route(net, "n", "e", w)[1] == ("diag_ne",)
 
 
 def test_shortest_tie_breaks_lexicographically():
@@ -238,7 +238,7 @@ def test_shortest_tie_breaks_lexicographically():
         Edge("m_down", "U", "B", 1.0),
     ])
     w = {e: 1.0 for e in net.edges}
-    assert shortest_route(net, "A", "B", w).edges == ("a_bot", "m_down")
+    assert shortest_route(net, "A", "B", w) == (2.0, ("a_bot", "m_down"))
 
 
 def test_shortest_errors():
@@ -264,9 +264,10 @@ def test_shortest_matches_brute_force_on_random_graphs():
             with pytest.raises(UnreachableError):
                 shortest_route(net, o, d, weights)
             continue
-        route = shortest_route(net, o, d, weights)
-        validate_route(route, net)
-        assert math.isclose(route_travel_time(net, route, weights), expected)
+        cost, edges = shortest_route(net, o, d, weights)
+        validate_route(edges, net, o, d)
+        assert cost == route_travel_time(net, edges, weights)
+        assert math.isclose(cost, expected)
         checked += 1
 
 
@@ -274,9 +275,7 @@ def test_shortest_matches_brute_force_on_random_graphs():
 
 def test_enumerate_triangle_two_routes():
     net, w = triangle()
-    routes = enumerate_routes(net, "A", "B", w, k=2)
-    assert [r.edges for r in routes] == [("ac", "cb"), ("ab",)]
-    assert [route_travel_time(net, r, w) for r in routes] == [4.0, 5.0]
+    assert enumerate_routes(net, "A", "B", w, k=2) == [(4.0, ("ac", "cb")), (5.0, ("ab",))]
 
 
 def test_enumerate_k1_equals_shortest():
@@ -295,8 +294,8 @@ def test_enumerate_default_k3_includes_signal_free_route():
                 continue
             routes = enumerate_routes(net, o, d, w, k=3)
             assert any(
-                not any(net.edges[eid].signalized for eid in r.edges)
-                for r in routes
+                not any(net.edges[eid].signalized for eid in edges)
+                for _, edges in routes
             )
 
 
@@ -311,8 +310,7 @@ def test_enumerate_matches_brute_force_on_small_graphs():
             continue
         k = int(rng.integers(1, 5))
         routes = enumerate_routes(net, o, d, weights, k=k)
-        got = [(route_travel_time(net, r, weights), r.edges) for r in routes]
-        assert got == expected[:k]
+        assert routes == expected[:k]
         checked += 1
 
 
@@ -325,11 +323,11 @@ def test_enumerate_costs_non_decreasing_and_valid():
             routes = enumerate_routes(net, o, d, weights, k=4)
         except UnreachableError:
             continue
-        costs = [route_travel_time(net, r, weights) for r in routes]
-        assert costs == sorted(costs)
-        assert len({r.edges for r in routes}) == len(routes)
-        for r in routes:
-            validate_route(r, net)
+        costs = [route_travel_time(net, edges, weights) for _, edges in routes]
+        assert costs == sorted(costs) == [cost for cost, _ in routes]
+        assert len({edges for _, edges in routes}) == len(routes)
+        for _, edges in routes:
+            validate_route(edges, net, o, d)
         assert routes[0] == shortest_route(net, o, d, weights)
 
 
@@ -349,11 +347,62 @@ def test_enumerate_raises_at_search_cap(monkeypatch, cap):
         enumerate_routes(net, "w", "e", w, k=4)
 
 
+# ------------------------------------------------------- drawn crossroads
+
+ARMS = ("n", "e", "s", "w")
+# Few distinct lengths, limits and surcharges, so equal-cost routes are
+# common and the edge-id tie-break is exercised.
+LENGTHS = st.sampled_from(["100.0", "200.0", "300.0", "1414.0"])
+SPEEDS = st.sampled_from(["10.0", "20.0", "13.89"])
+
+
+@st.composite
+def crossroad_text(draw) -> str:
+    """A four-arm crossroad in `build_network`'s text format, with drawn
+    lengths and limits; each diagonal bypass edge may be left out."""
+    lines = [f"node {n}" for n in ("c",) + ARMS + tuple(f"{a}i" for a in ARMS)]
+    for a in ARMS:
+        for eid, src, dst, signal in ((f"app_{a}_in", a, f"{a}i", 0),
+                                      (f"jct_{a}_in", f"{a}i", "c", 1),
+                                      (f"jct_{a}_out", "c", f"{a}i", 0),
+                                      (f"app_{a}_out", f"{a}i", a, 0)):
+            lines.append(f"edge {eid} {src} {dst} {draw(LENGTHS)} 4 {draw(SPEEDS)} {signal}")
+    for a, b in zip(ARMS, ARMS[1:] + ARMS[:1]):
+        for src, dst in ((a, b), (b, a)):
+            if draw(st.booleans()):
+                lines.append(f"edge diag_{src}{dst} {src} {dst} {draw(LENGTHS)} 1 "
+                             f"{draw(SPEEDS)} 0")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=crossroad_text(), data=st.data())
+def test_searches_on_drawn_crossroads_match_exhaustive_search(text, data):
+    """On drawn crossroads, with free-flow weights plus drawn surcharges,
+    between every ordered pair of nodes: shortest_route is the exhaustive
+    node-simple minimum by (cost, edge ids), enumerate_routes(k) is the
+    exhaustive k cheapest, and every returned cost is the left-to-right
+    sum of its edges' weights."""
+    net = build_network(text)
+    weights = free_flow_weights(net)
+    for eid in data.draw(st.lists(st.sampled_from(sorted(net.edges)), max_size=6)):
+        weights[eid] += data.draw(st.sampled_from([2.5, 10.0, 37.125]))
+    k = data.draw(st.integers(1, 8))
+    for origin in sorted(net.nodes):
+        for destination in sorted(net.nodes - {origin}):
+            expected = brute_force_routes(net, origin, destination, weights)
+            assert shortest_route(net, origin, destination, weights) == expected[0]
+            routes = enumerate_routes(net, origin, destination, weights, k=k)
+            assert routes == expected[:k]
+            for cost, edges in routes:
+                assert cost == route_travel_time(net, edges, weights)
+
+
 # ---------------------------------------------------------------- weights
 
 def test_travel_time_requires_weight_for_every_edge():
     net, w = triangle()
-    route = Route(edges=("ac", "cb"), origin="A", destination="B")
+    route = ("ac", "cb")
     with pytest.raises(ValueError):
         route_travel_time(net, route, {"ac": 2.0})
     doubled = {k: 2 * v for k, v in w.items()}
@@ -370,10 +419,7 @@ def test_free_flow_weights_match_edges():
 def test_route_validate_rejects_broken_chains():
     net = build_default_network()
     with pytest.raises(ValueError):
-        validate_route(Route(edges=("app_w_in", "jct_e_in"), origin="w",
-                             destination="c"), net)
+        validate_route(("app_w_in", "jct_e_in"), net, "w", "c")
     with pytest.raises(ValueError):
-        validate_route(Route(edges=("app_w_in", "app_w_in"), origin="w",
-                             destination="wi"), net)
-    validate_route(Route(edges=("app_w_in", "jct_w_in"), origin="w",
-                         destination="c"), net)
+        validate_route(("app_w_in", "app_w_in"), net, "w", "wi")
+    validate_route(("app_w_in", "jct_w_in"), net, "w", "c")

@@ -10,6 +10,7 @@ import pytest
 from flowctl.roadnet import build_default_network, build_network
 from flowctl.simcore import (
     ARM_ORDER,
+    DETECTOR_PERIOD,
     HALT_SPEED,
     MIN_GAP,
     DetectorReading,
@@ -20,6 +21,7 @@ from flowctl.simcore import (
     Simulation,
     SpawnSpec,
     infer_layout,
+    phase_is_green,
     spawn_schedule,
 )
 
@@ -33,9 +35,12 @@ def make_sim(schedule=(), **kw) -> Simulation:
     return Simulation(NET, schedule, **kw)
 
 
-def run_steps(sim: Simulation, n: int) -> None:
+def run_steps(sim: Simulation, n: int):
+    """Step n times and return what the last step returned."""
+    out = None
     for _ in range(n):
-        sim.step()
+        out = sim.step()
+    return out
 
 
 STRAIGHT_W = ("app_w_in", "jct_w_in", "jct_e_out", "app_e_out")
@@ -67,17 +72,18 @@ def test_infer_layout_rejects_wrong_signal_count():
 # ----------------------------------------------------------------- signals
 
 def test_signal_phase_lane_map():
-    sig = SignalController()
     for phase, greens in [
         (0, {("n", 1), ("n", 2), ("n", 3), ("s", 1), ("s", 2), ("s", 3)}),
         (1, {("n", 0), ("s", 0)}),
         (2, {("e", 1), ("e", 2), ("e", 3), ("w", 1), ("w", 2), ("w", 3)}),
         (3, {("e", 0), ("w", 0)}),
     ]:
-        sig = SignalController(initial_phase=phase)
         observed = {(a, l) for a in ARM_ORDER for l in range(4)
-                    if sig.is_green(a, l)}
+                    if phase_is_green(phase, a, l)}
         assert observed == greens
+    sig = SignalController()  # starts green in phase 0
+    assert all(sig.is_green(a, l) == phase_is_green(0, a, l)
+               for a in ARM_ORDER for l in range(4))
 
 
 def test_phase_change_runs_exactly_two_amber_steps():
@@ -120,9 +126,9 @@ def test_reselecting_phase_extends_green():
 
 
 def test_signal_rejects_bad_phase():
-    with pytest.raises(ValueError):
-        SignalController(initial_phase=4)
     sig = SignalController()
+    with pytest.raises(ValueError):
+        sig.set_phase(4)
     with pytest.raises(ValueError):
         sig.set_phase(-1)
 
@@ -430,18 +436,23 @@ def test_sensor_arm_blocks_are_ordered_n_e_s_w():
 
 # --------------------------------------------------------------- detectors
 
-def test_read_detectors_only_at_window_boundaries():
-    sim = make_sim()
-    with pytest.raises(RuntimeError):
-        sim.read_detectors()
-    run_steps(sim, 29)
-    with pytest.raises(RuntimeError):
-        sim.read_detectors()
-    sim.step()
-    readings = sim.read_detectors()
-    assert set(readings) == set(ARM_ORDER)
-    assert all(isinstance(r, DetectorReading) for r in readings.values())
-    assert readings["n"].window_start == 0
+@pytest.mark.parametrize("sample_detectors", [True, False])
+def test_step_returns_readings_only_at_window_boundaries(sample_detectors):
+    sim = make_sim(spawn_schedule(NET, count=60, seed=4, horizon=60),
+                   sample_detectors=sample_detectors)
+    windows = 0
+    while sim.clock < 4 * DETECTOR_PERIOD:
+        readings = sim.step()
+        if sim.clock % DETECTOR_PERIOD:
+            assert readings is None
+            continue
+        windows += 1
+        assert list(readings) == list(ARM_ORDER)
+        for arm, r in readings.items():
+            assert isinstance(r, DetectorReading)
+            assert (r.arm, r.window_start) == (arm, sim.clock - DETECTOR_PERIOD)
+            assert (r.vehicle_count is None) == (not sample_detectors)
+    assert windows == 4
 
 
 def test_detector_density_of_standing_queue():
@@ -451,8 +462,7 @@ def test_detector_density_of_standing_queue():
     for i in range(40):
         lane = 1 if i < 20 else 2
         place_vehicle(sim, f"q{i}", route, lane=lane, pos=97.5 - 2.5 * (i % 20))
-    run_steps(sim, 30)
-    readings = sim.read_detectors()
+    readings = run_steps(sim, 30)
     assert readings["w"].density == pytest.approx(0.04)
     assert readings["n"].density == 0.0
     assert readings["w"].vehicle_count == 0  # none inside the approach span
@@ -464,8 +474,7 @@ def test_detector_counts_distinct_vehicles_in_span():
                       route=STRAIGHT_W) for d in (0, 4, 8)]
     sim = Simulation(NET, spec)
     sim.set_phase(2)
-    run_steps(sim, 30)
-    readings = sim.read_detectors()
+    readings = run_steps(sim, 30)
     assert readings["w"].vehicle_count == 3
     assert readings["w"].mean_speed > 0.0
 
@@ -484,14 +493,13 @@ def test_unsampled_detectors_change_nothing_but_count_and_mean_speed():
         on.set_phase(phase)
         off.set_phase(phase)
         for _ in range(steps):
-            on.step()
-            off.step()
+            sampled, unsampled = on.step(), off.step()
             for name in ("_pos", "_speed", "_wait"):
                 assert getattr(on, name).tobytes() == getattr(off, name).tobytes()
             assert on.clock == off.clock
-            if on.clock % 30 == 0:
+            assert (sampled is None) == (unsampled is None)
+            if sampled is not None:
                 windows += 1
-                sampled, unsampled = on.read_detectors(), off.read_detectors()
                 for arm in ARM_ORDER:
                     assert unsampled[arm].window_start == sampled[arm].window_start
                     assert unsampled[arm].density == sampled[arm].density
@@ -563,7 +571,7 @@ def test_conservation_and_invariants_over_random_episode():
             if sim.done:
                 break
         sim.validate()
-    assert sim.finished
+    assert sim.pending_count == sim.active_count == 0
     assert sim.arrived_count == 150
 
 

@@ -370,8 +370,8 @@ def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
     if node == dest:
         return None
     done = set(v.route[:v.route_idx + 1])
-    options = [r.edges for r in enumerate_routes(sim.net, node, dest, weights, 4)
-               if not done.intersection(r.edges)]
+    options = [tail for _, tail in enumerate_routes(sim.net, node, dest, weights, 4)
+               if not done.intersection(tail)]
     if not options:
         return None
     return v.id, options[option_pick % len(options)]
@@ -388,7 +388,7 @@ def step_both(sim: Simulation, ref: ReferenceSimulation) -> None:
     """Step both, check the invariants, and require exact agreement.
     At most the front vehicle of each lane may leave it in one step."""
     before = lane_ids(sim)
-    sim.step()
+    readings = sim.step()
     ref.step()
     after = lane_ids(sim)
     for key, ids in before.items():
@@ -398,7 +398,9 @@ def step_both(sim: Simulation, ref: ReferenceSimulation) -> None:
     assert lane_state(iter_vehicles(sim)) == lane_state(ref.iter_vehicles())
     assert counters(sim) == counters(ref)
     if sim.clock % DETECTOR_PERIOD == 0:
-        assert sim.read_detectors() == ref._det_last
+        assert readings == ref._det_last
+    else:
+        assert readings is None
 
 
 # ------------------------------------------------------------------ tests

@@ -70,7 +70,7 @@ def reference_schedule(net, count, seed, horizon):
             dest = LEFT_EXIT[origin] if side == 0 else RIGHT_EXIT[origin]
         key = (origin, dest)
         if key not in route_cache:
-            route_cache[key] = shortest_route(net, origin, dest, weights).edges
+            route_cache[key] = shortest_route(net, origin, dest, weights)[1]
         vtype = str(labels_arr[i])
         specs.append((int(times[i]), f"v{i}", vtype, VEHICLE_MAX_SPEED[vtype],
                       route_cache[key]))
