@@ -26,11 +26,12 @@ final-quarter reward.
 
 Each file job has one path: `_read` for the config, network and schedule
 files (a failed read is a ConfigError), `_key_value_lines` and
-`_key_value_text` for the `key = value` format, `csv_lines` with the one
-scalar formatter `_fmt` for every table, and `_atomic_write` (temp file,
-then rename) for every artifact, `policy.bin` included.  `write_lines`
-streams each table's lines into the temp file as they are rendered, so no
-table, the reroute log of a long run included, is held as one string.
+`_key_value_text` for the `key = value` format, whose values `_fmt`
+renders (`str()`, but booleans as true/false), `csv_lines` for every
+table, each cell by `str()`, and `_atomic_write` (temp file, then rename)
+for every artifact, `policy.bin` included.  `write_lines` streams each
+table's lines into the temp file as they are rendered, so no table, the
+reroute log of a long run included, is held as one string.
 """
 
 from __future__ import annotations
@@ -209,32 +210,18 @@ def write_lines(path: Path, lines) -> Path:
 
 
 def _fmt(value) -> str:
-    """Stable scalar rendering: strings as they are, ints plain, floats via
-    repr.  Exact str, float and int cost one class test; bools, numpy
-    scalars and subclasses take the general branches."""
-    cls = value.__class__
-    if cls is str:
-        return value
-    if cls is float or cls is int:
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    """A `key = value` file's value: booleans as true/false, which the
+    config parser reads back, and everything else by `str()`."""
+    return str(value).lower() if value is True or value is False else str(value)
 
 
 def csv_lines(header: str, rows):
     """A header line, then one line per row of cells, rendered as the lines
-    are consumed.  String cells are written as they are, without a call,
-    and every other cell through `_fmt`: the reroute log runs to tens of
-    thousands of mostly-string rows."""
+    are consumed.  Every cell is a str, int or float, and `str()` writes
+    it: a float's `str` is its repr, so it reads back to the same value."""
     yield header + "\n"
     for row in rows:
-        yield ",".join([cell if cell.__class__ is str else _fmt(cell)
-                        for cell in row]) + "\n"
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _key_value_lines(text: str):
@@ -331,9 +318,10 @@ def schedule_seed(base_seed: int, episode: int) -> int:
 def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
     """Parse a demand override: CSV `depart,vtype,origin,destination`.
 
-    Routes are the free-flow shortest paths; vehicle ids are v0, v1, ... in
-    row order; the result is sorted by departure time.  Errors name the
-    line of the file, counting blank lines.
+    Routes are the free-flow shortest paths, searched once per (origin,
+    destination) pair; vehicle ids are v0, v1, ... in row order; the result
+    is sorted by departure time.  Errors name the line of the file,
+    counting blank lines.
     """
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
              if line.strip()]
@@ -341,6 +329,7 @@ def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
         raise ConfigError(
             f"schedule file must start with header {SCHEDULE_HEADER!r}")
     weights = free_flow_weights(net)
+    routes: dict[tuple[str, str], tuple[str, ...]] = {}
     specs = []
     for row, (lineno, line) in enumerate(lines[1:]):
         parts = [p.strip() for p in line.split(",")]
@@ -356,10 +345,13 @@ def load_schedule_file(net: RoadNetwork, text: str) -> tuple[SpawnSpec, ...]:
             raise ConfigError(f"schedule line {lineno}: depart must be >= 0")
         if vtype not in VEHICLE_MAX_SPEED:
             raise ConfigError(f"schedule line {lineno}: unknown vtype {vtype!r}")
-        try:
-            _, route = shortest_route(net, origin, destination, weights)
-        except ValueError as exc:
-            raise ConfigError(f"schedule line {lineno}: {exc}") from None
+        route = routes.get((origin, destination))
+        if route is None:
+            try:
+                _, route = shortest_route(net, origin, destination, weights)
+            except ValueError as exc:
+                raise ConfigError(f"schedule line {lineno}: {exc}") from None
+            routes[origin, destination] = route
         specs.append(SpawnSpec(depart=depart, vehicle_id=f"v{row}",
                                vtype=vtype, max_speed=VEHICLE_MAX_SPEED[vtype],
                                route=route))

@@ -211,6 +211,35 @@ def test_load_schedule_file_rejects_bad_rows():
         load_schedule_file(NET, "\n" + head + "0,car,w,e\n\n\nsoon,car,w,e\n")
 
 
+def test_load_schedule_file_searches_each_pair_once(monkeypatch):
+    """400 rows over three (origin, destination) pairs make three route
+    searches, and every row gets its pair's shortest route; a pair that
+    has no route is reported at its first line, after good rows."""
+    pairs = [("w", "e"), ("n", "e"), ("s", "w")]
+    head = "depart,vtype,origin,destination\n"
+    text = head + "".join(f"{t},car,{o},{d}\n"
+                          for t in range(400) for o, d in [pairs[t * 7 % 3]])
+    searches = []
+    search = harness.shortest_route
+
+    def counting(net, origin, destination, weights):
+        searches.append((origin, destination))
+        return search(net, origin, destination, weights)
+
+    monkeypatch.setattr(harness, "shortest_route", counting)
+    specs = load_schedule_file(NET, text)
+    assert sorted(searches) == sorted(pairs)
+    weights = harness.free_flow_weights(NET)
+    for spec in specs:
+        origin, destination = pairs[int(spec.depart) * 7 % 3]
+        assert spec.route == search(NET, origin, destination, weights)[1]
+    searches.clear()
+    with pytest.raises(ConfigError, match="schedule line 4: "):
+        load_schedule_file(NET, head + "0,car,w,e\n1,car,w,e\n2,car,w,nowhere\n"
+                           "3,car,w,nowhere\n")
+    assert searches == [("w", "e"), ("w", "nowhere")]
+
+
 def test_schedule_file_override_drives_a_run(tmp_path):
     sched = tmp_path / "demand.csv"
     sched.write_text("depart,vtype,origin,destination\n"

@@ -11,7 +11,12 @@ import pytest
 
 from flowctl import rerouter
 from flowctl.pgagent import drive_episode
-from flowctl.roadnet import build_default_network, enumerate_routes, free_flow_weights
+from flowctl.roadnet import (
+    build_default_network,
+    build_network,
+    enumerate_routes,
+    free_flow_weights,
+)
 from flowctl.rerouter import (
     RerouteDecision,
     apply_rerouting,
@@ -27,6 +32,7 @@ from flowctl.simcore import (
     spawn_schedule,
 )
 
+from crossroads import crossroad_text
 from simstate import iter_vehicles, place_vehicle
 
 NET = build_default_network()
@@ -58,8 +64,8 @@ def alt_via_north(t_wt: float) -> float:
 ALT_DIAGONALS = APP_FF + 2 * DIAG_FF  # double back, two bypass diagonals
 
 
-def make_sim(schedule=()) -> Simulation:
-    return Simulation(NET, schedule)
+def make_sim(schedule=(), net=NET) -> Simulation:
+    return Simulation(net, schedule)
 
 
 def reading(arm: str, density: float) -> DetectorReading:
@@ -425,34 +431,40 @@ def park_queue(sim: Simulation, arm: str) -> None:
                           lane=lane, pos=97.5 - 2.5 * j)
 
 
-def window_cost(route, pos, weights):
+def window_cost(net, route, pos, weights):
     """The window's estimate for a vehicle at `pos` on route[0] that drives
     the rest of `route`, written out as `reference_rerouting` prices it."""
-    edge = NET.edges[route[0]]
+    edge = net.edges[route[0]]
     total = (edge.length - pos) / edge.length * weights[route[0]]
     return total + sum(weights[eid] for eid in route[1:])
 
 
+def simple_tails(net, origin: str, destination: str) -> tuple[tuple[str, ...], ...]:
+    """Every node-simple edge path from origin to destination in net, by
+    exhaustive search; memoized per set of edges, so per network."""
+    return _simple_tails(tuple(net.edges.values()), origin, destination)
+
+
 @functools.cache
-def simple_tails(origin: str, destination: str) -> tuple[tuple[str, ...], ...]:
-    """Every node-simple edge path from origin to destination on the
-    default crossroad, by exhaustive search."""
+def _simple_tails(edges, origin, destination):
+    adjacency = {}
+    for edge in edges:
+        adjacency.setdefault(edge.from_node, []).append(edge)
     tails = []
 
     def extend(node, visited, path):
         if node == destination:
             tails.append(path)
             return
-        for eid in NET.adjacency.get(node, ()):
-            nxt = NET.edges[eid].to_node
-            if nxt not in visited:
-                extend(nxt, visited | {nxt}, path + (eid,))
+        for edge in adjacency.get(node, ()):
+            if edge.to_node not in visited:
+                extend(edge.to_node, visited | {edge.to_node}, path + (edge.id,))
 
     extend(origin, {origin}, ())
     return tuple(tails)
 
 
-def brute_force_best_alternative(route, pos, weights, max_alternatives):
+def brute_force_best_alternative(net, route, pos, weights, max_alternatives):
     """The best alternative for a vehicle at `pos` on route[0], by
     exhaustive search: the unfinished part of the current edge plus the
     cheapest node-simple tail to the destination other than the current
@@ -460,7 +472,7 @@ def brute_force_best_alternative(route, pos, weights, max_alternatives):
     test_acceptance.py.  With k = 1 only the cheapest tail is offered (ties
     broken by edge ids), so there is none when that tail is the current one."""
     ranked = []
-    for tail in simple_tails(NET.edges[route[0]].to_node, NET.edges[route[-1]].to_node):
+    for tail in simple_tails(net, net.edges[route[0]].to_node, net.edges[route[-1]].to_node):
         cost = 0.0
         for eid in tail:
             cost += weights[eid]
@@ -468,55 +480,27 @@ def brute_force_best_alternative(route, pos, weights, max_alternatives):
     ranked.sort()
     others = [cost for cost, tail in ranked[:1 if max_alternatives == 1 else None]
               if tail != route[1:]]
-    return window_cost(route[:1], pos, weights) + others[0] if others else None
+    return window_cost(net, route[:1], pos, weights) + others[0] if others else None
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          phases=[phase for phase in Phase if phase is not Phase.shrink])
-# Two runs that are known to switch: all arms parked, and one phase held
-# for eight or more windows, so the red arms' bypasses win.  The third holds
-# phase 0 against all four parked arms with k = 3: through traffic behind
-# the red jams is offered the diagonal bypass only because the search ranks
-# tails by the stop-line wait too.
-@example(count=280, seed=3, horizon=160, parked=set(ARM_ORDER), windows=8, hold=8,
-         phases=[0], threshold=0.0, max_alternatives=5, density_seed=1)
-@example(count=200, seed=4, horizon=90, parked={"n", "e", "s"}, windows=10, hold=10,
-         phases=[2, 0], threshold=0.05, max_alternatives=4, density_seed=2)
-@example(count=223, seed=1, horizon=76, parked=set(ARM_ORDER), windows=10, hold=10,
-         phases=[0], threshold=0.0, max_alternatives=3, density_seed=0)
-@given(count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
-       horizon=st.integers(1, 240), parked=st.sets(st.sampled_from(ARM_ORDER)),
-       windows=st.integers(1, 12), hold=st.integers(1, 12),
-       phases=st.lists(st.integers(0, 3), min_size=1, max_size=4),
-       threshold=st.floats(0.0, 0.12), max_alternatives=st.integers(1, 5),
-       density_seed=st.integers(0, 2**32 - 1))
-def test_grouped_rerouting_matches_the_per_vehicle_reference(
-        count, seed, horizon, parked, windows, hold, phases, threshold,
-        max_alternatives, density_seed):
-    """Drawn demand, parked queues, phase plans (each phase held for `hold`
-    windows, so that long reds build the stop-line waits that make bypasses
-    win), thresholds and alternative counts.  About a third of the vehicles
-    get one of their four cheapest free-flow routes, drawn at random, so
-    vehicles bound for one destination differ in their current tails.  At
-    each window every arm keeps its measured density or gets a drawn one.
-    Both simulations must log equal decisions and stay equal, and every
-    switch must be a strictly cheaper, connected route to the same
-    destination.  Every estimate must be the window's cost of the route,
-    and every best alternative the cheapest other tail that an exhaustive
-    search over the crossroad finds."""
+def check_grouped_rerouting(net, count, seed, horizon, parked, windows, hold, phases,
+                            threshold, max_alternatives, density_seed):
+    """Run apply_rerouting and the per-vehicle reference side by side on
+    net for one drawn plan, and check every decision; see
+    `test_grouped_rerouting_matches_the_per_vehicle_reference`."""
     rng = np.random.default_rng(density_seed)
-    free_flow = free_flow_weights(NET)
+    free_flow = free_flow_weights(net)
 
     def detour(spec):
         if rng.random() >= 1 / 3:
             return spec
-        origin = NET.edges[spec.route[0]].from_node
-        destination = NET.edges[spec.route[-1]].to_node
-        routes = enumerate_routes(NET, origin, destination, free_flow, k=4)
+        origin = net.edges[spec.route[0]].from_node
+        destination = net.edges[spec.route[-1]].to_node
+        routes = enumerate_routes(net, origin, destination, free_flow, k=4)
         return spec._replace(route=routes[rng.integers(len(routes))][1])
 
-    schedule = [detour(spec) for spec in spawn_schedule(NET, count, seed, horizon)]
-    sim, ref = make_sim(schedule), make_sim(schedule)
+    schedule = [detour(spec) for spec in spawn_schedule(net, count, seed, horizon)]
+    sim, ref = make_sim(schedule, net), make_sim(schedule, net)
     for arm in sorted(parked):
         park_queue(sim, arm)
         park_queue(ref, arm)
@@ -541,9 +525,9 @@ def test_grouped_rerouting_matches_the_per_vehicle_reference(
         for d in got:
             assert type(d) is RerouteDecision and d.time == sim.clock
             pos = positions[d.vehicle]
-            assert window_cost(d.old_route, pos, weights) == d.u_twt
+            assert window_cost(net, d.old_route, pos, weights) == d.u_twt
             assert d.best_alternative == brute_force_best_alternative(
-                d.old_route, pos, weights, max_alternatives)
+                net, d.old_route, pos, weights, max_alternatives)
             if d.decision == "stay":
                 assert d.new_route is d.old_route
                 continue
@@ -551,12 +535,69 @@ def test_grouped_rerouting_matches_the_per_vehicle_reference(
             switched.add(d.vehicle)
             old, new = d.old_route, d.new_route
             assert new[0] == old[0] and new != old
-            assert NET.edges[new[-1]].to_node == NET.edges[old[-1]].to_node
-            assert all(NET.edges[a].to_node == NET.edges[b].from_node
+            assert net.edges[new[-1]].to_node == net.edges[old[-1]].to_node
+            assert all(net.edges[a].to_node == net.edges[b].from_node
                        for a, b in zip(new, new[1:]))
-            assert window_cost(new, pos, weights) == d.best_alternative < d.u_twt
+            assert window_cost(net, new, pos, weights) == d.best_alternative < d.u_twt
             vehicle = vehicles[d.vehicle]
             assert vehicle.rerouted and vehicle.remaining_route == new
         assert [(v.id, v.route, v.lane, v.pos) for v in iter_vehicles(sim)] == \
             [(v.id, v.route, v.lane, v.pos) for v in iter_vehicles(ref)]
     sim.validate()
+
+
+# Drawn demand and phase plans for check_grouped_rerouting.
+PLANS = dict(count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+             horizon=st.integers(1, 240), parked=st.sets(st.sampled_from(ARM_ORDER)),
+             windows=st.integers(1, 12), hold=st.integers(1, 12),
+             phases=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+             threshold=st.floats(0.0, 0.12), max_alternatives=st.integers(1, 5),
+             density_seed=st.integers(0, 2**32 - 1))
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=NO_SHRINK)
+# Two runs that are known to switch: all arms parked, and one phase held
+# for eight or more windows, so the red arms' bypasses win.  The third holds
+# phase 0 against all four parked arms with k = 3: through traffic behind
+# the red jams is offered the diagonal bypass only because the search ranks
+# tails by the stop-line wait too.
+@example(count=280, seed=3, horizon=160, parked=set(ARM_ORDER), windows=8, hold=8,
+         phases=[0], threshold=0.0, max_alternatives=5, density_seed=1)
+@example(count=200, seed=4, horizon=90, parked={"n", "e", "s"}, windows=10, hold=10,
+         phases=[2, 0], threshold=0.05, max_alternatives=4, density_seed=2)
+@example(count=223, seed=1, horizon=76, parked=set(ARM_ORDER), windows=10, hold=10,
+         phases=[0], threshold=0.0, max_alternatives=3, density_seed=0)
+@given(**PLANS)
+def test_grouped_rerouting_matches_the_per_vehicle_reference(
+        count, seed, horizon, parked, windows, hold, phases, threshold,
+        max_alternatives, density_seed):
+    """Drawn demand, parked queues, phase plans (each phase held for `hold`
+    windows, so that long reds build the stop-line waits that make bypasses
+    win), thresholds and alternative counts.  About a third of the vehicles
+    get one of their four cheapest free-flow routes, drawn at random, so
+    vehicles bound for one destination differ in their current tails.  At
+    each window every arm keeps its measured density or gets a drawn one.
+    Both simulations must log equal decisions and stay equal, and every
+    switch must be a strictly cheaper, connected route to the same
+    destination.  Every estimate must be the window's cost of the route,
+    and every best alternative the cheapest other tail that an exhaustive
+    search over the crossroad finds."""
+    check_grouped_rerouting(NET, count, seed, horizon, parked, windows, hold, phases,
+                            threshold, max_alternatives, density_seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=NO_SHRINK)
+@given(text=crossroad_text(), **PLANS)
+def test_grouped_rerouting_matches_the_reference_on_drawn_crossroads(
+        text, count, seed, horizon, parked, windows, hold, phases, threshold,
+        max_alternatives, density_seed):
+    """The checks of the test above on crossroads drawn in `build_network`'s
+    text format, with drawn lengths and limits and each diagonal present
+    or not.  Where the diagonal to an adjacent arm is missing or slow, the
+    trip turns left or right at the junction and keeps to that turn's lane,
+    which the default crossroad's demand never does."""
+    check_grouped_rerouting(build_network(text), count, seed, horizon, parked, windows,
+                            hold, phases, threshold, max_alternatives, density_seed)

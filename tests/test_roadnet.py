@@ -17,6 +17,7 @@ from flowctl.roadnet import (
     shortest_route,
 )
 
+from crossroads import crossroad_text
 from fileformats import network_to_text
 
 
@@ -348,32 +349,6 @@ def test_enumerate_raises_at_search_cap(monkeypatch, cap):
 
 
 # ------------------------------------------------------- drawn crossroads
-
-ARMS = ("n", "e", "s", "w")
-# Few distinct lengths, limits and surcharges, so equal-cost routes are
-# common and the edge-id tie-break is exercised.
-LENGTHS = st.sampled_from(["100.0", "200.0", "300.0", "1414.0"])
-SPEEDS = st.sampled_from(["10.0", "20.0", "13.89"])
-
-
-@st.composite
-def crossroad_text(draw) -> str:
-    """A four-arm crossroad in `build_network`'s text format, with drawn
-    lengths and limits; each diagonal bypass edge may be left out."""
-    lines = [f"node {n}" for n in ("c",) + ARMS + tuple(f"{a}i" for a in ARMS)]
-    for a in ARMS:
-        for eid, src, dst, signal in ((f"app_{a}_in", a, f"{a}i", 0),
-                                      (f"jct_{a}_in", f"{a}i", "c", 1),
-                                      (f"jct_{a}_out", "c", f"{a}i", 0),
-                                      (f"app_{a}_out", f"{a}i", a, 0)):
-            lines.append(f"edge {eid} {src} {dst} {draw(LENGTHS)} 4 {draw(SPEEDS)} {signal}")
-    for a, b in zip(ARMS, ARMS[1:] + ARMS[:1]):
-        for src, dst in ((a, b), (b, a)):
-            if draw(st.booleans()):
-                lines.append(f"edge diag_{src}{dst} {src} {dst} {draw(LENGTHS)} 1 "
-                             f"{draw(SPEEDS)} 0")
-    return "\n".join(lines) + "\n"
-
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(text=crossroad_text(), data=st.data())
