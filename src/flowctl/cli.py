@@ -10,7 +10,8 @@ BLAS runs one thread per process unless the caller's environment sets a
 count.  On a 2-CPU host a second thread saved about 13% of policy-update
 time when the host was idle and cost a factor of four when another process
 was busy.  The variables must be set before numpy is imported; `run_many`
-workers inherit them.
+workers, fresh interpreters, inherit them (and `run_many` defaults them the
+same way for callers that do not go through the CLI).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import os
 import sys
 from pathlib import Path
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+from . import BLAS_THREAD_VARS
+
+for _name in BLAS_THREAD_VARS:
     os.environ.setdefault(_name, "1")
 
 from .harness import (  # noqa: E402 - numpy must see the thread settings

@@ -28,10 +28,17 @@ Each file job has one path: `_read` for the config, network and schedule
 files (a failed read is a ConfigError), `_key_value_lines` and
 `_key_value_text` for the `key = value` format, whose values `_fmt`
 renders (`str()`, but booleans as true/false), `csv_lines` for every
-table, each cell by `str()`, and `_atomic_write` (temp file, then rename)
-for every artifact, `policy.bin` included.  `write_lines` streams each
-table's lines into the temp file as they are rendered, so no table, the
-reroute log of a long run included, is held as one string.
+other table, each cell by `str()`, and `_atomic_write` (temp file, then
+rename) for every artifact, `policy.bin` included.  The reroute log, one
+row per rerouting evaluation and by far the largest table, is rendered by
+`reroutes_csv`: the lines `csv_lines` would give, from one f-string per
+row (an empty format spec is `str()`), with each distinct old route joined
+once.  `write_lines` streams each table's lines into the temp file as they
+are rendered, so no table, the reroute log of a long run included, is held
+as one string.
+
+`run_many` runs its workers as fresh interpreters with one BLAS thread
+each, unless the caller's environment sets a count.
 """
 
 from __future__ import annotations
@@ -42,11 +49,12 @@ import statistics
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from . import rerouter
+from . import BLAS_THREAD_VARS, rerouter
 from .neuralnet import PolicyNetwork, save_network
 from .pgagent import (
     EpisodeMetrics,
@@ -454,12 +462,26 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
 def run_many(jobs: list[tuple[RunConfig, str, int]]) -> list[ExperimentResult]:
     """Run independent experiments, in parallel processes when there are
     several, one process per job up to the CPU count.  Results come back in
-    job order."""
+    job order.
+
+    Each worker is a fresh interpreter (the `spawn` start method), so its
+    numpy reads the BLAS thread settings of the environment it starts in.
+    While the pool runs, each of BLAS_THREAD_VARS that the caller has not
+    set is set to 1 and removed again afterwards: a worker's BLAS runs one
+    thread, not one per CPU.  As with any spawned worker, a script that
+    calls this must guard its entry point with `if __name__ == "__main__"`.
+    """
     if len(jobs) <= 1:
         return [run_experiment(*job) for job in jobs]
     workers = min(len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, *zip(*jobs)))
+    unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(run_experiment, *zip(*jobs)))
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
 
 
 # ------------------------------------------------------------ CSV pipeline
@@ -471,10 +493,20 @@ def metrics_csv(metrics: tuple[EpisodeMetrics, ...]):
 
 
 def reroutes_csv(decisions: tuple[RerouteDecision, ...]):
-    return csv_lines(REROUTE_HEADER, (
-        (d.time, d.vehicle, "|".join(d.old_route), "|".join(d.new_route),
-         d.u_twt, "" if d.best_alternative is None else d.best_alternative,
-         d.decision) for d in decisions))
+    """The reroute log's lines, the same as `csv_lines` renders them, from
+    one f-string per row: an empty format spec is `str()` for str, int and
+    float, so every cell is still written by `str()`.  Each distinct old
+    route is joined once, and a stay, whose new route is its old route
+    tuple, reuses that cell."""
+    yield REROUTE_HEADER + "\n"
+    joined: dict[tuple[str, ...], str] = {}
+    for d in decisions:
+        old = joined.get(d.old_route)
+        if old is None:
+            old = joined[d.old_route] = "|".join(d.old_route)
+        new = old if d.new_route is d.old_route else "|".join(d.new_route)
+        yield (f"{d.time},{d.vehicle},{old},{new},{d.u_twt},"
+               f"{'' if d.best_alternative is None else d.best_alternative},{d.decision}\n")
 
 
 def read_csv(text: str) -> tuple[list[str], list[dict[str, str]]]:

@@ -32,8 +32,14 @@ destination) pair once, and each searched tail takes the search's own
 cost, the same left-to-right sum of its weights.  Vehicles with the same
 remaining route also share its price and the list of alternatives.  Only
 the part of the estimate that depends on the vehicle, its unfinished
-current edge, is computed per vehicle, and a stay records its old route
-tuple again.
+current edge, is computed per vehicle.  No list is sorted for it: the
+search returns the alternatives in ascending (cost, edge ids) order, and
+adding the vehicle's part keeps that order, so the first alternative gives
+the best estimate.  Only a switch looks further, among the alternatives
+whose estimates round to that same value, for the smallest edge-id tuple,
+the pick a sort of (estimate, tail) pairs would make.  A stay records its
+old route tuple again: the slice of the remaining route that keys the
+vehicle's group.
 
 In a run, `harness.run_experiment` calls `apply_rerouting` at every
 detector window with the readings it has just logged, and with the
@@ -42,9 +48,8 @@ threshold and alternative count that `harness.RunConfig` validates.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .roadnet import enumerate_routes, free_flow_weights
 from .simcore import ARM_ORDER, DetectorReading, Simulation, Vehicle
@@ -100,14 +105,15 @@ def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]
 
     The edge lists its vehicles lane by lane, each lane front to back, and
     vehicles in one lane stand at least MIN_GAP apart.  So a stable sort by
-    descending position breaks ties by lane, and never needs the id."""
+    descending position breaks ties by lane, and never needs the id (a
+    reverse sort keeps equal keys in their original order)."""
     quad = sim.arms[arm]
     junction_edge = quad.junction_in
-    vehicles = sim.vehicles_on_edge(quad.approach_in)
-    positions = sim.positions_on_edge(quad.approach_in)
-    order = np.argsort(np.negative(positions), kind="stable").tolist()
-    return [(vehicles[i], positions[i]) for i in order
-            if not vehicles[i].rerouted and junction_edge in vehicles[i].remaining_route]
+    ranked = sorted(zip(sim.vehicles_on_edge(quad.approach_in),
+                        sim.positions_on_edge(quad.approach_in)),
+                    key=itemgetter(1), reverse=True)
+    return [(vehicle, pos) for vehicle, pos in ranked
+            if not vehicle.rerouted and junction_edge in vehicle.route[vehicle.route_idx:]]
 
 
 def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
@@ -119,8 +125,8 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
     Candidates with the same remaining route, so the same current edge,
     next node, destination and current tail, form a group whose tails are
     priced once (see the module notes).  Per vehicle only `base` and the
-    additions and sort that use it are computed, the same operations in
-    the same order as pricing each vehicle alone."""
+    additions that use it are computed, the same operations in the same
+    order as pricing each vehicle alone."""
     flagged = flagged_arms(readings, threshold)
     if not flagged:
         return []
@@ -129,9 +135,11 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
     searches: dict[tuple[str, str], list] = {}
     groups: dict[tuple[str, ...], tuple] = {}
     decisions: list[RerouteDecision] = []
+    record, make = decisions.append, RerouteDecision._make
+    clock = sim.clock
     for arm in flagged:
         for vehicle, pos in candidate_vehicles(sim, arm):
-            old_route = vehicle.remaining_route
+            old_route = vehicle.route[vehicle.route_idx:]
             group = groups.get(old_route)
             if group is None:
                 edge = net.edges[old_route[0]]
@@ -147,14 +155,16 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
             length, weight, tail_sum, others = group
             base = (length - pos) / length * weight
             u_twt = base + tail_sum
-            options = sorted([(base + w, alt) for w, alt in others])
-            if options and u_twt > options[0][0]:
-                sim.replace_route_suffix(vehicle, options[0][1])
+            # `others` ascends by (cost, ids), and adding base keeps the costs
+            # in order: the first estimate is the cheapest, and the entries
+            # whose estimates round to the same value come right after it.
+            best = base + others[0][0] if others else None
+            if best is not None and u_twt > best:
+                choice = min(alt for w, alt in others if base + w == best)
+                sim.replace_route_suffix(vehicle, choice)
                 vehicle.rerouted = True
-                new_route, decision = vehicle.remaining_route, "switch"
+                record(make((clock, vehicle.id, old_route, vehicle.remaining_route,
+                             "switch", u_twt, best)))
             else:
-                new_route, decision = old_route, "stay"
-            decisions.append(RerouteDecision(sim.clock, vehicle.id, old_route, new_route,
-                                             decision, u_twt,
-                                             options[0][0] if options else None))
+                record(make((clock, vehicle.id, old_route, old_route, "stay", u_twt, best)))
     return decisions

@@ -11,9 +11,9 @@ Networks and weight tables are immutable values and every operation here
 is a pure function.  A route is a tuple of edge ids.  It never repeats an
 *edge* but may repeat a node: a rerouted vehicle's path doubles back
 through the node where it diverged.  Route *search* (shortest_route,
-enumerate_routes) returns node-simple paths as (cost, edge ids), the
-search's own heap key: the cost is the left-to-right sum of the edges'
-weights from zero.  Callers assemble doubling-back routes by prepending the
+enumerate_routes) returns node-simple paths as (cost, edge ids), the key
+the search's heap orders by: the cost is the left-to-right sum of the
+edges' weights from zero.  Callers assemble doubling-back routes by prepending the
 already-committed edge to a searched suffix.
 """
 
@@ -251,8 +251,12 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
     _check_endpoints(net, origin, destination)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    edges = net.edges
     found: list[tuple[float, tuple[str, ...]]] = []
-    heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), origin)]
+    # (cost, edge ids, end node, nodes visited): no two entries share a path,
+    # so the order never looks past the edge ids.
+    heap: list[tuple[float, tuple[str, ...], str, tuple[str, ...]]] = [
+        (0.0, (), origin, (origin,))]
     pops = 0
     while heap and len(found) < k:
         if pops == _MAX_SEARCH_POPS:
@@ -260,19 +264,17 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
                 f"route search from {origin!r} to {destination!r} reached its "
                 f"cap of {_MAX_SEARCH_POPS} expanded paths with {len(found)} "
                 f"of {k} routes found")
-        cost, path, node = heapq.heappop(heap)
+        cost, path, node, visited = heapq.heappop(heap)
         pops += 1
         if node == destination:
             found.append((cost, path))
             continue
-        visited = {origin}
-        visited.update(net.edges[eid].to_node for eid in path)
         for eid in net.adjacency.get(node, ()):
-            if net.edges[eid].to_node in visited:
+            target = edges[eid].to_node
+            if target in visited:
                 continue
-            heapq.heappush(
-                heap,
-                (cost + _edge_weight(weights, eid), path + (eid,), net.edges[eid].to_node))
+            heapq.heappush(heap, (cost + _edge_weight(weights, eid), path + (eid,),
+                                  target, visited + (target,)))
     if not found:
         raise UnreachableError(f"no route from {origin!r} to {destination!r}")
     return found

@@ -9,6 +9,8 @@ import stat
 import tracemalloc
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from flowctl import harness, rerouter
@@ -393,6 +395,29 @@ def test_run_many_results_do_not_depend_on_job_order():
     assert forward[0].metrics != forward[1].metrics  # seeds differ
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_thread_settings(cfg, mode, seed):
+    """Stands in for run_experiment in a run_many worker: the worker's BLAS
+    thread settings."""
+    return [os.environ.get(name) for name in BLAS_VARS]
+
+
+def test_run_many_workers_pin_blas_threads_unless_already_set(monkeypatch):
+    monkeypatch.setattr(harness, "run_experiment", blas_thread_settings)
+    for preset, expected in (({}, ["1", "1", "1"]),
+                             ({"OMP_NUM_THREADS": "2"}, ["1", "2", "1"])):
+        for name in BLAS_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in preset.items():
+            monkeypatch.setenv(name, value)
+        assert run_many([(None, "rl", 1), (None, "rl", 2)]) == [expected] * 2
+        # The caller's own environment is left as it was.
+        assert [os.environ.get(name) for name in BLAS_VARS] == \
+            [preset.get(name) for name in BLAS_VARS]
+
+
 @pytest.mark.slow
 def test_full_scale_fixed_episode_fits_time_cap():
     cfg = dataclasses.replace(
@@ -424,6 +449,41 @@ def test_reroutes_csv_shape():
     lines = text.splitlines()
     assert lines[0] == REROUTE_HEADER
     assert lines[1] == "60,v3,a|b,a|c|d,123.5,100.25,switch"
+
+
+# Floats whose `str` is unusual: the smallest subnormal, an exponent form,
+# negative zero, and numpy floats, whose `repr` differs from their `str`.
+CELL_FLOATS = st.one_of(st.floats(), st.sampled_from((5e-324, 1e16, -0.0)),
+                        st.floats().map(np.float64))
+
+
+@st.composite
+def reroute_logs(draw):
+    """Decisions over a few route tuples: a new route is its decision's old
+    tuple itself, an equal but distinct tuple, or another drawn route."""
+    pool = draw(st.lists(st.lists(st.sampled_from(STAY_ROUTE + ("diag_wn",)),
+                                  min_size=1, max_size=4).map(tuple),
+                         min_size=1, max_size=4))
+    decisions = []
+    for _ in range(draw(st.integers(0, 12))):
+        old = draw(st.sampled_from(pool))
+        new = draw(st.sampled_from((old, tuple(list(old))) + tuple(pool)))
+        decisions.append(RerouteDecision(
+            time=draw(st.integers(0, 10**6)), vehicle=draw(st.text(max_size=4)),
+            old_route=old, new_route=new,
+            decision=draw(st.sampled_from(("stay", "switch"))),
+            u_twt=draw(CELL_FLOATS),
+            best_alternative=draw(st.one_of(st.none(), CELL_FLOATS))))
+    return tuple(decisions)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(decisions=reroute_logs())
+def test_reroutes_csv_renders_the_rows_as_csv_lines_does(decisions):
+    rows = ((d.time, d.vehicle, "|".join(d.old_route), "|".join(d.new_route), d.u_twt,
+             "" if d.best_alternative is None else d.best_alternative, d.decision)
+            for d in decisions)
+    assert "".join(reroutes_csv(decisions)) == "".join(csv_lines(REROUTE_HEADER, rows))
 
 
 def test_detectors_csv_shape():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 from hypothesis import Phase, example, given, settings, strategies as st
 import numpy as np
@@ -324,6 +325,31 @@ def test_best_alternative_empty_when_no_options():
         sim, lambda s, readings: apply_rerouting(s, readings, 0.05, max_alternatives=1))
     assert [(d.decision, d.best_alternative) for d in new] == [("stay", None)] * 3
     assert new[0].u_twt == pytest.approx(u_front(30.0), rel=1e-12)
+
+
+def test_rounding_tie_between_alternatives_goes_to_the_smaller_route(monkeypatch):
+    """The search lists the larger of two alternative tails first, at a
+    slightly lower cost.  For the front vehicle (no unfinished edge left)
+    the costs stay apart and it takes the first tail; behind it, the two
+    estimates round to one value, and the smaller tail wins the tie, as a
+    sort of (estimate, tail) pairs picks it."""
+    origin = NET.edges[STRAIGHT_W[0]].to_node
+    destination = NET.edges[STRAIGHT_W[-1]].to_node
+    small, large = sorted(tail for _, tail in enumerate_routes(
+        NET, origin, destination, free_flow_weights(NET), k=4)
+        if tail != STRAIGHT_W[1:])[:2]
+    cheap = 2.0 ** -20
+    listed = [(cheap, large), (math.nextafter(cheap, 1.0), small)]
+    monkeypatch.setattr(rerouter, "enumerate_routes", lambda *args, **kwargs: listed)
+    sim = build_west_jam()
+    new = run_to_next_window(sim, rerouting(0.05))
+
+    assert [d.decision for d in new] == ["switch"] * 3
+    assert [d.new_route[1:] for d in new] == [large, small, small]
+    for d, pos in zip(new, (1000.0, 997.5, 995.0)):
+        base = (1000.0 - pos) / 1000.0 * (APP_FF + SUR_APP)
+        assert d.best_alternative == base + cheap
+        assert (base + cheap == base + listed[1][0]) == (pos < 1000.0)
 
 
 # ------------------------------------------------- searches shared per window
