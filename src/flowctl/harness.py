@@ -2,7 +2,8 @@
 
 Three run modes share one episode loop, `run_experiment`:
 
-* ``fixed``      — pre-timed signal plan cycling the four phases;
+* ``fixed``      — pre-timed signal plan cycling the four phases, which
+                   `drive_episode` runs with no chooser and no sensor read;
 * ``rl``         — policy-gradient training of the signal controller, with
                    `pgagent.Learner` choosing phases and updating after
                    every episode;
@@ -56,13 +57,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS, rerouter
 from .neuralnet import PolicyNetwork, save_network
-from .pgagent import (
-    EpisodeMetrics,
-    Learner,
-    TrainConfig,
-    drive_episode,
-    fixed_cycle_policy,
-)
+from .pgagent import EpisodeMetrics, Learner, TrainConfig, drive_episode
 from .rerouter import RerouteDecision
 from .roadnet import (
     RoadNetwork,
@@ -404,8 +399,9 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
     """Run cfg.train.episodes episodes of one mode, all modes on the same
     per-episode demand streams.
 
-    Fixed-time control cycles phases 0-3 with a fixed green and learns
-    nothing.  The learning modes sample phases from the current policy and
+    Fixed-time control passes no chooser to `drive_episode`, so it cycles
+    phases 0-3 with a fixed green, reads no sensors and learns nothing.
+    The learning modes sample phases from the current policy and
     update it after every episode.  At every detector window rl_reroute
     reroutes on the readings.  The detector log keeps the last episode
     only, so only that episode samples its detectors and logs the readings.
@@ -440,9 +436,9 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
         sim = Simulation(net, _schedule_for(net, cfg, seed, episode, file_specs),
                          yellow_duration=cfg.train.yellow_duration,
                          sample_detectors=logged)
-        choose = learner.chooser() if learner else fixed_cycle_policy()
         transitions, cum_negative = drive_episode(
-            sim, choose, green_duration=green, max_decisions=max_decisions,
+            sim, learner.chooser() if learner else None, green_duration=green,
+            max_decisions=max_decisions,
             boundary_hook=on_window if logged or mode == "rl_reroute" else None)
         if learner:
             learner.end_episode(episode, transitions)

@@ -23,10 +23,11 @@ draw of `batch_size` rows keeps about `batch_size / buffer_capacity` of
 each stored episode, half of it in the desk profile (200 of 400) and
 about 4% at paper scale (200 of 4500).
 
-`drive_episode` runs one episode's decisions for any phase chooser, and
-`Learner` carries the agent, its random stream and the replay memory from
-one episode to the next.  The episode loop itself, shared by fixed-time
-and learned control, is `harness.run_experiment`.
+`drive_episode` runs one episode's decisions, for a phase chooser or,
+given None, for fixed-time control, which cycles the phases from 0 and
+reads no sensors.  `Learner` carries the agent, its random stream and the
+replay memory from one episode to the next.  The episode loop itself,
+shared by fixed-time and learned control, is `harness.run_experiment`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .neuralnet import (
     value_fit_step,
     value_forward,
 )
-from .simcore import Simulation
+from .simcore import PHASE_COUNT, Simulation
 
 AGENT_STREAM = 1  # seed-sequence lane for the agent's own randomness
 PROB_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # as Generator.choice allows
@@ -229,21 +230,27 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
                   max_decisions: int, boundary_hook=None):
     """Run the decision loop until the traffic clears or limits hit.
 
-    choose_action(state) -> phase.  Rewards are measured once per decision
-    as the drop in cumulative waiting, so they telescope exactly over the
-    episode.  boundary_hook(sim, readings), if given, is handed the
-    readings that `sim.step()` returns at every detector window boundary.
+    choose_action(state) -> phase, where the state is `sim.read_sensors()`.
+    With choose_action None the control is fixed-time: decision i sets
+    phase i % PHASE_COUNT, no sensor is read, and each transition's state
+    is None.  Rewards are measured once per decision as the drop in
+    cumulative waiting, so they telescope exactly over the episode.
+    boundary_hook(sim, readings), if given, is handed the readings that
+    `sim.step()` returns at every detector window boundary.
 
     Returns (transitions, cum_negative_reward).
     """
-    transitions: list[tuple[np.ndarray, int, float]] = []
+    transitions: list[tuple[np.ndarray | None, int, float]] = []
     cum_negative = 0.0
     prev_phase = sim.signals.phase
     prev_wait = sim.cumulative_wait()
     decisions = 0
     while not sim.done and decisions < max_decisions:
-        state = sim.read_sensors()
-        action = int(choose_action(state))
+        if choose_action is None:
+            state, action = None, decisions % PHASE_COUNT
+        else:
+            state = sim.read_sensors()
+            action = int(choose_action(state))
         sim.set_phase(action)
         steps = green_duration
         if action != prev_phase:
@@ -263,18 +270,6 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
         transitions.append((state, action, reward))
         decisions += 1
     return transitions, cum_negative
-
-
-def fixed_cycle_policy():
-    """A stateful phase chooser that walks 0,1,2,3 forever, ignoring input."""
-    counter = {"next": 0}
-
-    def choose(_state) -> int:
-        phase = counter["next"]
-        counter["next"] = (phase + 1) % 4
-        return phase
-
-    return choose
 
 
 class Learner:

@@ -86,7 +86,7 @@ def surcharged_weights(sim: Simulation, readings: dict[str, DetectorReading],
     arm's expected stop-line wait: its accrued waiting per currently queued
     vehicle, or 0 when nothing is queued.
     """
-    weights = dict(free_flow_weights(sim.net))
+    weights = free_flow_weights(sim.net)
     loads = sim.arm_loads()
     for arm in flagged:
         density = readings[arm].density
@@ -103,15 +103,14 @@ def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]
     approach edge, never diverted before, and still routed through that
     arm's junction edge.  Ordered front of queue first, then by lane.
 
-    The edge lists its vehicles lane by lane, each lane front to back, and
-    vehicles in one lane stand at least MIN_GAP apart.  So a stable sort by
-    descending position breaks ties by lane, and never needs the id (a
-    reverse sort keeps equal keys in their original order)."""
+    `vehicles_on_edge` lists the (vehicle, position) pairs lane by lane,
+    each lane front to back, and vehicles in one lane stand at least
+    MIN_GAP apart.  So a stable sort of those pairs by descending position
+    breaks ties by lane, and never needs the id (a reverse sort keeps
+    equal keys in their original order)."""
     quad = sim.arms[arm]
     junction_edge = quad.junction_in
-    ranked = sorted(zip(sim.vehicles_on_edge(quad.approach_in),
-                        sim.positions_on_edge(quad.approach_in)),
-                    key=itemgetter(1), reverse=True)
+    ranked = sorted(sim.vehicles_on_edge(quad.approach_in), key=itemgetter(1), reverse=True)
     return [(vehicle, pos) for vehicle, pos in ranked
             if not vehicle.rerouted and junction_edge in vehicle.route[vehicle.route_idx:]]
 

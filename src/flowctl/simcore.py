@@ -799,12 +799,10 @@ class Simulation:
 
     # ------------------------------------------------------------- metrics
 
-    def vehicles_on_edge(self, edge_id: str) -> list[Vehicle]:
-        return [self._handles[slot] for lane in self._lanes[edge_id] for slot in lane]
-
-    def positions_on_edge(self, edge_id: str) -> list[float]:
-        """The positions of `vehicles_on_edge(edge_id)`, in the same order."""
-        return self._pos[[slot for lane in self._lanes[edge_id] for slot in lane]].tolist()
+    def vehicles_on_edge(self, edge_id: str) -> list[tuple[Vehicle, float]]:
+        """(vehicle, position) pairs, lane by lane, each lane front to back."""
+        slots = [slot for lane in self._lanes[edge_id] for slot in lane]
+        return list(zip(map(self._handles.__getitem__, slots), self._pos[slots].tolist()))
 
     def arm_loads(self) -> list[tuple[int, int]]:
         """Per arm in ARM_ORDER: the accrued waiting of, and the number of

@@ -46,7 +46,7 @@ from flowctl.harness import (
 )
 from flowctl.pgagent import EpisodeMetrics
 from flowctl.roadnet import build_default_network
-from flowctl.simcore import ARM_ORDER
+from flowctl.simcore import ARM_ORDER, Simulation
 from flowctl.rerouter import RerouteDecision
 
 from fileformats import load_network, network_to_text
@@ -296,6 +296,18 @@ def test_fixed_run_shape_and_conservation():
     assert result.network is None
     assert result.reroutes == ()
     assert result.detector_rows  # at least one 30 s window happened
+
+
+def test_fixed_run_reads_no_sensors(monkeypatch):
+    reads = []
+    read_sensors = Simulation.read_sensors
+    monkeypatch.setattr(Simulation, "read_sensors",
+                        lambda sim: reads.append(sim.clock) or read_sensors(sim))
+    base = tiny_profile()
+    cfg = dataclasses.replace(base, train=dataclasses.replace(base.train, episodes=2))
+    result = run_experiment(cfg, "fixed", 7)
+    assert [m.arrived for m in result.metrics] == [40, 40]
+    assert reads == []
 
 
 def test_rl_run_trains_and_logs_detectors():

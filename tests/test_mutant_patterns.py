@@ -22,9 +22,12 @@ SOURCE = ROOT / "src" / "flowctl"
 
 # ROADMAP Q3: the mutants whose patterns quote code that has been deleted.
 # `unjustified_switch` quotes a comparison against a per-vehicle sorted
-# list, which the rerouter no longer builds.
+# list, which the rerouter no longer builds; `fixed_cycle_reversed` quotes
+# the counter of the deleted fixed-cycle chooser, whose phases
+# `drive_episode` now computes as `decisions % PHASE_COUNT`.
 STALE = frozenset({
     "unjustified_switch",
+    "fixed_cycle_reversed",
     "arrivals_undercounted",
     "sim_time_halved",
     "metrics_row_dropped",

@@ -23,7 +23,6 @@ from flowctl.pgagent import (
     action_cdf,
     discounted_returns,
     drive_episode,
-    fixed_cycle_policy,
     init_agent,
     policy_update,
     positional_baseline,
@@ -188,9 +187,29 @@ def test_drive_episode_boundary_hook_fires_on_window():
     assert seen == [(30, {0}), (60, {30})]
 
 
-def test_fixed_cycle_policy_walks_phases():
-    choose = fixed_cycle_policy()
-    assert [choose(None) for _ in range(6)] == [0, 1, 2, 3, 0, 1]
+def test_drive_episode_without_chooser_cycles_phases_and_reads_no_sensors(monkeypatch):
+    reads, phases = [], []
+    read_sensors, set_phase = Simulation.read_sensors, Simulation.set_phase
+    monkeypatch.setattr(Simulation, "read_sensors",
+                        lambda sim: reads.append(sim.clock) or read_sensors(sim))
+    monkeypatch.setattr(Simulation, "set_phase",
+                        lambda sim, phase: phases.append(phase) or set_phase(sim, phase))
+
+    def episode(choose):
+        reads.clear()
+        phases.clear()
+        sim = Simulation(NET, spawn_schedule(NET, count=30, seed=6, horizon=20))
+        transitions, _ = drive_episode(sim, choose, green_duration=4, max_decisions=10)
+        assert [a for _, a, _ in transitions] == phases
+        return transitions
+
+    transitions = episode(None)
+    assert phases == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+    assert [s for s, _, _ in transitions] == [None] * 10
+    assert reads == []
+    # The counting patch sees every read a chooser is handed.
+    episode(lambda state: 0)
+    assert len(reads) == len(phases) == 10
 
 
 def test_observation_shape():

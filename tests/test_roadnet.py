@@ -1,4 +1,5 @@
 import math
+import timeit
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -16,6 +17,8 @@ from flowctl.roadnet import (
     make_network,
     shortest_route,
 )
+
+from flowctl.simcore import infer_layout, spawn_schedule
 
 from crossroads import crossroad_text
 from fileformats import network_to_text
@@ -346,6 +349,33 @@ def test_enumerate_raises_at_search_cap(monkeypatch, cap):
     monkeypatch.setattr(roadnet, "_MAX_SEARCH_POPS", cap)
     with pytest.raises(RuntimeError, match=f"cap of {cap} expanded paths"):
         enumerate_routes(net, "w", "e", w, k=4)
+
+
+def test_a_crossroad_that_infer_layout_accepts_can_reach_the_search_cap():
+    """Why `shortest_route` keeps its Dijkstra.  Hang a complete digraph of
+    5 m one-lane edges over `n` and nine extra nodes off the default
+    crossroad.  The layout and spawn routing accept it, and the Dijkstra
+    settles each node once.  A best-first search for even one route from
+    `n` first expands every simple path inside the clique, which costs
+    less than any edge out of it: about 986,000 paths, past the cap."""
+    clique = ["n"] + [f"x{i}" for i in range(9)]
+    net = make_network(list(build_default_network().edges.values()) + [
+        Edge(f"k_{a}_{b}", a, b, 5.0) for a in clique for b in clique if a != b])
+    infer_layout(net)
+    schedule = spawn_schedule(net, 50, seed=7, horizon=60)
+    assert len(schedule) == 50
+    for spec in schedule:
+        origin, destination = net.edges[spec.route[0]].from_node, net.edges[spec.route[-1]].to_node
+        validate_route(spec.route, net, origin, destination)
+        assert not any(eid.startswith("k_") for eid in spec.route)
+    w = free_flow_weights(net)
+    assert shortest_route(net, "n", "s", w)[1] == (
+        "app_n_in", "jct_n_in", "jct_s_out", "app_s_out")
+    assert min(timeit.repeat(lambda: shortest_route(net, "n", "s", w),
+                             number=1, repeat=5)) < 1e-3
+    with pytest.raises(RuntimeError,
+                       match=f"cap of {roadnet._MAX_SEARCH_POPS} expanded paths"):
+        enumerate_routes(net, "n", "s", w, k=1)
 
 
 # ------------------------------------------------------- drawn crossroads

@@ -612,6 +612,12 @@ def test_place_vehicle_repoints_the_leaders_around_it():
     sim.validate()
     assert sim._leader[back.slot] == middle.slot
     assert sim._leader[middle.slot] == front.slot
+    beside = place_vehicle(sim, "beside", STRAIGHT_W, lane=2, pos=40.0)
+    sim.validate()
+    # Lane by lane, each lane front to back.
+    pairs = sim.vehicles_on_edge("app_w_in")
+    assert pairs == [(front, 50.0), (middle, 30.0), (back, 10.0), (beside, 40.0)]
+    assert all(pos == vehicle.pos for vehicle, pos in pairs)
 
 
 def test_validate_catches_slot_corruption():
