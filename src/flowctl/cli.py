@@ -74,9 +74,8 @@ def cmd_run(args) -> int:
     print(f"last episode: sim_time {last.sim_time_s} s, "
           f"cum_delay {last.cum_delay_s} s, arrived {last.arrived}")
     if mode == "rl_reroute":
-        switches = sum(1 for d in result.reroutes if d.decision == "switch")
         print(f"reroute decisions: {len(result.reroutes)} "
-              f"({switches} switches)")
+              f"({result.reroutes.switches} switches)")
     return 0
 
 

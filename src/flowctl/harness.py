@@ -13,7 +13,8 @@ Three run modes share one episode loop, `run_experiment`:
 Each detector window is handled by one function inside `run_experiment`:
 `drive_episode` hands it the readings that `Simulation.step` returned at
 the window's end, it appends one row per arm to the detector log, and in
-rl_reroute it passes the same readings to `rerouter.apply_rerouting`.
+rl_reroute it passes the same readings to `rerouter.apply_rerouting` and
+extends the run's one `RerouteLog` with the window's evaluations.
 The detector log keeps the last episode only, so only that episode's
 simulation samples per-vehicle count and mean speed.  The others publish
 density alone, which is all the rerouter reads; in fixed and rl their
@@ -31,15 +32,16 @@ files (a failed read is a ConfigError), `_key_value_lines` and
 renders (`str()`, but booleans as true/false), `csv_lines` for every
 other table, each cell by `str()`, and `_atomic_write` (temp file, then
 rename) for every artifact, `policy.bin` included.  The reroute log, one
-row per rerouting evaluation and by far the largest table, is rendered by
-`reroutes_csv`: the lines `csv_lines` would give, from one f-string per
-row (an empty format spec is `str()`), with each distinct old route joined
-once.  `write_lines` streams each table's lines into the temp file as they
+row per rerouting evaluation and by far the largest table, is held as
+columns until the write and rendered by `reroutes_csv`: the lines
+`csv_lines` would give, from one f-string per row (an empty format spec is
+`str()`), with each distinct old route joined once.  `write_lines` streams each table's lines into the temp file as they
 are rendered, so no table, the reroute log of a long run included, is held
 as one string.
 
 `run_many` runs its workers as fresh interpreters with one BLAS thread
-each, unless the caller's environment sets a count.
+each, unless the caller's environment sets a count.  It imports the process
+pool only when it runs two or more jobs, so a single run never loads it.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ import dataclasses
 import os
 import statistics
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ import numpy as np
 from . import BLAS_THREAD_VARS, rerouter
 from .neuralnet import PolicyNetwork, save_network
 from .pgagent import EpisodeMetrics, Learner, TrainConfig, drive_episode
-from .rerouter import RerouteDecision
+from .rerouter import RerouteDecision, RerouteLog
 from .roadnet import (
     RoadNetwork,
     build_default_network,
@@ -385,12 +386,15 @@ def _schedule_for(net: RoadNetwork, cfg: RunConfig, base_seed: int,
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Everything one run produces, independent of how it is persisted."""
+    """Everything one run produces, independent of how it is persisted.
+
+    `reroutes` holds every rerouting evaluation of the run as columns; it
+    is empty outside rl_reroute, and iterating it gives the rows."""
 
     mode: str
     seed: int
     metrics: tuple[EpisodeMetrics, ...]
-    reroutes: tuple[RerouteDecision, ...]
+    reroutes: RerouteLog
     detector_rows: tuple[tuple[int, str, int, float, float], ...]
     network: PolicyNetwork | None
 
@@ -418,7 +422,7 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
         learner = Learner(cfg.train, seed)
         green, max_decisions = cfg.train.green_duration, cfg.train.max_agent_steps
     history: list[EpisodeMetrics] = []
-    reroutes: list[RerouteDecision] = []
+    reroutes = RerouteLog()
     detector_rows: list[tuple[int, str, int, float, float]] = []
 
     def on_window(sim: Simulation, readings: dict[str, DetectorReading]) -> None:
@@ -450,7 +454,7 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
             sim_time_s=sim.clock,
             arrived=sim.arrived_count,
         ))
-    return ExperimentResult(mode, seed, tuple(history), tuple(reroutes),
+    return ExperimentResult(mode, seed, tuple(history), reroutes,
                             tuple(detector_rows),
                             learner.agent.net if learner else None)
 
@@ -469,6 +473,8 @@ def run_many(jobs: list[tuple[RunConfig, str, int]]) -> list[ExperimentResult]:
     """
     if len(jobs) <= 1:
         return [run_experiment(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
     workers = min(len(jobs), os.cpu_count() or 1)
     unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
@@ -488,7 +494,7 @@ def metrics_csv(metrics: tuple[EpisodeMetrics, ...]):
          m.sim_time_s) for m in metrics))
 
 
-def reroutes_csv(decisions: tuple[RerouteDecision, ...]):
+def reroutes_csv(decisions: Iterable[RerouteDecision]):
     """The reroute log's lines, the same as `csv_lines` renders them, from
     one f-string per row: an empty format spec is `str()` for str, int and
     float, so every cell is still written by `str()`.  Each distinct old
@@ -604,9 +610,8 @@ def _summary_text(result: ExperimentResult) -> str:
     items += [(f"final_quarter_mean_{name}", mean)
               for name, mean in _final_means(result.metrics).items()]
     if result.mode == "rl_reroute":
-        switches = sum(1 for d in result.reroutes if d.decision == "switch")
         items += [("reroute_decisions", len(result.reroutes)),
-                  ("reroute_switches", switches)]
+                  ("reroute_switches", result.reroutes.switches)]
     return _key_value_text(items)
 
 

@@ -24,7 +24,10 @@ A vehicle switches only when its current-route estimate is strictly worse
 than the best alternative; ties stay.  Switching rewrites the route tail in
 place and marks the vehicle so it is never diverted twice.  Every
 comparison, switch or stay, is recorded with its current-route estimate and
-the best alternative's.
+the best alternative's, as one entry in the columns of a `RerouteLog`:
+numbers in typed arrays, vehicle ids and route tuples by reference.  No
+`RerouteDecision` row is built while a run reroutes; the log rebuilds the
+rows when it is read.
 
 The weights are fixed for a whole window, so the route search is shared
 per window: one `apply_rerouting` call searches each distinct (next node,
@@ -43,11 +46,13 @@ vehicle's group.
 
 In a run, `harness.run_experiment` calls `apply_rerouting` at every
 detector window with the readings it has just logged, and with the
-threshold and alternative count that `harness.RunConfig` validates.
+threshold and alternative count that `harness.RunConfig` validates, and
+extends the run's one log with each window's.
 """
 
 from __future__ import annotations
 
+from array import array
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -55,6 +60,9 @@ from .roadnet import enumerate_routes, free_flow_weights
 from .simcore import ARM_ORDER, DetectorReading, Simulation, Vehicle
 
 SURCHARGE_RATE = 2.0  # seconds of penalty per estimated vehicle on the edge
+# The best-alternative estimate of a vehicle that has no alternative.  No sum
+# of edge weights is NaN, and NaN compares false, so such a vehicle stays.
+NO_ALTERNATIVE = float("nan")
 
 
 class RerouteDecision(NamedTuple):
@@ -67,6 +75,63 @@ class RerouteDecision(NamedTuple):
     decision: str  # "switch" or "stay"
     u_twt: float
     best_alternative: float | None  # None when no alternative was found
+
+
+class RerouteLog:
+    """Rerouting evaluations held as columns, one entry per evaluation.
+
+    The times, estimates and decisions sit in typed arrays, and the vehicle
+    ids and route tuples as references, so a stay's new route is still its
+    old route tuple and no per-evaluation object outlives the window that
+    made it.  A best alternative that was not found is NO_ALTERNATIVE in
+    its column.  Iterating rebuilds the `RerouteDecision` rows one at a
+    time, with None for a missing best alternative.  The log pickles, so a
+    pool worker can return it.
+    """
+
+    __slots__ = ("time", "vehicle", "old_route", "new_route", "switched", "u_twt",
+                 "best_alternative")
+
+    def __init__(self):
+        self.time = array("q")
+        self.vehicle: list[str] = []
+        self.old_route: list[tuple[str, ...]] = []
+        self.new_route: list[tuple[str, ...]] = []
+        self.switched = bytearray()  # 1 for a switch, 0 for a stay
+        self.u_twt = array("d")
+        self.best_alternative = array("d")
+
+    def append(self, time: int, vehicle: str, old_route: tuple[str, ...],
+               new_route: tuple[str, ...], switched: bool, u_twt: float,
+               best_alternative: float) -> None:
+        self.time.append(time)
+        self.vehicle.append(vehicle)
+        self.old_route.append(old_route)
+        self.new_route.append(new_route)
+        self.switched.append(switched)
+        self.u_twt.append(u_twt)
+        self.best_alternative.append(best_alternative)
+
+    def extend(self, other: RerouteLog) -> None:
+        for column in self.__slots__:
+            getattr(self, column).extend(getattr(other, column))
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    @property
+    def switches(self) -> int:
+        return self.switched.count(1)
+
+    def __iter__(self):
+        new = tuple.__new__
+        for time, vehicle, old, new_route, switched, u_twt, best in zip(
+                self.time, self.vehicle, self.old_route, self.new_route, self.switched,
+                self.u_twt, self.best_alternative):
+            # tuple.__new__ builds each row without a Python-level call.
+            yield new(RerouteDecision, (time, vehicle, old, new_route,
+                                        "switch" if switched else "stay", u_twt,
+                                        None if best != best else best))
 
 
 def flagged_arms(readings: dict[str, DetectorReading],
@@ -116,7 +181,7 @@ def candidate_vehicles(sim: Simulation, arm: str) -> list[tuple[Vehicle, float]]
 
 
 def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
-                    threshold: float, max_alternatives: int) -> list[RerouteDecision]:
+                    threshold: float, max_alternatives: int) -> RerouteLog:
     """One full pass: flag arms, build the cost model, and decide every
     candidate.  A candidate switches to its best alternative, and is marked
     as rerouted, only if its current-route estimate is strictly worse.
@@ -125,16 +190,17 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
     next node, destination and current tail, form a group whose tails are
     priced once (see the module notes).  Per vehicle only `base` and the
     additions that use it are computed, the same operations in the same
-    order as pricing each vehicle alone."""
+    order as pricing each vehicle alone.  Returns the window's evaluations,
+    appended to a fresh `RerouteLog` as they are made."""
+    log = RerouteLog()
     flagged = flagged_arms(readings, threshold)
     if not flagged:
-        return []
+        return log
     net = sim.net
     weights = surcharged_weights(sim, readings, flagged)
     searches: dict[tuple[str, str], list] = {}
     groups: dict[tuple[str, ...], tuple] = {}
-    decisions: list[RerouteDecision] = []
-    record, make = decisions.append, RerouteDecision._make
+    record = log.append
     clock = sim.clock
     for arm in flagged:
         for vehicle, pos in candidate_vehicles(sim, arm):
@@ -157,13 +223,12 @@ def apply_rerouting(sim: Simulation, readings: dict[str, DetectorReading],
             # `others` ascends by (cost, ids), and adding base keeps the costs
             # in order: the first estimate is the cheapest, and the entries
             # whose estimates round to the same value come right after it.
-            best = base + others[0][0] if others else None
-            if best is not None and u_twt > best:
+            best = base + others[0][0] if others else NO_ALTERNATIVE
+            if u_twt > best:
                 choice = min(alt for w, alt in others if base + w == best)
                 sim.replace_route_suffix(vehicle, choice)
                 vehicle.rerouted = True
-                record(make((clock, vehicle.id, old_route, vehicle.remaining_route,
-                             "switch", u_twt, best)))
+                record(clock, vehicle.id, old_route, vehicle.remaining_route, True, u_twt, best)
             else:
-                record(make((clock, vehicle.id, old_route, old_route, "stay", u_twt, best)))
-    return decisions
+                record(clock, vehicle.id, old_route, old_route, False, u_twt, best)
+    return log

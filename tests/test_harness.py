@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import pickle
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -47,7 +50,7 @@ from flowctl.harness import (
 from flowctl.pgagent import EpisodeMetrics
 from flowctl.roadnet import build_default_network
 from flowctl.simcore import ARM_ORDER, Simulation
-from flowctl.rerouter import RerouteDecision
+from flowctl.rerouter import NO_ALTERNATIVE, RerouteDecision, RerouteLog
 
 from fileformats import load_network, network_to_text
 
@@ -294,7 +297,7 @@ def test_fixed_run_shape_and_conservation():
         assert m.arrived == 40
         assert m.avg_queue_len >= 0.0
     assert result.network is None
-    assert result.reroutes == ()
+    assert list(result.reroutes) == []
     assert result.detector_rows  # at least one 30 s window happened
 
 
@@ -315,7 +318,7 @@ def test_rl_run_trains_and_logs_detectors():
     assert result.mode == "rl"
     assert len(result.metrics) == 3
     assert result.network is not None
-    assert result.reroutes == ()
+    assert list(result.reroutes) == []
     window_starts = {row[0] for row in result.detector_rows}
     assert all(ws % 30 == 0 for ws in window_starts)
     arms = [row[1] for row in result.detector_rows[:4]]
@@ -356,7 +359,7 @@ def test_window_hook_reroutes_in_rl_reroute_only_and_logs_the_last_episode(
         windows = [(clock, 0.0005, 2) for m in result.metrics
                    for clock in range(30, m.sim_time_s + 1, 30)]
         assert calls == windows
-        assert result.reroutes == tuple(returned) and returned
+        assert list(result.reroutes) == returned and returned
 
 
 def test_rl_reroute_samples_and_logs_only_the_last_episode(monkeypatch):
@@ -384,7 +387,7 @@ def test_rl_reroute_samples_and_logs_only_the_last_episode(monkeypatch):
     assert result.reroutes
     force = True
     full = run_experiment(cfg, "rl_reroute", 7)
-    assert (full.metrics, full.reroutes) == (result.metrics, result.reroutes)
+    assert (full.metrics, list(full.reroutes)) == (result.metrics, list(result.reroutes))
     # Every sampling episode logs, and the last one's rows come last.
     assert len(full.detector_rows) > len(result.detector_rows)
     assert full.detector_rows[-len(result.detector_rows):] == result.detector_rows
@@ -430,6 +433,14 @@ def test_run_many_workers_pin_blas_threads_unless_already_set(monkeypatch):
             [preset.get(name) for name in BLAS_VARS]
 
 
+def test_the_process_pool_is_imported_only_to_run_jobs_in_parallel():
+    code = ("import sys, flowctl.harness, flowctl.cli; "
+            "print(*(name in sys.modules for name in ('concurrent.futures', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 @pytest.mark.slow
 def test_full_scale_fixed_episode_fits_time_cap():
     cfg = dataclasses.replace(
@@ -467,10 +478,14 @@ def test_reroutes_csv_shape():
 # negative zero, and numpy floats, whose `repr` differs from their `str`.
 CELL_FLOATS = st.one_of(st.floats(), st.sampled_from((5e-324, 1e16, -0.0)),
                         st.floats().map(np.float64))
+# The same without NaN, which no estimate is: a `RerouteLog` keeps NaN in its
+# best-alternative column for a missing alternative.
+ESTIMATES = st.one_of(st.floats(allow_nan=False), st.sampled_from((5e-324, 1e16, -0.0)),
+                      st.floats(allow_nan=False).map(np.float64))
 
 
 @st.composite
-def reroute_logs(draw):
+def reroute_logs(draw, floats=CELL_FLOATS):
     """Decisions over a few route tuples: a new route is its decision's old
     tuple itself, an equal but distinct tuple, or another drawn route."""
     pool = draw(st.lists(st.lists(st.sampled_from(STAY_ROUTE + ("diag_wn",)),
@@ -484,18 +499,61 @@ def reroute_logs(draw):
             time=draw(st.integers(0, 10**6)), vehicle=draw(st.text(max_size=4)),
             old_route=old, new_route=new,
             decision=draw(st.sampled_from(("stay", "switch"))),
-            u_twt=draw(CELL_FLOATS),
-            best_alternative=draw(st.one_of(st.none(), CELL_FLOATS))))
+            u_twt=draw(floats),
+            best_alternative=draw(st.one_of(st.none(), floats))))
     return tuple(decisions)
+
+
+def csv_rows(decisions):
+    """The reroute log's rows as the cells `csv_lines` renders."""
+    return ((d.time, d.vehicle, "|".join(d.old_route), "|".join(d.new_route), d.u_twt,
+             "" if d.best_alternative is None else d.best_alternative, d.decision)
+            for d in decisions)
+
+
+def reroute_log(decisions) -> RerouteLog:
+    """One window's log of decisions, appended as `apply_rerouting` appends
+    its evaluations."""
+    log = RerouteLog()
+    for d in decisions:
+        log.append(d.time, d.vehicle, d.old_route, d.new_route, d.decision == "switch",
+                   d.u_twt,
+                   NO_ALTERNATIVE if d.best_alternative is None else d.best_alternative)
+    return log
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(decisions=reroute_logs())
 def test_reroutes_csv_renders_the_rows_as_csv_lines_does(decisions):
-    rows = ((d.time, d.vehicle, "|".join(d.old_route), "|".join(d.new_route), d.u_twt,
-             "" if d.best_alternative is None else d.best_alternative, d.decision)
-            for d in decisions)
-    assert "".join(reroutes_csv(decisions)) == "".join(csv_lines(REROUTE_HEADER, rows))
+    assert "".join(reroutes_csv(decisions)) == \
+        "".join(csv_lines(REROUTE_HEADER, csv_rows(decisions)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(decisions=reroute_logs(ESTIMATES), cuts=st.lists(st.integers(0, 12), max_size=4))
+def test_a_reroute_log_gives_back_its_rows_and_their_csv(decisions, cuts):
+    """Decisions extended into a run's log window by window, as
+    `run_experiment` extends it, read back as equal rows that hold the same
+    route tuples, so a stay's new route is still its old route tuple, and
+    render the same bytes.  So does the log after a pickle round trip, as
+    a pool worker returns it."""
+    log = RerouteLog()
+    bounds = sorted({0, len(decisions), *(c for c in cuts if c < len(decisions))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        log.extend(reroute_log(decisions[lo:hi]))
+    assert len(log) == len(decisions)
+    assert log.switches == sum(d.decision == "switch" for d in decisions)
+    for back in (log, pickle.loads(pickle.dumps(log))):
+        rows = list(back)
+        assert rows == list(decisions)
+        assert all(type(row) is RerouteDecision for row in rows)
+        assert [(row.old_route is row.new_route) for row in rows] == \
+            [(d.old_route is d.new_route) for d in decisions]
+        if back is log:
+            assert all(row.old_route is d.old_route and row.new_route is d.new_route
+                       for row, d in zip(rows, decisions))
+        assert "".join(reroutes_csv(back)) == \
+            "".join(csv_lines(REROUTE_HEADER, csv_rows(decisions)))
 
 
 def test_detectors_csv_shape():
@@ -575,7 +633,8 @@ def test_failed_reroute_row_leaves_no_file(tmp_path):
     reroutes = list(result.reroutes)
     reroutes[2] = reroutes[2]._replace(vehicle=bad)
     with pytest.raises(OSError, match="disk full"):
-        write_run_artifacts(tmp_path, cfg, dataclasses.replace(result, reroutes=tuple(reroutes)))
+        write_run_artifacts(tmp_path, cfg,
+                            dataclasses.replace(result, reroutes=reroute_log(reroutes)))
     # The failure came partway through the stream into the temp file.
     assert len(bad.temp_files) == 1
     names = sorted(p.name for p in tmp_path.iterdir())
@@ -603,6 +662,38 @@ def test_reroute_log_is_written_without_holding_its_text(tmp_path):
     assert peak < size / 50
     text = (tmp_path / "reroutes.csv").read_text()
     assert text == "".join(reroutes_csv(decisions))
+
+
+def test_a_reroute_log_holds_under_64_bytes_per_evaluation():
+    """50,000 stays appended to a log as `apply_rerouting` appends them
+    hold under 64 B each, where the same evaluations kept as a tuple of
+    rows hold about 150 B each."""
+    count = 50_000
+    vehicles = [f"v{i}" for i in range(1000)]
+
+    def held(build) -> float:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            assert len(kept) == count
+            return (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+
+    def log():
+        log = RerouteLog()
+        for i in range(count):
+            log.append(30 * (i // 100), vehicles[i % 1000], STAY_ROUTE, STAY_ROUTE, False,
+                       100.0 + i / 7, 200.0 + i / 3)
+        return log
+
+    def rows():
+        return tuple(RerouteDecision(30 * (i // 100), vehicles[i % 1000], STAY_ROUTE,
+                                     STAY_ROUTE, "stay", 100.0 + i / 7, 200.0 + i / 3)
+                     for i in range(count))
+
+    assert held(log) < 64 < held(rows)
 
 
 def test_run_phase_rl_writes_policy_and_is_deterministic(tmp_path):

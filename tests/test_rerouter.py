@@ -146,7 +146,7 @@ def reference_rerouting(sim: Simulation, readings, threshold: float,
 
 def rerouting(threshold: float):
     """A window hook that reroutes on the window's readings with k = 4."""
-    return lambda sim, readings: apply_rerouting(sim, readings, threshold, 4)
+    return lambda sim, readings: list(apply_rerouting(sim, readings, threshold, 4))
 
 
 def run_to_next_window(sim: Simulation, hook):
@@ -314,7 +314,7 @@ def test_high_threshold_suppresses_all_decisions():
 def test_apply_rerouting_without_flagged_arms_is_empty():
     sim = make_sim()
     readings = {a: reading(a, 0.0) for a in "nesw"}
-    assert apply_rerouting(sim, readings, threshold=0.05, max_alternatives=4) == []
+    assert list(apply_rerouting(sim, readings, threshold=0.05, max_alternatives=4)) == []
 
 
 def test_best_alternative_empty_when_no_options():
@@ -322,7 +322,7 @@ def test_best_alternative_empty_when_no_options():
     alternative is left: the vehicle stays and logs none."""
     sim = build_west_jam()
     new = run_to_next_window(
-        sim, lambda s, readings: apply_rerouting(s, readings, 0.05, max_alternatives=1))
+        sim, lambda s, readings: list(apply_rerouting(s, readings, 0.05, max_alternatives=1)))
     assert [(d.decision, d.best_alternative) for d in new] == [("stay", None)] * 3
     assert new[0].u_twt == pytest.approx(u_front(30.0), rel=1e-12)
 
@@ -388,7 +388,7 @@ def test_one_search_per_distinct_query_changes_no_decision(monkeypatch):
                  for arm in flagged_arms(readings, threshold)
                  for v, _ in candidate_vehicles(sim, arm)}
         before = len(calls)
-        decisions = apply_rerouting(sim, readings, threshold, 4)
+        decisions = list(apply_rerouting(sim, readings, threshold, 4))
         assert sorted(calls[before:]) == sorted(pairs)
         pair_counts.append(len(pairs))
         return decisions
@@ -544,7 +544,7 @@ def check_grouped_rerouting(net, count, seed, horizon, parked, windows, hold, ph
         weights = surcharged_weights(sim, readings, flagged)
         positions = {v.id: pos for arm in flagged for v, pos in candidate_vehicles(sim, arm)}
 
-        got = apply_rerouting(sim, readings, threshold, max_alternatives)
+        got = list(apply_rerouting(sim, readings, threshold, max_alternatives))
         assert got == reference_rerouting(ref, readings, threshold, max_alternatives)
         assert [d.vehicle for d in got] == list(positions)
         vehicles = {v.id: v for v in iter_vehicles(sim)}
