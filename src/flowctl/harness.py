@@ -35,9 +35,9 @@ rename) for every artifact, `policy.bin` included.  The reroute log, one
 row per rerouting evaluation and by far the largest table, is held as
 columns until the write and rendered by `reroutes_csv`: the lines
 `csv_lines` would give, from one f-string per row (an empty format spec is
-`str()`), with each distinct old route joined once.  `write_lines` streams each table's lines into the temp file as they
-are rendered, so no table, the reroute log of a long run included, is held
-as one string.
+`str()`), with each distinct old route joined once.  `write_lines` streams
+each table's lines into the temp file as they are rendered, so no table,
+the reroute log of a long run included, is held as one string.
 
 `run_many` runs its workers as fresh interpreters with one BLAS thread
 each, unless the caller's environment sets a count.  It imports the process
