@@ -543,17 +543,17 @@ def test_a_reroute_log_gives_back_its_rows_and_their_csv(decisions, cuts):
         log.extend(reroute_log(decisions[lo:hi]))
     assert len(log) == len(decisions)
     assert log.switches == sum(d.decision == "switch" for d in decisions)
-    for back in (log, pickle.loads(pickle.dumps(log))):
-        rows = list(back)
-        assert rows == list(decisions)
-        assert all(type(row) is RerouteDecision for row in rows)
-        assert [(row.old_route is row.new_route) for row in rows] == \
-            [(d.old_route is d.new_route) for d in decisions]
-        if back is log:
-            assert all(row.old_route is d.old_route and row.new_route is d.new_route
-                       for row, d in zip(rows, decisions))
-        assert "".join(reroutes_csv(back)) == \
-            "".join(csv_lines(REROUTE_HEADER, csv_rows(decisions)))
+    rows = list(log)
+    assert rows == list(decisions)
+    assert all(type(row) is RerouteDecision and row.old_route is d.old_route
+               and row.new_route is d.new_route for row, d in zip(rows, decisions))
+    text = "".join(csv_lines(REROUTE_HEADER, csv_rows(decisions)))
+    assert "".join(reroutes_csv(log)) == text
+    unpickled = pickle.loads(pickle.dumps(log))
+    assert list(unpickled) == rows
+    assert [row.new_route is row.old_route for row in unpickled] == \
+        [d.new_route is d.old_route for d in decisions]
+    assert "".join(reroutes_csv(unpickled)) == text
 
 
 def test_detectors_csv_shape():
