@@ -74,15 +74,26 @@ pre-step positions, and for earlier edges, and for spawns, post-step
 positions.  An entering vehicle's entry position is written to both
 buffers.
 
-The crossing loop handles each vehicle in place, with the slot arrays,
+Whole-array work uses the numpy arrays; per-vehicle work reads and writes
+a memoryview of each slot array and position buffer (`_speed_v`, `_pos_v`
+and so on, see `_VIEWED`).  A view indexes a float64 array as 'd' and an
+int64 one as 'l', so it returns and stores exactly the Python float or int
+that numpy scalar indexing would, at about half the cost.  `_relayout`, the
+only place that replaces the arrays, rebinds every view, and the position
+buffer views swap together with the buffers.  A loop that holds views in
+locals rebinds them after a resize: admission can grow the arrays in the
+middle of its pass.  Views cannot be pickled, so a pickle or deep copy of a
+`Simulation` leaves them out and rebuilds them from the copied arrays.
+
+The crossing loop handles each vehicle in place, with the slot views,
 lane lists and arm counters bound once per step: it picks the target lane,
 takes the vehicle off the front of its lane and appends it to the back of
 the next lane, or, on the route's last edge, lets it arrive and makes its
 slot inert.  Admission works the same way on the back of a first lane.  A
 free slot's position, speed and wait are already 0, so admission writes
 only the edge facts; `step` tries it only when a spawn is due or a vehicle
-is waiting.  `validate()` checks the slot arrays against the lanes and
-that every free slot is inert.
+is waiting.  `validate()` checks the slot arrays against the lanes, that
+every free slot is inert and that every view aliases its array.
 """
 
 from __future__ import annotations
@@ -220,15 +231,15 @@ class Vehicle:
 
     @property
     def pos(self) -> float:
-        return float(self._sim._pos[self.slot])
+        return self._sim._pos_v[self.slot]
 
     @property
     def speed(self) -> float:
-        return float(self._sim._speed[self.slot])
+        return self._sim._speed_v[self.slot]
 
     @property
     def wait(self) -> int:
-        return int(self._sim._wait[self.slot])
+        return self._sim._wait_v[self.slot]
 
     @property
     def edge_id(self) -> str:
@@ -330,6 +341,11 @@ def _largest_remainder_split(count: int, fractions: list[float]) -> list[int]:
     return base
 
 
+# Vehicle ids "v0", "v1", ...: one string per index, shared by every
+# schedule, so a run's logs hold each id once however many episodes it has.
+_VEHICLE_IDS: list[str] = []
+
+
 def spawn_schedule(net: RoadNetwork, count: int, seed: int,
                    horizon: int) -> tuple[SpawnSpec, ...]:
     """Deterministic demand: `count` vehicles departing within `horizon` seconds.
@@ -389,9 +405,12 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
             route = routes[origin, dest] = shortest_route(net, origin, dest, weights)[1]
         vehicle_routes.append(route)
     vtypes = labels_arr.tolist()
-    # tuple.__new__ builds each SpawnSpec without a Python-level call.
+    ids = _VEHICLE_IDS
+    ids.extend(f"v{i}" for i in range(len(ids), count))
+    # tuple.__new__ builds each SpawnSpec without a Python-level call; zip
+    # stops after `count` ids.
     return tuple(map(tuple.__new__, repeat(SpawnSpec), zip(
-        times.tolist(), [f"v{i}" for i in range(count)], vtypes,
+        times.tolist(), ids, vtypes,
         map(VEHICLE_MAX_SPEED.__getitem__, vtypes), vehicle_routes)))
 
 
@@ -480,6 +499,9 @@ class Simulation:
                     ("_cap", 0.0, np.float64), ("_end", math.inf, np.float64),
                     ("_lane_of", -1, np.intp), ("_halt", 0.0, np.float64),
                     ("_span", -math.inf, np.float64))
+    # The arrays that the per-vehicle loops read and write through a
+    # memoryview each, held as `<name>_v`.
+    _VIEWED = tuple(name for name, _, _ in _SLOT_FIELDS) + ("_leader", "_pos", "_spare")
 
     def _relayout(self, size: int) -> None:
         """Rebuild the slot arrays with room for `size` vehicles: the active
@@ -520,6 +542,26 @@ class Simulation:
             for lane in lanes:
                 lane[:] = range(first, first + len(lane))
                 first += len(lane)
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """View each array of _VIEWED as `<name>_v`.  A float64 array is a
+        'd' view and an int64 one an 'l' view, which store and return the
+        exact double or int that numpy scalar indexing would."""
+        for name in self._VIEWED:
+            setattr(self, name + "_v", memoryview(getattr(self, name)))
+
+    def __getstate__(self) -> dict:
+        """Everything but the views, which cannot be pickled; copying and
+        unpickling rebuild them from the arrays."""
+        state = self.__dict__.copy()
+        for name in self._VIEWED:
+            del state[name + "_v"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     # ------------------------------------------------------------- helpers
 
@@ -602,20 +644,24 @@ class Simulation:
         np.maximum(speed, 0.0, out=speed)
         np.add(old, speed, out=pos[:n])
         self._pos, self._spare = pos, prev
+        self._pos_v, self._spare_v = self._spare_v, self._pos_v
         crossing = (pos[:n] > self._end).nonzero()[0]
 
         if crossing.size:
+            # From here on every slot array is read and written through its view.
+            prev, pos = self._spare_v, self._pos_v
             handles, free, arm_count = self._handles, self._free, self._arm_count
-            wait, cap, end = self._wait, self._cap, self._end
-            lane_of, halt_of, span_of = self._lane_of, self._halt, self._span
+            speed, wait, cap, end = self._speed_v, self._wait_v, self._cap_v, self._end_v
+            lane_of, halt_of, span_of = self._lane_of_v, self._halt_v, self._span_v
+            leader = self._leader_v
             arrived = wait_sum = 0
-            for slot in sorted(crossing.tolist(), key=lane_of.item):
+            for slot in sorted(crossing.tolist(), key=lane_of.__getitem__):
                 v = handles[slot]
                 idx = v.route_idx
                 plan = v.plan
                 # Edge info, laid out as in __init__.
                 rank, first_lane, length, _, arm, _, _, lanes = plan[idx][0]
-                before = prev.item(slot)
+                before = prev[slot]
                 last = idx + 1 == len(plan)
                 if not last:
                     ((to_rank, to_first, to_length, to_limit, to_arm, to_halt,
@@ -626,10 +672,10 @@ class Simulation:
                     new_lane, room = allowed[0], -1.0
                     for lane in allowed:
                         occupants = to_lanes[lane]
-                        lane_room = rooms.item(occupants[-1]) if occupants else to_length
+                        lane_room = rooms[occupants[-1]] if occupants else to_length
                         if lane_room > room + 1e-12:
                             new_lane, room = lane, lane_room
-                    entry = pos.item(slot) - length
+                    entry = pos[slot] - length
                     limit = room - MIN_GAP
                     if limit < entry:
                         entry = limit
@@ -647,7 +693,7 @@ class Simulation:
                     arm_count[arm] -= 1
                 if last:  # arrive and free the slot, leaving it inert
                     arrived += 1
-                    wait_sum += wait.item(slot)
+                    wait_sum += wait[slot]
                     v.slot = handles[slot] = None
                     speed[slot] = pos[slot] = cap[slot] = halt_of[slot] = 0.0
                     wait[slot] = 0
@@ -700,7 +746,9 @@ class Simulation:
             waiting.append(future.popleft())
         plans = self._plans
         free, handles, arm_count = self._free, self._handles, self._arm_count
-        pos, leader, size = self._pos, self._leader, self._speed.size
+        size = self._speed.size
+        pos, leader, cap, end = self._pos_v, self._leader_v, self._cap_v, self._end_v
+        lane_of, halt_of, span_of = self._lane_of_v, self._halt_v, self._span_v
         still: list[SpawnSpec] = []
         admitted = 0
         for spec in waiting:
@@ -711,7 +759,7 @@ class Simulation:
             lane, room = allowed[0], -1.0
             for candidate in allowed:
                 occupants = lanes[candidate]
-                lane_room = pos.item(occupants[-1]) if occupants else length
+                lane_room = pos[occupants[-1]] if occupants else length
                 if lane_room > room + 1e-12:
                     lane, room = candidate, lane_room
             if room < MIN_GAP:
@@ -720,7 +768,9 @@ class Simulation:
             if not free:
                 self._relayout(2 * size)
                 free, handles = self._free, self._handles
-                pos, leader, size = self._pos, self._leader, self._speed.size
+                size = self._speed.size
+                pos, leader, cap, end = self._pos_v, self._leader_v, self._cap_v, self._end_v
+                lane_of, halt_of, span_of = self._lane_of_v, self._halt_v, self._span_v
             slot = free.pop()
             v = handles[slot] = Vehicle(self, slot, spec.vehicle_id, spec.max_speed,
                                         spec.route, plan)
@@ -729,11 +779,11 @@ class Simulation:
             leader[slot] = occupants[-1] if occupants else size + first_lane + lane
             occupants.append(slot)
             top = spec.max_speed
-            self._cap[slot] = limit if limit < top else top
-            self._end[slot] = length
-            self._lane_of[slot] = first_lane + lane
-            self._halt[slot] = halt
-            self._span[slot] = span
+            cap[slot] = limit if limit < top else top
+            end[slot] = length
+            lane_of[slot] = first_lane + lane
+            halt_of[slot] = halt
+            span_of[slot] = span
             if arm >= 0:
                 arm_count[arm] += 1
             admitted += 1
@@ -749,14 +799,15 @@ class Simulation:
         if self.sample_detectors:
             # Add the speeds in (arm, lane, front-to-back) order.
             near = (pos[:speed.size] <= self._span).nonzero()[0].tolist()
-            lane_of = self._lane_of
-            handles = self._handles
-            for lane, _, slot in sorted([(lane_of.item(slot), -pos.item(slot), slot)
+            lane_of, pos, speed = self._lane_of_v, self._pos_v, self._speed_v
+            lane_arm, handles = memoryview(self._lane_arm), self._handles
+            seen, speed_sum, speed_n = self._det_seen, self._det_speed_sum, self._det_speed_n
+            for lane, _, slot in sorted([(lane_of[slot], -pos[slot], slot)
                                          for slot in near]):
-                a = self._lane_arm.item(lane)
-                self._det_seen[a].add(handles[slot].id)
-                self._det_speed_sum[a] += speed.item(slot)
-                self._det_speed_n[a] += 1
+                a = lane_arm[lane]
+                seen[a].add(handles[slot].id)
+                speed_sum[a] += speed[slot]
+                speed_n[a] += 1
 
         if self.clock % DETECTOR_PERIOD == 0:
             start = self.clock - DETECTOR_PERIOD
@@ -915,6 +966,10 @@ class Simulation:
             raise InvariantViolation("a free slot has a leader")
         if np.any(pos[free] != 0.0):
             raise InvariantViolation("a free slot has a position")
+        for name in self._VIEWED:
+            array, view = getattr(self, name), getattr(self, name + "_v")
+            if view.obj is not array or len(view) != array.size:
+                raise InvariantViolation(f"{name}_v is not a view of {name}")
         total = self.pending_count + self.active_count + self.arrived_count
         if total != self.scheduled_total:
             raise InvariantViolation(

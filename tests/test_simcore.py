@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 from collections import Counter
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
+from flowctl.harness import desk_profile
+from flowctl.pgagent import drive_episode
 from flowctl.roadnet import build_default_network, build_network
 from flowctl.simcore import (
     ARM_ORDER,
     DETECTOR_PERIOD,
     HALT_SPEED,
+    INITIAL_SLOTS,
     MIN_GAP,
     DetectorReading,
     InvariantViolation,
@@ -173,6 +178,18 @@ def test_spawn_schedule_exact_split_odd_count():
     mix = Counter(s.vtype for s in sched)
     assert sum(mix.values()) == 333
     assert mix["car"] == 300  # floor(299.7) + largest remainder
+
+
+def test_spawn_schedules_share_their_vehicle_id_strings():
+    """Every schedule names vehicle i by one shared string object, so a
+    run's logs hold each id once however many episodes it has."""
+    short = spawn_schedule(NET, count=50, seed=3, horizon=100)
+    long = spawn_schedule(NET, count=120, seed=4, horizon=100)
+    again = spawn_schedule(NET, count=120, seed=5, horizon=100)
+    ids = {s.vehicle_id: s.vehicle_id for s in long}
+    assert sorted(ids, key=lambda i: int(i[1:])) == [f"v{i}" for i in range(120)]
+    for sched in (short, again):
+        assert all(s.vehicle_id is ids[s.vehicle_id] for s in sched)
 
 
 def test_spawn_schedule_validates_args():
@@ -642,6 +659,82 @@ def test_validate_catches_slot_corruption():
     sim._pos[sim._free[-1]] = 1.0  # admission relies on a free slot at position 0
     with pytest.raises(InvariantViolation, match="free slot has a position"):
         sim.validate()
+
+
+def test_validate_catches_a_view_of_a_replaced_array():
+    sim = make_sim()
+    place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=10.0)
+    sim.validate()
+    sim._cap = sim._cap.copy()
+    with pytest.raises(InvariantViolation, match="_cap_v is not a view of _cap"):
+        sim.validate()
+    sim._cap_v = memoryview(sim._cap)
+    sim.validate()
+    sim._pos_v, sim._spare_v = sim._spare_v, sim._pos_v
+    with pytest.raises(InvariantViolation, match="_pos_v is not a view of _pos"):
+        sim.validate()
+
+
+def test_views_follow_the_slot_arrays_as_admission_grows_them_and_they_shrink():
+    """A burst of three times INITIAL_SLOTS spawns fills the slot arrays,
+    so admission doubles them in the middle of its pass; as the burst
+    drains they halve back.  validate() holds after every step, and with
+    it every view aliases its current array."""
+    sim = make_sim(spawn_schedule(NET, count=3 * INITIAL_SLOTS, seed=5, horizon=30))
+    sizes = [sim._speed.size]
+    while not sim.done:
+        if sim.clock % 20 == 0 and not sim.signals.in_yellow:
+            sim.set_phase((sim.clock // 20) % 4)
+        sim.step()
+        sim.validate()
+        sizes.append(sim._speed.size)
+    assert max(sizes) >= 2 * INITIAL_SLOTS
+    assert sizes[-1] == INITIAL_SLOTS
+    assert sim.arrived_count == 3 * INITIAL_SLOTS
+
+
+def drive_fixed_time(sim: Simulation, max_decisions: int) -> None:
+    drive_episode(sim, None, green_duration=desk_profile().fixed_green,
+                  max_decisions=max_decisions)
+
+
+def sim_state(sim: Simulation):
+    return (sim.clock, sim.arrived_count, sim.cum_delay(),
+            [(v.id, v.edge_id, v.lane, v.route_idx, v.pos, v.speed, v.wait)
+             for v in iter_vehicles(sim)])
+
+
+def test_a_deep_copy_mid_episode_drives_to_the_same_end():
+    """Copy a desk simulation mid-episode, then drive the original and,
+    after it, the copy under fixed-time control: both agree part way and
+    at the end, so the copy shares no state with the original."""
+    cfg = desk_profile()
+    sim = make_sim(spawn_schedule(NET, cfg.vehicles, seed=83, horizon=cfg.spawn_horizon),
+                   yellow_duration=cfg.train.yellow_duration)
+    drive_fixed_time(sim, 5)
+    assert sim.active_count > 2 * INITIAL_SLOTS and sim.pending_count
+    twin = copy.deepcopy(sim)
+    twin.validate()
+    assert sim_state(twin) == sim_state(sim)
+    for decisions in (3, 1000):
+        for s in (sim, twin):
+            drive_fixed_time(s, decisions)
+            s.validate()
+        assert sim_state(twin) == sim_state(sim)
+    assert sim.done and sim.arrived_count == cfg.vehicles
+
+
+def test_a_pickled_simulation_validates_and_steps_as_the_original():
+    sim = make_sim(spawn_schedule(NET, count=300, seed=7, horizon=60))
+    run_steps(sim, 70)
+    clone = pickle.loads(pickle.dumps(sim))
+    clone.validate()
+    assert sim_state(clone) == sim_state(sim)
+    assert all(v._sim is clone for v in iter_vehicles(clone))
+    run_steps(sim, 40)
+    run_steps(clone, 40)
+    clone.validate()
+    assert sim_state(clone) == sim_state(sim)
 
 
 # -------------------------------------------------------------- route swap
