@@ -545,9 +545,7 @@ class Simulation:
         self._bind_views()
 
     def _bind_views(self) -> None:
-        """View each array of _VIEWED as `<name>_v`.  A float64 array is a
-        'd' view and an int64 one an 'l' view, which store and return the
-        exact double or int that numpy scalar indexing would."""
+        """View each array of _VIEWED as `<name>_v` (see the module notes)."""
         for name in self._VIEWED:
             setattr(self, name + "_v", memoryview(getattr(self, name)))
 

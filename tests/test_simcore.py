@@ -676,10 +676,12 @@ def test_validate_catches_a_view_of_a_replaced_array():
 
 
 def test_views_follow_the_slot_arrays_as_admission_grows_them_and_they_shrink():
-    """A burst of three times INITIAL_SLOTS spawns fills the slot arrays,
-    so admission doubles them in the middle of its pass; as the burst
-    drains they halve back.  validate() holds after every step, and with
-    it every view aliases its current array."""
+    """A burst of three times INITIAL_SLOTS spawns fills the slot arrays.
+    The spawn that finds no free slot doubles them in the middle of the
+    admission pass and is admitted into the new arrays, through views that
+    admission must rebind.  As the burst drains the arrays halve back.
+    validate() holds after every step, and with it every view aliases its
+    current array."""
     sim = make_sim(spawn_schedule(NET, count=3 * INITIAL_SLOTS, seed=5, horizon=30))
     sizes = [sim._speed.size]
     while not sim.done:
