@@ -21,10 +21,15 @@ density alone, which is all the rerouter reads; in fixed and rl their
 windows call nothing.
 
 Every run consumes per-episode demand schedules derived deterministically
-from one base seed and is reproducible byte-for-byte.  Sweeps fan the rl
-mode out over declared value sets for the discount factor, network width,
-or network depth, in parallel processes, and rank the values by the
-final-quarter reward.
+from one base seed.  Its artifacts are byte-identical for a fixed seed and
+a fixed BLAS thread count: at hidden widths of 400 and more the batched
+products round differently under more than one thread.  `flowctl` and
+`run_many` compute with one BLAS thread unless the caller sets a count;
+`run_experiment` and `run_phase`, called directly, use the calling
+process's numpy as it was loaded.  Sweeps fan the rl mode out over
+declared value sets for the discount factor, network width, or network
+depth, in parallel processes, and rank the values by the final-quarter
+reward.
 
 Each file job has one path: `_read` for the config, network and schedule
 files (a failed read is a ConfigError), `_key_value_lines` and
@@ -39,9 +44,9 @@ columns until the write and rendered by `reroutes_csv`: the lines
 each table's lines into the temp file as they are rendered, so no table,
 the reroute log of a long run included, is held as one string.
 
-`run_many` runs its workers as fresh interpreters with one BLAS thread
-each, unless the caller's environment sets a count.  It imports the process
-pool only when it runs two or more jobs, so a single run never loads it.
+`run_many` runs every job, a lone one included, in a spawned worker.  It
+imports the process pool only when it has a job to run, so a single
+`run_phase` never loads it.
 """
 
 from __future__ import annotations
@@ -136,25 +141,8 @@ class RunConfig:
 def desk_profile() -> RunConfig:
     """Minutes-scale default: converges and separates the three modes while
     a full comparison still runs on a laptop."""
-    return RunConfig(
-        train=TrainConfig(
-            episodes=50,
-            batch_size=200,
-            buffer_capacity=400,
-            gamma=0.5,
-            green_duration=4,
-            yellow_duration=2,
-            max_agent_steps=300,
-            hidden_width=200,
-            hidden_count=3,
-            learning_rate=5e-4,
-        ),
-        vehicles=1000,
-        spawn_horizon=300,
-        fixed_green=30,
-        density_threshold=0.05,
-        max_alternatives=4,
-    )
+    return RunConfig(train=TrainConfig(episodes=50, buffer_capacity=400,
+                                       max_agent_steps=300, learning_rate=5e-4))
 
 
 def paper_scale_profile() -> RunConfig:
@@ -162,14 +150,7 @@ def paper_scale_profile() -> RunConfig:
     0.25 s per learning episode (4 episodes per mode at seed 7, one BLAS
     thread, a 2-CPU Xeon host; repeats read up to 1.4x slower as the host's
     speed drifts), so about 50 s for a 200-episode learning run."""
-    return RunConfig(
-        train=TrainConfig(),  # 200 episodes, buffer 4500, 2500 steps, lr 1e-3
-        vehicles=4000,
-        spawn_horizon=3600,
-        fixed_green=30,
-        density_threshold=0.05,
-        max_alternatives=4,
-    )
+    return RunConfig(train=TrainConfig(), vehicles=4000, spawn_horizon=3600)
 
 
 # -------------------------------------------------------------- file access
@@ -460,19 +441,22 @@ def run_experiment(cfg: RunConfig, mode: str, seed: int) -> ExperimentResult:
 
 
 def run_many(jobs: list[tuple[RunConfig, str, int]]) -> list[ExperimentResult]:
-    """Run independent experiments, in parallel processes when there are
-    several, one process per job up to the CPU count.  Results come back in
-    job order.
+    """Run independent experiments in parallel processes, one process per
+    job up to the CPU count.  Results come back in job order.
 
-    Each worker is a fresh interpreter (the `spawn` start method), so its
-    numpy reads the BLAS thread settings of the environment it starts in.
-    While the pool runs, each of BLAS_THREAD_VARS that the caller has not
-    set is set to 1 and removed again afterwards: a worker's BLAS runs one
-    thread, not one per CPU.  As with any spawned worker, a script that
-    calls this must guard its entry point with `if __name__ == "__main__"`.
+    Every job, a lone one too, runs in a worker that is a fresh interpreter
+    (the `spawn` start method), so its numpy reads the BLAS thread settings
+    of the environment it starts in.  While the pool runs, each of
+    BLAS_THREAD_VARS that the caller has not set is set to 1 and removed
+    again afterwards: a worker's BLAS runs one thread, not one per CPU.  So
+    a job writes the same bytes whether it runs alone or beside others, for
+    a fixed seed and a fixed BLAS thread count; `run_experiment` called
+    directly computes with the calling process's numpy instead.  As with
+    any spawned worker, a script that calls this must guard its entry
+    point with `if __name__ == "__main__"`.
     """
-    if len(jobs) <= 1:
-        return [run_experiment(*job) for job in jobs]
+    if not jobs:
+        return []
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
     workers = min(len(jobs), os.cpu_count() or 1)

@@ -51,7 +51,7 @@ from .neuralnet import (
     value_fit_step,
     value_forward,
 )
-from .simcore import PHASE_COUNT, Simulation
+from .simcore import PHASE_COUNT, YELLOW_DURATION, Simulation
 
 AGENT_STREAM = 1  # seed-sequence lane for the agent's own randomness
 PROB_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)  # as Generator.choice allows
@@ -66,7 +66,7 @@ class TrainConfig:
     buffer_capacity: int = 4500
     gamma: float = 0.5
     green_duration: int = 4
-    yellow_duration: int = 2
+    yellow_duration: int = YELLOW_DURATION
     max_agent_steps: int = 2500
     hidden_width: int = 200
     hidden_count: int = 3

@@ -107,6 +107,15 @@ def test_run_config_validation():
         dataclasses.replace(desk_profile(), density_threshold=-0.5)
     with pytest.raises(ConfigError, match="max_alternatives"):
         dataclasses.replace(desk_profile(), max_alternatives=0)
+    # Every bound at its edge: the least legal value constructs and the
+    # nearest illegal one raises.
+    for field, legal, illegal in (
+            ("vehicles", 0, -1), ("spawn_horizon", 1, 0), ("fixed_green", 1, 0),
+            ("density_threshold", 0.0, math.nextafter(0.0, -1.0)),
+            ("max_alternatives", 1, 0)):
+        dataclasses.replace(desk_profile(), **{field: legal})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(desk_profile(), **{field: illegal})
 
 
 # ------------------------------------------------------------- config file
@@ -428,9 +437,29 @@ def test_run_many_workers_pin_blas_threads_unless_already_set(monkeypatch):
         for name, value in preset.items():
             monkeypatch.setenv(name, value)
         assert run_many([(None, "rl", 1), (None, "rl", 2)]) == [expected] * 2
+        # A lone job runs in a pinned worker too.
+        assert run_many([(None, "rl", 1)]) == [expected]
         # The caller's own environment is left as it was.
         assert [os.environ.get(name) for name in BLAS_VARS] == \
             [preset.get(name) for name in BLAS_VARS]
+
+
+def test_a_job_writes_the_same_policy_bytes_alone_and_pooled(monkeypatch):
+    """At width 600 the batched products round differently under more than
+    one BLAS thread (ROADMAP K6), so a lone job must be pinned as a pooled
+    one is."""
+    for name in BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    cfg = desk_profile()
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(
+        cfg.train, episodes=2, hidden_width=600))
+    job = (cfg, "rl", 7)
+    [alone] = run_many([job])
+    pooled, _ = run_many([job, (cfg, "fixed", 7)])
+    assert alone.metrics == pooled.metrics
+    for a, b in zip(alone.network.weights + alone.network.biases,
+                    pooled.network.weights + pooled.network.biases, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_the_process_pool_is_imported_only_to_run_jobs_in_parallel():

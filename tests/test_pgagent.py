@@ -139,6 +139,19 @@ def test_train_config_validation():
         TrainConfig(value_hidden_width=0)
     with pytest.raises(ValueError, match="value_hidden_width"):
         TrainConfig(use_value_baseline=True, value_hidden_width=-3)
+    # Every bound at its edge: the least legal value constructs and the
+    # nearest illegal one raises.
+    for field, legal, illegal in (
+            ("episodes", 1, 0), ("batch_size", 1, 0), ("buffer_capacity", 1, 0),
+            ("gamma", 0.0, math.nextafter(0.0, -1.0)),
+            ("gamma", 1.0, math.nextafter(1.0, 2.0)),
+            ("green_duration", 1, 0), ("yellow_duration", 1, 0),
+            ("max_agent_steps", 1, 0), ("hidden_width", 1, 0),
+            ("hidden_count", 1, 0), ("value_hidden_width", 1, 0),
+            ("learning_rate", 5e-324, 0.0)):
+        TrainConfig(**{field: legal})
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: illegal})
 
 
 # ------------------------------------------------------------------ driver

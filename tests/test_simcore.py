@@ -11,7 +11,7 @@ import pytest
 
 from flowctl.harness import desk_profile
 from flowctl.pgagent import drive_episode
-from flowctl.roadnet import build_default_network, build_network
+from flowctl.roadnet import build_default_network, build_network, make_network
 from flowctl.simcore import (
     ARM_ORDER,
     DETECTOR_PERIOD,
@@ -65,13 +65,20 @@ def test_infer_layout_default_network():
 
 
 def test_infer_layout_rejects_wrong_signal_count():
-    from flowctl.roadnet import Edge, make_network
+    from flowctl.roadnet import Edge
     edges = [
         Edge("in1", "a", "m", 100.0, 4, 10.0, True),
         Edge("out1", "m", "a", 100.0, 4, 10.0, False),
     ]
     with pytest.raises(NetworkLayoutError):
         infer_layout(make_network(edges))
+
+
+def test_infer_layout_rejects_an_arm_missing_an_outbound_edge():
+    for dropped in ("jct_n_out", "app_n_out"):
+        net = make_network([e for e in NET.edges.values() if e.id != dropped])
+        with pytest.raises(NetworkLayoutError, match="missing its outbound edges"):
+            infer_layout(net)
 
 
 # ----------------------------------------------------------------- signals
