@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment and write artifacts")
     run.add_argument("--mode", required=True,
-                     choices=["fixed", "rl", "rl-reroute"])
+                     choices=[m.replace("_", "-") for m in MODES])
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--out", help="output directory (default runs/<mode>-seed<seed>)")

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS, rerouter
 from .neuralnet import PolicyNetwork, save_network
-from .pgagent import EpisodeMetrics, Learner, TrainConfig, drive_episode
+from .pgagent import Learner, TrainConfig, drive_episode
 from .rerouter import RerouteDecision, RerouteLog
 from .roadnet import (
     RoadNetwork,
@@ -364,6 +364,18 @@ def _schedule_for(net: RoadNetwork, cfg: RunConfig, base_seed: int,
 
 
 # ------------------------------------------------------------------- runs
+
+@dataclass(frozen=True)
+class EpisodeMetrics:
+    """Per-episode summary row (see the metrics CSV)."""
+
+    episode: int
+    cum_delay_s: int
+    avg_queue_len: float
+    cum_negative_reward: float
+    sim_time_s: int
+    arrived: int
+
 
 @dataclass(frozen=True)
 class ExperimentResult:

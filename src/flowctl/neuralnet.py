@@ -29,7 +29,6 @@ OUTPUT_SIZE = 4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-DEFAULT_LEARNING_RATE = 1e-3
 # Elements per block of an Adam update: the block's slices of a parameter,
 # its gradient, both moments and two scratch arrays take 384 KiB, so the
 # operations of one block run in cache.
@@ -86,8 +85,7 @@ def init_network(hidden_width: int, hidden_count: int, seed: int = 0,
     return PolicyNetwork(weights=tuple(weights), biases=tuple(biases))
 
 
-def init_optimizer(net: PolicyNetwork,
-                   learning_rate: float = DEFAULT_LEARNING_RATE) -> OptimizerState:
+def init_optimizer(net: PolicyNetwork, learning_rate: float) -> OptimizerState:
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
     # Each moment gets its own array, since apply_update writes into them.
@@ -244,7 +242,7 @@ def save_network(net: PolicyNetwork, path) -> None:
 
 # ------------------------------------------------- optional value baseline
 
-def init_value_network(hidden_width: int = 64, seed: int = 0,
+def init_value_network(hidden_width: int, seed: int = 0,
                        input_size: int = INPUT_SIZE) -> PolicyNetwork:
     """Small scalar-output net used as a learned baseline when enabled."""
     return init_network(hidden_width, 1, seed=seed,

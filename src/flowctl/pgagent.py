@@ -98,18 +98,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class EpisodeMetrics:
-    """Per-episode summary row (see the metrics CSV)."""
-
-    episode: int
-    cum_delay_s: int
-    avg_queue_len: float
-    cum_negative_reward: float
-    sim_time_s: int
-    arrived: int
-
-
-@dataclass(frozen=True)
 class AgentState:
     """Everything the learner mutates between episodes."""
 

@@ -37,13 +37,18 @@ extends the green seamlessly.
 
 State layout.  Each active vehicle owns a slot: an index into numpy arrays
 of position, speed, waiting time, speed cap (its top speed and the edge
-limit folded into one `min`, which is exact), edge length and two
-thresholds.  `_halt` is HALT_SPEED on an inbound arm edge and 0 elsewhere,
-so `speed < _halt` is the halted set (speed is never negative); `_span` is
-DETECTOR_SPAN on an approach edge and -inf elsewhere, so `pos <= _span` is
-the detector set.  A free slot is inert: position 0, no speed or wait, no
-cap, an edge end at infinity, thresholds that nothing meets, and itself
-as leader.  Lanes keep their slots front to back.  Freed slots go on a
+limit folded into one `min`, which is exact), edge length, lane id and
+halt threshold.  `_halt` is HALT_SPEED on an inbound arm edge and 0
+elsewhere, so `speed < _halt` is the halted set (speed is never negative).
+A per-slot array holds only what every step reads; a fact that only an
+occasional reader needs sits in a per-lane table indexed by `_lane_of`.
+So `_lane_span`, DETECTOR_SPAN on an approach lane and -inf elsewhere,
+gives the detector set as `pos <= _lane_span[_lane_of]`, and `_lane_arm`,
+`_lane_cell` and `_lane_offset` serve the arm loads and the sensors.  Each
+table ends in an inert row, which a free slot's lane id -1 picks.  A free
+slot is inert: position 0, no speed or wait, no cap, an edge end at
+infinity, no lane, a halt threshold that nothing meets, and itself as
+leader.  Lanes keep their slots front to back.  Freed slots go on a
 free list and are reused.  The arrays double when every slot is taken; at
 the end of a step in which at most a quarter of the slots are active (and
 more than INITIAL_SLOTS exist), they are halved until that no longer
@@ -64,15 +69,15 @@ exceeds the wall.
 Two position buffers alternate, so the pre-step positions survive the
 update.  The few vehicles that passed their edge end then cross in
 (_edge_order, lane) order, the order of a lane-by-lane pass.  Each vehicle
-holds its route's plan: per route index, the edge's fixed facts (rank in
-_edge_order, first lane id, length, limit, arm, thresholds, lane lists)
-and the lanes the next junction movement allows.  Plans are memoized per
-route tuple, and a route swap fetches a new one.  Lane choice on entry
-compares the room behind each target lane's rear vehicle: for target
-edges later in _edge_order than the crossing vehicle's edge it reads
-pre-step positions, and for earlier edges, and for spawns, post-step
-positions.  An entering vehicle's entry position is written to both
-buffers.
+holds its route's plan: per route index, the edge's fixed facts (first
+lane id, length, limit, arm, halt threshold, lane lists) and the lanes the
+next junction movement allows.  Plans are memoized per route tuple, and a
+route swap fetches a new one.  Lane choice on entry compares the room
+behind each target lane's rear vehicle: for target edges later in
+_edge_order than the crossing vehicle's edge (a higher first lane id) it
+reads pre-step positions, and for earlier edges, and for spawns,
+post-step positions.  An entering vehicle's entry position is written to
+both buffers.
 
 Whole-array work uses the numpy arrays; per-vehicle work reads and writes
 a memoryview of each slot array and position buffer (`_speed_v`, `_pos_v`
@@ -207,14 +212,15 @@ class SignalController:
 class Vehicle:
     """A handle on one vehicle; the current edge is route[route_idx].
 
-    Identity, route and lane are plain attributes; `plan` is the route's
-    plan (see the module notes).  Position, speed and waiting time live in
+    Identity and route are plain attributes; `plan` is the route's plan
+    (see the module notes).  Position, speed, waiting time and lane live in
     the simulation's slot arrays at index `slot` and read back as Python
-    numbers.  An arrived vehicle gives its slot up (`slot` becomes None)
-    and has no position any more.
+    numbers; the lane is the slot's lane id less its edge's first.  An
+    arrived vehicle gives its slot up (`slot` becomes None) and has no
+    position or lane any more.
     """
 
-    __slots__ = ("id", "max_speed", "route", "plan", "route_idx", "lane",
+    __slots__ = ("id", "max_speed", "route", "plan", "route_idx",
                  "rerouted", "slot", "_sim")
 
     def __init__(self, sim: Simulation, slot: int, vehicle_id: str,
@@ -224,7 +230,6 @@ class Vehicle:
         self.route = route
         self.plan = plan
         self.route_idx = 0
-        self.lane = 0
         self.rerouted = False
         self.slot = slot
         self._sim = sim
@@ -240,6 +245,10 @@ class Vehicle:
     @property
     def wait(self) -> int:
         return self._sim._wait_v[self.slot]
+
+    @property
+    def lane(self) -> int:
+        return self._sim._lane_of_v[self.slot] - self.plan[self.route_idx][0][0]
 
     @property
     def edge_id(self) -> str:
@@ -432,22 +441,21 @@ class Simulation:
         inbound = {a: (q.approach_in, q.junction_in) for a, q in self.arms.items()}
         self._edge_order = tuple(sorted(net.edges))
 
-        # Lane ids run in (_edge_order, lane) order.  Per edge: its rank in
-        # _edge_order, first lane id, length, speed limit, inbound arm index
-        # (or -1), halt and detector thresholds, and lane lists.
+        # Lane ids run in (_edge_order, lane) order.  Per edge: its first
+        # lane id, length, speed limit, inbound arm index (or -1), halt
+        # threshold, and lane lists.
         self._lanes: dict[str, list[list[int]]] = {}
         self._edge_info: dict[str, tuple] = {}
-        lane_rows = []  # per lane id: arm, sensor cell base, distance offset, walls
-        for rank, eid in enumerate(self._edge_order):
+        lane_rows = []  # per lane id: arm, sensor cell base, distance offset, span, walls
+        for eid in self._edge_order:
             edge = net.edges[eid]
             arm = next((i for i, a in enumerate(ARM_ORDER) if eid in inbound[a]), -1)
             approach = arm >= 0 and eid == inbound[ARM_ORDER[arm]][0]
             self._lanes[eid] = [[] for _ in range(edge.lane_count)]
-            self._edge_info[eid] = (rank, len(lane_rows), edge.length,
-                                    edge.speed_limit, arm,
-                                    HALT_SPEED if arm >= 0 else 0.0,
-                                    DETECTOR_SPAN if approach else -math.inf,
+            self._edge_info[eid] = (len(lane_rows), edge.length, edge.speed_limit,
+                                    arm, HALT_SPEED if arm >= 0 else 0.0,
                                     self._lanes[eid])
+            span = DETECTOR_SPAN if approach else -math.inf
             signal_arm = self._jin_arm.get(eid)
             for lane in range(edge.lane_count):
                 cell, offset = -1, 0.0
@@ -459,12 +467,13 @@ class Simulation:
                          or phase_is_green(p, signal_arm, lane)
                          else edge.length for p in range(PHASE_COUNT)]
                 walls.append(math.inf if signal_arm is None else edge.length)  # amber
-                lane_rows.append((arm, cell, offset, walls))
+                lane_rows.append((arm, cell, offset, span, walls))
         # A free slot has lane id -1, which picks the inert last row here.
         self._lane_arm = np.array([r[0] for r in lane_rows] + [-1])
         self._lane_cell = np.array([r[1] for r in lane_rows] + [-1])
         self._lane_offset = np.array([r[2] for r in lane_rows] + [0.0])
-        self._walls = np.array([r[3] for r in lane_rows]).T.copy()
+        self._lane_span = np.array([r[3] for r in lane_rows] + [-math.inf])
+        self._walls = np.array([r[4] for r in lane_rows]).T.copy()
         self._wall_key = -1  # the row of _walls the sentinels hold; none yet
         self._arm_count = [0] * len(ARM_ORDER)
         self._handles: list[Vehicle | None] = []
@@ -493,12 +502,12 @@ class Simulation:
     # ------------------------------------------------------------- slots
 
     # Per-slot arrays with the value that makes a free slot inert: no speed,
-    # no speed cap, an edge end at infinity, no lane and thresholds that
-    # nothing meets.  `_leader` and the two position buffers are handled apart.
+    # no speed cap, an edge end at infinity, no lane and a halt threshold
+    # that nothing meets.  `_leader` and the two position buffers are handled
+    # apart.
     _SLOT_FIELDS = (("_speed", 0.0, np.float64), ("_wait", 0, np.int64),
                     ("_cap", 0.0, np.float64), ("_end", math.inf, np.float64),
-                    ("_lane_of", -1, np.intp), ("_halt", 0.0, np.float64),
-                    ("_span", -math.inf, np.float64))
+                    ("_lane_of", -1, np.intp), ("_halt", 0.0, np.float64))
     # The arrays that the per-vehicle loops read and write through a
     # memoryview each, held as `<name>_v`.
     _VIEWED = tuple(name for name, _, _ in _SLOT_FIELDS) + ("_leader", "_pos", "_spare")
@@ -650,23 +659,23 @@ class Simulation:
             prev, pos = self._spare_v, self._pos_v
             handles, free, arm_count = self._handles, self._free, self._arm_count
             speed, wait, cap, end = self._speed_v, self._wait_v, self._cap_v, self._end_v
-            lane_of, halt_of, span_of = self._lane_of_v, self._halt_v, self._span_v
-            leader = self._leader_v
+            lane_of, halt_of, leader = self._lane_of_v, self._halt_v, self._leader_v
             arrived = wait_sum = 0
             for slot in sorted(crossing.tolist(), key=lane_of.__getitem__):
                 v = handles[slot]
                 idx = v.route_idx
                 plan = v.plan
                 # Edge info, laid out as in __init__.
-                rank, first_lane, length, _, arm, _, _, lanes = plan[idx][0]
+                first_lane, length, _, arm, _, lanes = plan[idx][0]
                 before = prev[slot]
                 last = idx + 1 == len(plan)
                 if not last:
-                    ((to_rank, to_first, to_length, to_limit, to_arm, to_halt,
-                      to_span, to_lanes), allowed) = plan[idx + 1]
+                    ((to_first, to_length, to_limit, to_arm, to_halt, to_lanes),
+                     allowed) = plan[idx + 1]
                     # The allowed lane with the most room behind its rear
-                    # vehicle; ties take the lowest.
-                    rooms = prev if to_rank > rank else pos
+                    # vehicle; ties take the lowest.  Lane ids follow
+                    # _edge_order, so a later edge has a higher first lane.
+                    rooms = prev if to_first > first_lane else pos
                     new_lane, room = allowed[0], -1.0
                     for lane in allowed:
                         occupants = to_lanes[lane]
@@ -682,11 +691,11 @@ class Simulation:
                         speed[slot] = length - before
                         continue
                 # Leave the front of the lane; the next vehicle leads it now.
-                lane = v.lane
-                occupants = lanes[lane]
+                lane = lane_of[slot]
+                occupants = lanes[lane - first_lane]
                 del occupants[0]
                 if occupants:
-                    leader[occupants[0]] = n + first_lane + lane
+                    leader[occupants[0]] = n + lane
                 if arm >= 0:
                     arm_count[arm] -= 1
                 if last:  # arrive and free the slot, leaving it inert
@@ -697,7 +706,6 @@ class Simulation:
                     wait[slot] = 0
                     end[slot] = math.inf
                     lane_of[slot] = -1
-                    span_of[slot] = -math.inf
                     leader[slot] = slot
                     free.append(slot)
                     continue
@@ -706,7 +714,6 @@ class Simulation:
                 leader[slot] = occupants[-1] if occupants else n + to_first + new_lane
                 occupants.append(slot)
                 v.route_idx = idx + 1
-                v.lane = new_lane
                 pos[slot] = prev[slot] = entry
                 speed[slot] = (length - before) + entry
                 top = v.max_speed
@@ -714,7 +721,6 @@ class Simulation:
                 end[slot] = to_length
                 lane_of[slot] = to_first + new_lane
                 halt_of[slot] = to_halt
-                span_of[slot] = to_span
                 if to_arm >= 0:
                     arm_count[to_arm] += 1
             self.active_count -= arrived
@@ -746,12 +752,12 @@ class Simulation:
         free, handles, arm_count = self._free, self._handles, self._arm_count
         size = self._speed.size
         pos, leader, cap, end = self._pos_v, self._leader_v, self._cap_v, self._end_v
-        lane_of, halt_of, span_of = self._lane_of_v, self._halt_v, self._span_v
+        lane_of, halt_of = self._lane_of_v, self._halt_v
         still: list[SpawnSpec] = []
         admitted = 0
         for spec in waiting:
             plan = plans[spec.route]
-            (_, first_lane, length, limit, arm, halt, span, lanes), allowed = plan[0]
+            (first_lane, length, limit, arm, halt, lanes), allowed = plan[0]
             # The allowed lane with the most room behind its rear vehicle;
             # ties take the lowest.
             lane, room = allowed[0], -1.0
@@ -768,11 +774,10 @@ class Simulation:
                 free, handles = self._free, self._handles
                 size = self._speed.size
                 pos, leader, cap, end = self._pos_v, self._leader_v, self._cap_v, self._end_v
-                lane_of, halt_of, span_of = self._lane_of_v, self._halt_v, self._span_v
+                lane_of, halt_of = self._lane_of_v, self._halt_v
             slot = free.pop()
             v = handles[slot] = Vehicle(self, slot, spec.vehicle_id, spec.max_speed,
                                         spec.route, plan)
-            v.lane = lane
             occupants = lanes[lane]
             leader[slot] = occupants[-1] if occupants else size + first_lane + lane
             occupants.append(slot)
@@ -781,7 +786,6 @@ class Simulation:
             end[slot] = length
             lane_of[slot] = first_lane + lane
             halt_of[slot] = halt
-            span_of[slot] = span
             if arm >= 0:
                 arm_count[arm] += 1
             admitted += 1
@@ -796,7 +800,7 @@ class Simulation:
             self._det_count_sum[a] += count
         if self.sample_detectors:
             # Add the speeds in (arm, lane, front-to-back) order.
-            near = (pos[:speed.size] <= self._span).nonzero()[0].tolist()
+            near = (pos[:speed.size] <= self._lane_span[self._lane_of]).nonzero()[0].tolist()
             lane_of, pos, speed = self._lane_of_v, self._pos_v, self._speed_v
             lane_arm, handles = memoryview(self._lane_arm), self._handles
             seen, speed_sum, speed_n = self._det_seen, self._det_speed_sum, self._det_speed_n
@@ -907,7 +911,7 @@ class Simulation:
         active = 0
         arm_count = [0] * len(ARM_ORDER)
         for eid in self._edge_order:
-            _, first_lane, length, limit, arm, halt, span, lanes = self._edge_info[eid]
+            first_lane, length, limit, arm, halt, lanes = self._edge_info[eid]
             for lane_idx, lane in enumerate(lanes):
                 ahead = n + first_lane + lane_idx  # the lane's sentinel
                 for slot in lane:
@@ -937,10 +941,8 @@ class Simulation:
                     if self._leader[slot] != ahead:
                         raise InvariantViolation(
                             f"{v.id} follows slot {self._leader[slot]}, not {ahead}")
-                    if ((self._lane_of[slot], self._end[slot], self._cap[slot],
-                         self._halt[slot], self._span[slot])
-                            != (first_lane + lane_idx, length, min(v.max_speed, limit),
-                                halt, span)):
+                    if ((self._lane_of[slot], self._end[slot], self._cap[slot], self._halt[slot])
+                            != (first_lane + lane_idx, length, min(v.max_speed, limit), halt)):
                         raise InvariantViolation(f"{v.id} slot state is stale")
                     ahead = slot
                 if arm >= 0:

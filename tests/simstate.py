@@ -25,7 +25,7 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     if not 0.0 <= pos <= edge.length:
         raise ValueError(f"pos {pos} outside edge {route[0]} (0..{edge.length})")
     plan = sim._route_plan(route)
-    (_, first_lane, length, limit, arm, halt, span, lanes), allowed = plan[0]
+    (first_lane, length, limit, arm, halt, lanes), allowed = plan[0]
     if lane is None:
         rooms = [sim._pos[lanes[i][-1]] if lanes[i] else length for i in allowed]
         lane = allowed[rooms.index(max(rooms))]
@@ -41,7 +41,6 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     slot = sim._free.pop()
     v = sim._handles[slot] = Vehicle(sim, slot, vehicle_id, VEHICLE_MAX_SPEED[vtype],
                                      route, plan)
-    v.lane = lane
     sim._pos[slot] = pos
     sim._speed[slot] = speed
     sim._wait[slot] = wait
@@ -55,7 +54,6 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     sim._end[slot] = length
     sim._lane_of[slot] = first_lane + lane
     sim._halt[slot] = halt
-    sim._span[slot] = span
     if arm >= 0:
         sim._arm_count[arm] += 1
     sim.active_count += 1

@@ -25,6 +25,7 @@ from flowctl.harness import (
     SWEEP_AXES,
     SWEEP_SUMMARY_HEADER,
     ConfigError,
+    EpisodeMetrics,
     RunConfig,
     config_text,
     csv_lines,
@@ -47,7 +48,6 @@ from flowctl.harness import (
     write_lines,
     write_run_artifacts,
 )
-from flowctl.pgagent import EpisodeMetrics
 from flowctl.roadnet import build_default_network
 from flowctl.simcore import ARM_ORDER, Simulation
 from flowctl.rerouter import NO_ALTERNATIVE, RerouteDecision, RerouteLog

@@ -247,7 +247,7 @@ def test_apply_update_moves_along_gradient_sign():
 
 def test_apply_update_scale_zero_is_noop_from_fresh_optimizer():
     net = small_net(32)
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     g = logp_gradient(net, np.ones(6), 0)
     before = [a.copy() for a in net.weights + net.biases]
     net2, opt2 = apply_update(net, g, 0.0, opt)
@@ -258,7 +258,7 @@ def test_apply_update_scale_zero_is_noop_from_fresh_optimizer():
 
 def test_apply_update_rejects_nonfinite():
     net = small_net(33)
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     g = logp_gradient(net, np.ones(6), 0)
     bad_w = list(g.weights)
     bad_w[0] = bad_w[0].copy()
@@ -272,7 +272,7 @@ def test_apply_update_rejects_nonfinite():
 def test_apply_update_rejects_shape_mismatch():
     net = small_net(34)
     other = small_net(34, sizes=(6, 5, 5, 3))
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     g = logp_gradient(other, np.ones(6), 0)
     with pytest.raises(ValueError):
         apply_update(net, g, 1.0, opt)
@@ -324,7 +324,7 @@ def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
 
 def test_apply_update_writes_into_its_arrays_and_leaves_the_gradients_alone():
     net = small_net(37)
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
     grads = logp_gradient(net, np.full(6, 0.5), 2)
     params, m, v = copies(net.weights + net.biases), copies(opt.m), copies(opt.v)
@@ -343,7 +343,7 @@ def test_apply_update_writes_into_its_arrays_and_leaves_the_gradients_alone():
                                    "infinite_scale"])
 def test_rejected_update_changes_nothing(fault):
     net = small_net(38)
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
     g = logp_gradient(net, np.full(6, 0.5), 2)
     biases, scale = list(g.biases), 1.0
@@ -365,7 +365,7 @@ def test_rejected_update_changes_nothing(fault):
 @pytest.mark.parametrize("where", ["strided_parameter", "read_only_moment"])
 def test_apply_update_rejects_an_array_it_cannot_write_through(where):
     net = small_net(39)
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     g = logp_gradient(net, np.ones(6), 0)
     weights, v = list(net.weights), list(opt.v)
     if where == "strided_parameter":
@@ -387,7 +387,7 @@ def test_apply_update_rejects_an_array_it_cannot_write_through(where):
 
 def test_init_optimizer_gives_every_moment_its_own_memory():
     net = init_network(8, 2, seed=0)
-    opt = init_optimizer(net)
+    opt = init_optimizer(net, learning_rate=1e-3)
     arrays = net.weights + net.biases + opt.m + opt.v
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])

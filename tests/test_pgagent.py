@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from flowctl import pgagent
-from flowctl.harness import RunConfig, desk_profile, run_experiment
+from flowctl.harness import EpisodeMetrics, RunConfig, desk_profile, run_experiment
 from flowctl.neuralnet import forward, init_network
 from flowctl.pgagent import (
     AGENT_STREAM,
     PROB_SUM_TOL,
     AgentState,
-    EpisodeMetrics,
     Learner,
     Memory,
     TrainConfig,

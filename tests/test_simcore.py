@@ -553,6 +553,14 @@ def test_wait_accrues_only_while_halted_on_inbound_edges():
     assert sum(queue for _, queue in loads) == 1
 
 
+def test_arm_loads_has_one_pair_per_arm_when_the_last_arms_are_empty():
+    assert make_sim().arm_loads() == [(0, 0)] * len(ARM_ORDER)
+    sim = make_sim()
+    place_vehicle(sim, "left", ("jct_n_in", "jct_e_out", "app_e_out"), lane=0, pos=97.5)
+    run_steps(sim, 3)  # phase 0 holds the north left lane at red
+    assert sim.arm_loads() == [(3, 1), (0, 0), (0, 0), (0, 0)]
+
+
 def test_wait_leaves_cumulative_on_departure_but_stays_in_delay():
     sim = make_sim()
     v = place_vehicle(sim, "x", ("jct_w_in", "jct_e_out", "app_e_out"),
