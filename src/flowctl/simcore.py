@@ -36,24 +36,21 @@ change inserts a fixed all-red amber interval; re-selecting the active phase
 extends the green seamlessly.
 
 State layout.  Each active vehicle owns a slot: an index into numpy arrays
-of position, speed, waiting time, speed cap (its top speed and the edge
-limit folded into one `min`, which is exact), edge length, lane id and
-halt threshold.  `_halt` is HALT_SPEED on an inbound arm edge and 0
-elsewhere, so `speed < _halt` is the halted set (speed is never negative).
-A per-slot array holds only what every step reads; a fact that only an
-occasional reader needs sits in a per-lane table indexed by `_lane_of`.
-So `_lane_span`, DETECTOR_SPAN on an approach lane and -inf elsewhere,
-gives the detector set as `pos <= _lane_span[_lane_of]`, and `_lane_arm`,
-`_lane_cell` and `_lane_offset` serve the arm loads and the sensors.  Each
-table ends in an inert row, which a free slot's lane id -1 picks.  A free
-slot is inert: position 0, no speed or wait, no cap, an edge end at
-infinity, no lane, a halt threshold that nothing meets, and itself as
-leader.  Lanes keep their slots front to back.  Freed slots go on a
-free list and are reused.  The arrays double when every slot is taken; at
-the end of a step in which at most a quarter of the slots are active (and
-more than INITIAL_SLOTS exist), they are halved until that no longer
-holds, never inside the crossing loop.  So the array size follows the
-active count.  Both resizes renumber the active slots into the front in
+of what every step reads: position, speed, waiting time, speed cap (its top
+speed and the edge limit folded into one `min`, which is exact), edge
+length, lane id and halt threshold.  `_halt` is HALT_SPEED on an inbound arm
+edge and 0 elsewhere, so `speed < _halt` is the halted set (speed is never
+negative).  What only occasional readers need sits in per-lane tables
+indexed by lane id: `_lane_span` is DETECTOR_SPAN on an approach lane and
+-inf elsewhere, so `pos <= _lane_span[_lane_of]` is the detector set.  A
+free slot is inert: position 0, no speed or wait, no cap, an edge end at
+infinity, lane id -1 (each table's inert last row), a halt threshold that
+nothing meets, and itself as leader.  Lanes keep their slots front to back.
+Freed slots go on a free list and are reused.  The arrays double when every
+slot is taken; at the end of a step in which at most a quarter of the slots
+are active (and more than INITIAL_SLOTS exist), they are halved until that
+no longer holds, never inside the crossing loop.  So the array size follows
+the active count.  Both resizes renumber the active slots into the front in
 lane order and update each vehicle's `slot`.
 
 Each slot has a `leader` index into a position buffer that holds the slots
@@ -502,9 +499,8 @@ class Simulation:
     # ------------------------------------------------------------- slots
 
     # Per-slot arrays with the value that makes a free slot inert: no speed,
-    # no speed cap, an edge end at infinity, no lane and a halt threshold
-    # that nothing meets.  `_leader` and the two position buffers are handled
-    # apart.
+    # no speed cap, an edge end at infinity, no lane and no halt threshold.
+    # `_leader` and the two position buffers are handled apart.
     _SLOT_FIELDS = (("_speed", 0.0, np.float64), ("_wait", 0, np.int64),
                     ("_cap", 0.0, np.float64), ("_end", math.inf, np.float64),
                     ("_lane_of", -1, np.intp), ("_halt", 0.0, np.float64))
@@ -673,8 +669,8 @@ class Simulation:
                     ((to_first, to_length, to_limit, to_arm, to_halt, to_lanes),
                      allowed) = plan[idx + 1]
                     # The allowed lane with the most room behind its rear
-                    # vehicle; ties take the lowest.  Lane ids follow
-                    # _edge_order, so a later edge has a higher first lane.
+                    # vehicle; ties take the lowest.  A later edge in
+                    # _edge_order has a higher first lane id.
                     rooms = prev if to_first > first_lane else pos
                     new_lane, room = allowed[0], -1.0
                     for lane in allowed:
