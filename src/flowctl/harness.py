@@ -79,6 +79,7 @@ from .simcore import (
     DetectorReading,
     Simulation,
     SpawnSpec,
+    infer_layout,
     spawn_schedule,
 )
 
@@ -132,7 +133,7 @@ class RunConfig:
             raise ConfigError("spawn_horizon must be >= 1")
         if self.fixed_green < 1:
             raise ConfigError("fixed_green must be >= 1")
-        if self.density_threshold < 0:
+        if not self.density_threshold >= 0:
             raise ConfigError("density_threshold must be >= 0")
         if self.max_alternatives < 1:
             raise ConfigError("max_alternatives must be >= 1")
@@ -349,7 +350,9 @@ def _network_for(cfg: RunConfig) -> RoadNetwork:
         return build_default_network()
     text = _read(cfg.network, "network")
     try:
-        return build_network(text)
+        net = build_network(text)
+        infer_layout(net)
+        return net
     except ValueError as exc:
         raise ConfigError(f"bad network file {cfg.network}: {exc}") from None
 

@@ -19,6 +19,7 @@ The payload length matches the header exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import struct
 
 import numpy as np
@@ -86,8 +87,8 @@ def init_network(hidden_width: int, hidden_count: int, seed: int = 0,
 
 
 def init_optimizer(net: PolicyNetwork, learning_rate: float) -> OptimizerState:
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError("learning_rate must be finite and positive")
     # Each moment gets its own array, since apply_update writes into them.
     # np.zeros leaves the pages untouched until the first update.
     params = net.weights + net.biases

@@ -93,8 +93,8 @@ class TrainConfig:
             raise ValueError("hidden layers must be at least 1x1")
         if self.value_hidden_width < 1:
             raise ValueError("value_hidden_width must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,6 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
     """
     transitions: list[tuple[np.ndarray | None, int, float]] = []
     cum_negative = 0.0
-    prev_phase = sim.signals.phase
     prev_wait = sim.cumulative_wait()
     decisions = 0
     while not sim.done and decisions < max_decisions:
@@ -239,11 +238,10 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
         else:
             state = sim.read_sensors()
             action = int(choose_action(state))
-        sim.set_phase(action)
         steps = green_duration
-        if action != prev_phase:
+        if action != sim.signals.phase:
             steps += sim.signals.yellow_duration
-        prev_phase = action
+        sim.set_phase(action)
         for _ in range(steps):
             readings = sim.step()
             if readings is not None and boundary_hook is not None:

@@ -20,6 +20,7 @@ already-committed edge to a searched suffix.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 DEFAULT_SPEED_LIMIT = 13.89  # m/s (50 km/h)
@@ -71,12 +72,14 @@ class Edge:
     def __post_init__(self):
         if not self.id:
             raise ValueError("edge id must be non-empty")
-        if self.length <= 0:
-            raise ValueError(f"edge {self.id!r}: length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"edge {self.id!r}: length must be finite and positive, "
+                             f"got {self.length}")
         if not 1 <= self.lane_count <= 4:
             raise ValueError(f"edge {self.id!r}: lane_count must be in 1..4, got {self.lane_count}")
-        if self.speed_limit <= 0:
-            raise ValueError(f"edge {self.id!r}: speed_limit must be positive")
+        if not 0 < self.speed_limit < math.inf:
+            raise ValueError(f"edge {self.id!r}: speed_limit must be finite and "
+                             f"positive, got {self.speed_limit}")
         if self.from_node == self.to_node:
             raise ValueError(f"edge {self.id!r}: self-loops are not allowed")
 

@@ -22,13 +22,14 @@ Mechanics, all on 1-second steps:
   turns use lane 0, right turns the outermost lane, through traffic the two
   middle lanes (lane 1 alone on a two-lane edge), anything without a
   junction ahead spreads by headroom.
-* Demand is a spawn schedule; blocked spawns stay pending and retry in
-  order.  Waiting time accrues per vehicle-step spent below a halt speed on
-  an inbound arm edge.  When a detector window closes, `step` returns its
-  per-arm count, mean speed and time-averaged density.  Density is kept in
-  every simulation.  The count and mean speed need a per-vehicle pass over
-  the detector span each step, so a simulation made with
-  `sample_detectors=False` skips that pass and reports them as None.
+* Demand is one queue of spawn specs in (depart, id) order; a blocked
+  spawn keeps its place and retries.  Waiting time accrues per vehicle-step
+  spent below a halt speed on an inbound arm edge.  When a detector window
+  closes, `step` returns its per-arm count, mean speed and time-averaged
+  density.  Density is kept in every simulation.  The count and mean speed
+  need a per-vehicle pass over the detector span each step, so a
+  simulation made with `sample_detectors=False` skips that pass and
+  reports them as None.
 
 The signal plan has four phases: 0 = north/south main lanes, 1 = north/south
 left lane, 2 = east/west main lanes, 3 = east/west left lane.  A phase
@@ -46,12 +47,13 @@ indexed by lane id: `_lane_span` is DETECTOR_SPAN on an approach lane and
 free slot is inert: position 0, no speed or wait, no cap, an edge end at
 infinity, lane id -1 (each table's inert last row), a halt threshold that
 nothing meets, and itself as leader.  Lanes keep their slots front to back.
-Freed slots go on a free list and are reused.  The arrays double when every
-slot is taken; at the end of a step in which at most a quarter of the slots
-are active (and more than INITIAL_SLOTS exist), they are halved until that
-no longer holds, never inside the crossing loop.  So the array size follows
-the active count.  Both resizes renumber the active slots into the front in
-lane order and update each vehicle's `slot`.
+Freed slots go on a free list and are reused, and the active count is the
+slots off it.  The arrays double when every slot is taken; at the end of a
+step in which at most a quarter of the slots are active (and more than
+INITIAL_SLOTS exist), they are halved until that no longer holds, never
+inside the crossing loop.  So the array size follows the active count.
+Both resizes renumber the active slots into the front in lane order and
+update each vehicle's `slot`.
 
 Each slot has a `leader` index into a position buffer that holds the slots
 followed by one sentinel per lane.  A lane's front vehicle points at the
@@ -93,9 +95,9 @@ takes the vehicle off the front of its lane and appends it to the back of
 the next lane, or, on the route's last edge, lets it arrive and makes its
 slot inert.  Admission works the same way on the back of a first lane.  A
 free slot's position, speed and wait are already 0, so admission writes
-only the edge facts; `step` tries it only when a spawn is due or a vehicle
-is waiting.  `validate()` checks the slot arrays against the lanes, that
-every free slot is inert and that every view aliases its array.
+only the edge facts; `step` tries it only when the queue's first spec is
+due.  `validate()` checks the slot arrays against the lanes, that every
+free slot is inert and that every view aliases its array.
 """
 
 from __future__ import annotations
@@ -484,10 +486,8 @@ class Simulation:
         for route in dict.fromkeys(s.route for s in specs):
             self._check_route(route)
             self._route_plan(route)
-        self._future: deque[SpawnSpec] = deque(specs)
-        self._waiting: list[SpawnSpec] = []
+        self._pending: deque[SpawnSpec] = deque(specs)
         self.scheduled_total = len(specs)
-        self.active_count = 0
         self.arrived_count = 0
         self.arrived_wait_sum = 0
 
@@ -719,39 +719,37 @@ class Simulation:
                 halt_of[slot] = to_halt
                 if to_arm >= 0:
                     arm_count[to_arm] += 1
-            self.active_count -= arrived
             self.arrived_count += arrived
             self.arrived_wait_sum += wait_sum
 
-        if self._waiting or (self._future and self._future[0].depart <= clock):
+        if self._pending and self._pending[0].depart <= clock:
             self._attempt_spawns(clock)
         signals.tick_end()
         self.clock = clock + 1
         readings = self._post_step_accounting()
         size = self._speed.size
-        while size > INITIAL_SLOTS and 4 * self.active_count <= size:
+        active = size - len(self._free)
+        while size > INITIAL_SLOTS and 4 * active <= size:
             size //= 2
         if size < self._speed.size:
             self._relayout(size)
         return readings
 
     def _attempt_spawns(self, clock: int) -> None:
-        """Queue the specs that are due, then admit, in order, each waiting
-        vehicle whose best first lane has MIN_GAP of room behind its rear
-        vehicle, at position 0 on the back of that lane.  A free slot
-        already holds position, speed and wait 0 (validate() checks), so
-        admission writes only the edge facts."""
-        future, waiting = self._future, self._waiting
-        while future and future[0].depart <= clock:
-            waiting.append(future.popleft())
-        plans = self._plans
+        """Admit, in order, each due spec whose best first lane has MIN_GAP
+        of room behind its rear vehicle, at position 0 on the back of that
+        lane.  The blocked ones go back onto the front of `_pending` in
+        order, ahead of the specs due later.  A free slot already holds
+        position, speed and wait 0 (validate() checks), so admission writes
+        only the edge facts."""
+        pending, plans = self._pending, self._plans
         free, handles, arm_count = self._free, self._handles, self._arm_count
         size = self._speed.size
         pos, leader, cap, end = self._pos_v, self._leader_v, self._cap_v, self._end_v
         lane_of, halt_of = self._lane_of_v, self._halt_v
         still: list[SpawnSpec] = []
-        admitted = 0
-        for spec in waiting:
+        while pending and pending[0].depart <= clock:
+            spec = pending.popleft()
             plan = plans[spec.route]
             (first_lane, length, limit, arm, halt, lanes), allowed = plan[0]
             # The allowed lane with the most room behind its rear vehicle;
@@ -784,9 +782,7 @@ class Simulation:
             halt_of[slot] = halt
             if arm >= 0:
                 arm_count[arm] += 1
-            admitted += 1
-        self._waiting = still
-        self.active_count += admitted
+        pending.extendleft(reversed(still))
 
     def _post_step_accounting(self) -> dict[str, DetectorReading] | None:
         pos = self._pos
@@ -878,13 +874,18 @@ class Simulation:
 
     @property
     def pending_count(self) -> int:
-        return len(self._future) + len(self._waiting)
+        return len(self._pending)
+
+    @property
+    def active_count(self) -> int:
+        """Vehicles on the network: every slot that is not on the free list."""
+        return self._speed.size - len(self._free)
 
     @property
     def done(self) -> bool:
-        """Finished, or at SIM_TIME_CAP; read from the counters directly,
-        since the episode loop asks after every step."""
-        return (not (self._future or self._waiting or self.active_count)
+        """Finished, or at SIM_TIME_CAP; read from the queue and the free
+        list directly, since the episode loop asks after every step."""
+        return (not (self._pending or len(self._free) < self._speed.size)
                 or self.clock >= SIM_TIME_CAP)
 
     def replace_route_suffix(self, vehicle: Vehicle, suffix) -> None:
@@ -943,9 +944,6 @@ class Simulation:
                     ahead = slot
                 if arm >= 0:
                     arm_count[arm] += len(lane)
-        if active != self.active_count:
-            raise InvariantViolation(
-                f"active_count {self.active_count} but counted {active}")
         if arm_count != self._arm_count:
             raise InvariantViolation(
                 f"inbound counts {self._arm_count} but counted {arm_count}")

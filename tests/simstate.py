@@ -16,9 +16,10 @@ def iter_vehicles(sim: Simulation):
 def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = None,
                   pos: float = 0.0, speed: float = 0.0, vtype: str = "car",
                   wait: int = 0) -> Vehicle:
-    """Put a vehicle mid-network as if it had been scheduled: on `lane` (the
-    lane with the most room, ties to the lowest, by default) of the route's
-    first edge, at `pos` behind the vehicles ahead of it."""
+    """Put a vehicle mid-network as if it had been scheduled: on `lane` (by
+    default the lane admission picks: the most room, with a later lane
+    taking over only by more than 1e-12) of the route's first edge, at
+    `pos` behind the vehicles ahead of it."""
     route = tuple(route)
     sim._check_route(route)
     edge = sim.net.edges[route[0]]
@@ -27,8 +28,12 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     plan = sim._route_plan(route)
     (first_lane, length, limit, arm, halt, lanes), allowed = plan[0]
     if lane is None:
-        rooms = [sim._pos[lanes[i][-1]] if lanes[i] else length for i in allowed]
-        lane = allowed[rooms.index(max(rooms))]
+        lane, room = allowed[0], -1.0
+        for candidate in allowed:
+            occupants = lanes[candidate]
+            lane_room = sim._pos[occupants[-1]] if occupants else length
+            if lane_room > room + 1e-12:
+                lane, room = candidate, lane_room
     if not 0 <= lane < edge.lane_count:
         raise ValueError(f"lane {lane} out of range for {route[0]}")
     occupants = lanes[lane]
@@ -56,6 +61,5 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     sim._halt[slot] = halt
     if arm >= 0:
         sim._arm_count[arm] += 1
-    sim.active_count += 1
     sim.scheduled_total += 1
     return v

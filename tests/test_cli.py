@@ -83,6 +83,19 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_network_that_is_not_a_crossroad_exits_1(tmp_path, capsys):
+    net_file = tmp_path / "line.net"
+    net_file.write_text("node a\nnode b\nedge e1 a b 100 1 10 0\n")
+    conf = tmp_path / "line.conf"
+    conf.write_text(f"network = {net_file}\n")
+    rc = run_cli("run", "--mode", "fixed", "--config", conf,
+                 "--out", tmp_path / "x")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad network file {net_file}:")
+    assert "expected exactly 4 signalized edges, found 0" in err
+
+
 def test_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     import flowctl.cli as cli_mod
 

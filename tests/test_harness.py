@@ -116,6 +116,9 @@ def test_run_config_validation():
         dataclasses.replace(desk_profile(), **{field: legal})
         with pytest.raises(ConfigError):
             dataclasses.replace(desk_profile(), **{field: illegal})
+    # NaN passes `< 0`, and a NaN threshold would silently never reroute.
+    with pytest.raises(ConfigError, match="density_threshold"):
+        dataclasses.replace(desk_profile(), density_threshold=math.nan)
 
 
 # ------------------------------------------------------------- config file

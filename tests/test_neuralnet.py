@@ -269,6 +269,12 @@ def test_apply_update_rejects_nonfinite():
         apply_update(net, g, float("inf"), opt)
 
 
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+def test_init_optimizer_rejects_a_non_finite_learning_rate(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        init_optimizer(small_net(35), learning_rate)
+
+
 def test_apply_update_rejects_shape_mismatch():
     net = small_net(34)
     other = small_net(34, sizes=(6, 5, 5, 3))

@@ -151,6 +151,11 @@ def test_train_config_validation():
         TrainConfig(**{field: legal})
         with pytest.raises(ValueError):
             TrainConfig(**{field: illegal})
+    # A NaN fails every comparison, so each float bound must reject it.
+    for field, illegal in (("gamma", math.nan), ("learning_rate", math.nan),
+                           ("learning_rate", math.inf)):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: illegal})
 
 
 # ------------------------------------------------------------------ driver

@@ -200,6 +200,14 @@ def test_build_network_bad_values_report_line():
         build_network("node a\nnode a\n")
 
 
+@pytest.mark.parametrize("length, speed", [("nan", "10"), ("inf", "10"),
+                                           ("100", "nan"), ("100", "inf")])
+def test_build_network_rejects_non_finite_length_and_speed(length, speed):
+    with pytest.raises(NetworkSpecError) as err:
+        build_network(f"node a\nnode b\nedge e a b {length} 1 {speed} 0\n")
+    assert err.value.line == 3
+
+
 def test_default_network_round_trips_through_text_format():
     net = build_default_network()
     assert build_network(network_to_text(net)) == net

@@ -18,6 +18,7 @@ from flowctl.simcore import (
     HALT_SPEED,
     INITIAL_SLOTS,
     MIN_GAP,
+    SIM_TIME_CAP,
     DetectorReading,
     InvariantViolation,
     NetworkLayoutError,
@@ -412,6 +413,28 @@ def test_spawn_blocks_until_entry_clears():
     sim.validate()
 
 
+def red_locked_near_tie(schedule=()) -> Simulation:
+    """The west junction edge, red, with lane 2's rear vehicle 1e-12 m
+    further on than lane 1's: a tie, which goes to the lowest lane."""
+    sim = Simulation(NET, schedule)
+    place_vehicle(sim, "a", STRAIGHT_W[1:], lane=1, pos=97.5)
+    place_vehicle(sim, "b", STRAIGHT_W[1:], lane=2, pos=97.5 + 1e-12)
+    return sim
+
+
+def test_lane_choice_takes_the_lowest_lane_on_a_near_tie():
+    spec = SpawnSpec(depart=0, vehicle_id="n1", vtype="car", max_speed=13.9,
+                     route=STRAIGHT_W[1:])
+    sim = red_locked_near_tie([spec])
+    sim.step()
+    assert {v.id: v.lane for v in iter_vehicles(sim)}["n1"] == 1
+    sim = red_locked_near_tie()
+    x = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=999.0, speed=10.0)
+    sim.step()
+    assert (x.edge_id, x.lane) == ("jct_w_in", 1)
+    assert place_vehicle(red_locked_near_tie(), "y", STRAIGHT_W[1:]).lane == 1
+
+
 # ----------------------------------------------------------------- sensors
 
 def test_sensors_empty_network_all_zero():
@@ -605,6 +628,14 @@ def test_conservation_and_invariants_over_random_episode():
         sim.validate()
     assert sim.pending_count == sim.active_count == 0
     assert sim.arrived_count == 150
+
+
+def test_a_simulation_that_never_clears_is_done_at_the_time_cap():
+    sim = make_sim()  # phase 0 holds the west arm red for good
+    place_vehicle(sim, "x", STRAIGHT_W[1:], lane=1, pos=97.5)
+    while not sim.done:
+        sim.step()
+    assert (sim.clock, sim.active_count) == (SIM_TIME_CAP, 1)
 
 
 def test_determinism_same_seed_same_trajectory():
