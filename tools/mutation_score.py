@@ -1,7 +1,6 @@
 """Score a set of tests against sampled one-site mutants of one module.
 
-    python tools/mutation_score.py [--seed N] [--sample N] [--function NAME]...
-                                   MODULE TESTS...
+    python tools/mutation_score.py [--sample N] [--function NAME]... MODULE TESTS...
 
 for example
 
@@ -11,14 +10,15 @@ for example
 
 A site is one node inside one of the module's functions or methods: a
 comparison operator, an arithmetic operator (in an expression or an
-augmented assignment), a boolean `and`/`or`, or a numeric constant.  Nodes
-inside f-strings, which only shape messages, are left out.  From every
-site (or from those in the functions named by `--function`) the script
-draws `--sample` of them with a fixed seed (`--sample 0` takes them all).
-Each mutant breaks one site: `<` and `<=` trade places, as do `>` and
-`>=`, `==` and `!=`, `in` and `not in`, `is` and `is not`; `+` and `-`,
-`*` and `/`, `and` and `or` swap; `//` becomes `*`, `%` becomes `//`; a
-number gains 1.  The module is written back with `ast.unparse`.
+augmented assignment), a boolean `and`/`or`, or a numeric constant.
+Nodes inside f-strings, which only shape messages, are left out.  From
+every site (or from those in the functions named by `--function`) the
+script draws `--sample` of them with the fixed seed `SEED` (`--sample 0`
+takes them all).  Each mutant breaks one site: `<` and `<=` trade
+places, as do `>` and `>=`, `==` and `!=`, `in` and `not in`, `is` and
+`is not`; `+` and `-`, `*` and `/`, `and` and `or` swap; `//` becomes
+`*`, `%` becomes `//`; a number gains 1.  The module is written back
+with `ast.unparse`.
 
 The tests run as `python -m pytest -q -x -p no:cacheprovider TESTS` from a
 full copy of the repository in a temporary directory, with no bytecode
@@ -49,6 +49,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                      ".hypothesis", "out", "runs")
 
@@ -138,7 +139,6 @@ def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="Score tests against sampled one-site mutants of a module.")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=40,
                         help="mutants to draw; 0 takes every site")
     parser.add_argument("--function", action="append", default=[],
@@ -156,7 +156,7 @@ def main(argv: list[str]) -> int:
         parser.error(f"no mutable site in {module} for {args.function or 'any function'}")
     chosen = candidates
     if args.sample:
-        chosen = random.Random(args.seed).sample(candidates, min(args.sample, len(candidates)))
+        chosen = random.Random(SEED).sample(candidates, min(args.sample, len(candidates)))
     chosen.sort(key=lambda i: (every[i][1].lineno, i))
 
     with tempfile.TemporaryDirectory(prefix="mutation_score.") as tmp:
