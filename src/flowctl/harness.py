@@ -52,6 +52,7 @@ imports the process pool only when it has a job to run, so a single
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import statistics
 import tempfile
@@ -133,8 +134,8 @@ class RunConfig:
             raise ConfigError("spawn_horizon must be >= 1")
         if self.fixed_green < 1:
             raise ConfigError("fixed_green must be >= 1")
-        if not self.density_threshold >= 0:
-            raise ConfigError("density_threshold must be >= 0")
+        if not 0 <= self.density_threshold < math.inf:
+            raise ConfigError("density_threshold must be finite and >= 0")
         if self.max_alternatives < 1:
             raise ConfigError("max_alternatives must be >= 1")
 

@@ -25,8 +25,8 @@ about 4% at paper scale (200 of 4500).
 
 `drive_episode` runs one episode's decisions, for a phase chooser or,
 given None, for fixed-time control, which cycles the phases from 0 and
-reads no sensors.  `Learner` carries the agent, its random stream and the
-replay memory from one episode to the next.  The episode loop itself,
+reads no sensors.  `Learner` carries the agent, its random stream, the
+replay memory and the buffers of its updates from one episode to the next.  The episode loop itself,
 shared by fixed-time and learned control, is `harness.run_experiment`.
 """
 
@@ -40,11 +40,13 @@ import numpy as np
 
 from .neuralnet import (
     INPUT_SIZE,
+    BatchBuffers,
     OptimizerState,
     PolicyNetwork,
     accumulate_logp_gradients,
     apply_update,
     forward,
+    init_buffers,
     init_network,
     init_optimizer,
     init_value_network,
@@ -180,9 +182,12 @@ def positional_baseline(returns_by_trace: list[np.ndarray]) -> np.ndarray:
 
 
 def policy_update(agent: AgentState, memory: Memory,
-                  rng: np.random.Generator, cfg: TrainConfig) -> AgentState:
+                  rng: np.random.Generator, cfg: TrainConfig,
+                  buffers: BatchBuffers | None = None) -> AgentState:
     """One ascent step from a uniformly drawn batch.  The drawn rows are
-    sorted, so in memory order, and each episode's rows form one trace."""
+    sorted, so in memory order, and each episode's rows form one trace.
+    The policy net's batch arrays go into `buffers`, if given, which must
+    hold cfg.batch_size rows."""
     n = len(memory.actions)
     if n == 0:
         return agent
@@ -209,8 +214,8 @@ def policy_update(agent: AgentState, memory: Memory,
         # Degenerate batch (e.g. a single trace centers itself to zero):
         # leave parameters and optimizer moments untouched.
         return AgentState(agent.net, agent.opt, value_net, value_opt)
-    grads = accumulate_logp_gradients(agent.net, states, actions, coeffs)
-    net, opt = apply_update(agent.net, grads, 1.0, agent.opt)
+    grads = accumulate_logp_gradients(agent.net, states, actions, coeffs, buffers)
+    net, opt = apply_update(agent.net, grads, 1.0, agent.opt, buffers)
     return AgentState(net, opt, value_net, value_opt)
 
 
@@ -259,9 +264,10 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
 
 
 class Learner:
-    """The trainer across episodes: the agent, its random stream and the
-    replay memory.  The stream serves the episode's sampled actions first,
-    then the batch drawn for the update that follows it."""
+    """The trainer across episodes: the agent, its random stream, the
+    replay memory and the batch buffers of the policy's updates, which are
+    freed with the learner.  The stream serves the episode's sampled
+    actions first, then the batch drawn for the update that follows it."""
 
     def __init__(self, cfg: TrainConfig, seed: int):
         self._cfg = cfg
@@ -269,6 +275,7 @@ class Learner:
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, AGENT_STREAM]))
         self._memory = Memory(np.zeros((0, INPUT_SIZE)), np.zeros(0, np.int64),
                               np.zeros(0), np.zeros(0, np.int64))
+        self._buffers = init_buffers(self.agent.net, cfg.batch_size)
 
     def chooser(self):
         """A phase chooser sampling from the current policy, valid for one
@@ -286,7 +293,11 @@ class Learner:
             states, actions, rewards = zip(*transitions)
             rows = (np.stack(states), np.array(actions, np.int64), np.array(rewards),
                     np.full(len(actions), episode, np.int64))
+            # Drop the oldest rows before joining, so the arrays the memory
+            # keeps are `cap` rows long, not `cap` plus the episode's.
             cap = self._cfg.buffer_capacity
-            self._memory = Memory(*(np.concatenate((kept, new))[-cap:]
+            drop = max(0, len(self._memory.actions) + len(actions) - cap)
+            self._memory = Memory(*(np.concatenate((kept[drop:], new))[-cap:]
                                     for kept, new in zip(self._memory, rows)))
-        self.agent = policy_update(self.agent, self._memory, self._rng, self._cfg)
+        self.agent = policy_update(self.agent, self._memory, self._rng, self._cfg,
+                                   self._buffers)

@@ -96,6 +96,17 @@ def test_network_that_is_not_a_crossroad_exits_1(tmp_path, capsys):
     assert "expected exactly 4 signalized edges, found 0" in err
 
 
+@pytest.mark.parametrize("threshold", ["inf", "nan"])
+def test_a_density_threshold_that_never_reroutes_exits_1(threshold, tmp_path, capsys):
+    conf = tmp_path / "never.conf"
+    conf.write_text(f"{TINY_CONFIG}density_threshold = {threshold}\n")
+    rc = run_cli("run", "--mode", "rl-reroute", "--config", conf,
+                 "--out", tmp_path / "x")
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     import flowctl.cli as cli_mod
 

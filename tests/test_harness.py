@@ -116,9 +116,11 @@ def test_run_config_validation():
         dataclasses.replace(desk_profile(), **{field: legal})
         with pytest.raises(ConfigError):
             dataclasses.replace(desk_profile(), **{field: illegal})
-    # NaN passes `< 0`, and a NaN threshold would silently never reroute.
-    with pytest.raises(ConfigError, match="density_threshold"):
-        dataclasses.replace(desk_profile(), density_threshold=math.nan)
+    # NaN passes `< 0`, and a NaN or infinite threshold would silently
+    # never reroute.
+    for threshold in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="density_threshold"):
+            dataclasses.replace(desk_profile(), density_threshold=threshold)
 
 
 # ------------------------------------------------------------- config file

@@ -15,6 +15,7 @@ from flowctl.neuralnet import (
     accumulate_logp_gradients,
     apply_update,
     forward,
+    init_buffers,
     init_network,
     init_optimizer,
     init_value_network,
@@ -108,6 +109,7 @@ def test_init_rejects_bad_dimensions():
         init_network(0, 3)
     with pytest.raises(ValueError):
         init_network(16, 0)
+    assert init_network(1, 1).layer_sizes == (80, 1, 4)
 
 
 def test_he_scale_is_plausible():
@@ -217,11 +219,47 @@ def test_accumulate_matches_loop_of_single_gradients():
         assert np.allclose(got, want, atol=1e-10)
 
 
+def test_buffer_less_gradients_are_independent_of_later_calls():
+    net = small_net(22)
+    rng = np.random.default_rng(5)
+    first = accumulate_logp_gradients(net, rng.normal(size=(9, 6)),
+                                      rng.integers(0, 3, 9), rng.normal(size=9))
+    kept = copies(first.weights + first.biases)
+    second = accumulate_logp_gradients(net, rng.normal(size=(4, 6)),
+                                       rng.integers(0, 3, 4), rng.normal(size=4))
+    assert same_bits(first.weights + first.biases, kept)
+    assert not same_bits(second.weights + second.biases, kept)
+    for a in first.weights + first.biases:
+        assert not any(np.shares_memory(a, b) for b in second.weights + second.biases)
+
+
+@pytest.mark.parametrize("sizes", [(6, 5, 4, 3), (6, 7, 3), (6, 3)])
+def test_buffered_gradients_are_the_fresh_bits_in_the_same_arrays(sizes):
+    """Batches of several sizes up to the buffers' rows, in turn, through
+    one set of buffers: each call gives the bits of a buffer-less call, in
+    the same gradient arrays, and leaves its states alone."""
+    net = small_net(23, sizes)
+    buffers = init_buffers(net, 12)
+    rng = np.random.default_rng(6)
+    for n in (12, 1, 7, 12, 0, 5):
+        states = rng.normal(size=(n, 6))
+        actions, coeffs = rng.integers(0, sizes[-1], n), rng.normal(size=n)
+        before = states.copy()
+        fresh = accumulate_logp_gradients(net, states, actions, coeffs)
+        got = accumulate_logp_gradients(net, states, actions, coeffs, buffers)
+        assert got is buffers.grads
+        assert same_bits(got.weights + got.biases, fresh.weights + fresh.biases)
+        assert same_bits([states], [before])
+    with pytest.raises(ValueError):
+        accumulate_logp_gradients(net, np.zeros((13, 6)), np.zeros(13, int),
+                                  np.ones(13), buffers)
+
+
 def test_accumulate_validates_batch_shapes():
     net = small_net(2)
-    with pytest.raises(ValueError):
-        accumulate_logp_gradients(net, np.zeros((3, 5)), np.zeros(3, dtype=int),
-                                  np.zeros(3))
+    for states in (np.zeros((3, 5)), np.zeros(6), np.zeros((3, 6, 1))):
+        with pytest.raises(ValueError, match="states must be"):
+            accumulate_logp_gradients(net, states, np.zeros(3, dtype=int), np.zeros(3))
     with pytest.raises(ValueError):
         accumulate_logp_gradients(net, np.zeros((3, 6)), np.zeros(2, dtype=int),
                                   np.zeros(3))
@@ -275,6 +313,12 @@ def test_init_optimizer_rejects_a_non_finite_learning_rate(learning_rate):
         init_optimizer(small_net(35), learning_rate)
 
 
+def test_init_optimizer_takes_any_positive_learning_rate_and_not_zero():
+    init_optimizer(small_net(35), 5e-324)
+    with pytest.raises(ValueError, match="learning_rate"):
+        init_optimizer(small_net(35), 0.0)
+
+
 def test_apply_update_rejects_shape_mismatch():
     net = small_net(34)
     other = small_net(34, sizes=(6, 5, 5, 3))
@@ -306,16 +350,19 @@ def same_bits(got, want) -> bool:
 
 
 # The small net fits in one block of ADAM_BLOCK.  In the wide one each
-# 300x300 weight spans ten whole blocks and ends in a partial one, and every
-# bias fits in one block.
+# 400x400 weight spans four whole blocks and ends in a partial one, and every
+# bias fits in one block.  A second net takes the same steps with its Adam
+# scratch from buffers.
 @pytest.mark.parametrize("scale, sizes", [
     pytest.param(scale, sizes, id=f"{scale}{suffix}")
-    for sizes, suffix in (((6, 5, 4, 3), ""), ((80, 300, 300, 4), "-wide"))
+    for sizes, suffix in (((6, 5, 4, 3), ""), ((80, 400, 400, 4), "-wide"))
     for scale in (1.0, -1.0, 0.37)])
 def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
-    assert 300 * 300 == 10 * ADAM_BLOCK + 8_080
+    assert 400 * 400 == 4 * ADAM_BLOCK + 28_928
     net = small_net(35, sizes)
     opt = init_optimizer(net, learning_rate=0.01)
+    buffered = PolicyNetwork(tuple(copies(net.weights)), tuple(copies(net.biases)))
+    buffered_opt, buffers = init_optimizer(buffered, 0.01), init_buffers(net, 1)
     params = copies(net.weights + net.biases)
     m, v = copies(opt.m), copies(opt.v)
     rng = np.random.default_rng(36)
@@ -324,8 +371,11 @@ def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
                           biases=tuple(rng.normal(size=b.shape) for b in net.biases))
         params, m, v = textbook_adam(params, g.weights + g.biases, m, v, t, scale, 0.01)
         net, opt = apply_update(net, g, scale, opt)
-        assert opt.step == t
+        buffered, buffered_opt = apply_update(buffered, g, scale, buffered_opt, buffers)
+        assert opt.step == buffered_opt.step == t
         assert same_bits(net.weights + net.biases + opt.m + opt.v, params + m + v)
+        assert same_bits(buffered.weights + buffered.biases + buffered_opt.m + buffered_opt.v,
+                         params + m + v)
 
 
 def test_apply_update_writes_into_its_arrays_and_leaves_the_gradients_alone():
@@ -485,6 +535,31 @@ def test_value_network_scalar_output():
     batch = np.random.default_rng(6).random((9, 80))
     out = value_forward(vnet, batch)
     assert out.shape == (9,)
+
+
+def test_value_fit_step_descends_the_mse_gradient():
+    """From a fresh optimizer, one step leaves m = (1 - beta1) * scale * g
+    with scale -1, so -m / (1 - beta1) is the gradient it followed: that of
+    the mean squared error, by central finite differences."""
+    vnet = init_value_network(4, seed=11, input_size=3)
+    rng = np.random.default_rng(12)
+    states, targets = rng.normal(size=(5, 3)), rng.normal(size=5)
+
+    def mse(candidate):
+        err = value_forward(candidate, states) - targets
+        return float(np.mean(err * err))
+
+    params = copies(vnet.weights + vnet.biases)
+    _, opt = value_fit_step(vnet, init_optimizer(vnet, 1e-3), states, targets)
+    for k, (p, m) in enumerate(zip(params, opt.m, strict=True)):
+        for idx in np.ndindex(p.shape):
+            probes = []
+            for eps in (1e-6, -1e-6):
+                moved = copies(params)
+                moved[k][idx] += eps
+                probes.append(mse(PolicyNetwork(tuple(moved[:2]), tuple(moved[2:]))))
+            numeric = (probes[0] - probes[1]) / 2e-6
+            assert -m[idx] / (1 - ADAM_BETA1) == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
 def test_value_fit_reduces_mse():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 from hypothesis import Phase, given, settings, strategies as st
@@ -11,7 +12,7 @@ import pytest
 
 from flowctl import pgagent
 from flowctl.harness import EpisodeMetrics, RunConfig, desk_profile, run_experiment
-from flowctl.neuralnet import forward, init_network
+from flowctl.neuralnet import forward, init_buffers, init_network
 from flowctl.pgagent import (
     AGENT_STREAM,
     PROB_SUM_TOL,
@@ -80,10 +81,12 @@ def test_policy_update_single_trace_is_noop():
     agent = init_agent(cfg, seed=0)
     memory = one_state_memory([(0, 1, 5.0), (0, 2, -3.0), (0, 1, 1.0)])
     before = [w.copy() for w in agent.net.weights]
-    updated = policy_update(agent, memory, np.random.default_rng(0), cfg)
-    for a, b in zip(before, updated.net.weights, strict=True):
-        assert np.array_equal(a, b)
-    assert updated.opt.step == agent.opt.step
+    for buffers in (None, init_buffers(agent.net, cfg.batch_size)):
+        updated = policy_update(agent, memory, np.random.default_rng(0), cfg, buffers)
+        assert updated.net is agent.net
+        for a, b in zip(before, updated.net.weights, strict=True):
+            assert np.array_equal(a, b)
+        assert updated.opt.step == agent.opt.step
 
 
 def test_policy_update_moves_toward_rewarded_action():
@@ -363,3 +366,43 @@ def test_learner_skips_single_trace_update_then_steps():
         steps.append(learner.agent.opt.step)
     # Episode 0's batch is one trace, which centers itself to zero.
     assert steps == [0, 1]
+
+
+def test_the_memory_keeps_no_rows_beyond_its_capacity():
+    learner = Learner(small_cfg(buffer_capacity=100, batch_size=20), seed=2)
+    rng = np.random.default_rng(5)
+    for episode in range(4):
+        learner.end_episode(episode, list(zip(rng.random((60, 80)), [1] * 60,
+                                              rng.normal(size=60).tolist())))
+        for column in learner._memory:
+            assert len(column) == min(100, 60 * (episode + 1))
+            assert column.base is None or len(column.base) <= 100
+
+
+def test_a_learner_update_allocates_no_batch_arrays_afresh():
+    """ROADMAP Q8: once a learner has updated, its next width-600 update
+    with a batch of 200 reuses the learner's buffers for the activations,
+    deltas, gradients and Adam scratch (about 10 MB fresh per update
+    before), so its traced allocations peak under 2 MB."""
+    cfg = small_cfg(batch_size=200, buffer_capacity=400, hidden_width=600,
+                    hidden_count=3)
+    learner = Learner(cfg, seed=3)
+    rng = np.random.default_rng(4)
+
+    def episode():
+        states = rng.integers(0, 2, (200, 80)) / 1.0
+        return list(zip(states, rng.integers(0, 4, 200).tolist(),
+                        rng.normal(0.0, 10.0, 200).tolist()))
+
+    for e in range(2):
+        learner.end_episode(e, episode())
+    assert learner.agent.opt.step == 1
+    transitions = episode()
+    tracemalloc.start()
+    try:
+        learner.end_episode(2, transitions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert learner.agent.opt.step == 2
+    assert peak < 2_000_000, f"one update peaked at {peak / 1e6:.2f} MB"
