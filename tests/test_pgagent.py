@@ -380,10 +380,10 @@ def test_the_memory_keeps_no_rows_beyond_its_capacity():
 
 
 def test_a_learner_update_allocates_no_batch_arrays_afresh():
-    """ROADMAP Q8: once a learner has updated, its next width-600 update
-    with a batch of 200 reuses the learner's buffers for the activations,
-    deltas, gradients and Adam scratch (about 10 MB fresh per update
-    before), so its traced allocations peak under 2 MB."""
+    """Once a learner has updated, its next width-600 update with a batch
+    of 200 reuses the learner's buffers for the activations, deltas,
+    gradients and Adam scratch, about 10 MB that each update used to
+    allocate afresh, so its traced allocations peak under 2 MB."""
     cfg = small_cfg(batch_size=200, buffer_capacity=400, hidden_width=600,
                     hidden_count=3)
     learner = Learner(cfg, seed=3)
