@@ -236,8 +236,9 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
     `opt`, one block at a time: the length of `buffers.adam`'s scratch, or
     of fresh scratch, at most ADAM_BLOCK elements.  The returned net and
     state hold those same arrays, with the step counter advanced.  Every
-    input is checked before the first write, so a rejected update changes
-    nothing.
+    input is checked before the first write to a parameter or moment, so a
+    rejected update changes none of them; the check's flags go in the
+    scratch.
     """
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
@@ -251,13 +252,20 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
         # written into it would be lost.
         if not all(a.flags.c_contiguous and a.flags.writeable for a in (param, m, v)):
             raise ValueError("parameters and moments must be C-contiguous and writeable")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient contains non-finite values")
+    scratch_g, scratch_step = np.empty((2, _adam_block(net))) if buffers is None else buffers.adam
+    block = len(scratch_g)
+    # The finiteness check writes its flags into the scratch, seen as bools,
+    # one chunk of a gradient at a time, so it allocates nothing per update.
+    finite = scratch_g.view(bool)
+    for g in grads.weights + grads.biases:
+        g = g.reshape(-1)
+        for lo in range(0, g.size, finite.size):
+            chunk = g[lo:lo + finite.size]
+            if not np.isfinite(chunk, out=finite[:chunk.size]).all():
+                raise ValueError("gradient contains non-finite values")
     t = opt.step + 1
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
-    scratch_g, scratch_step = np.empty((2, _adam_block(net))) if buffers is None else buffers.adam
-    block = len(scratch_g)
 
     # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) (g g), with g
     # scaled first; param += lr (m / corr1) / (sqrt(v / corr2) + eps).  Each
@@ -303,7 +311,7 @@ def save_network(net: PolicyNetwork, path) -> None:
         blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
         blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
 
 
 # ------------------------------------------------- optional value baseline

@@ -352,6 +352,12 @@ def _largest_remainder_split(count: int, fractions: list[float]) -> list[int]:
 # Vehicle ids "v0", "v1", ...: one string per index, shared by every
 # schedule, so a run's logs hold each id once however many episodes it has.
 _VEHICLE_IDS: list[str] = []
+# Every trip a vehicle can draw, at index len(_EXITS) * origin + movement,
+# where the origin indexes ARM_ORDER and the movement indexes _EXITS.
+_EXITS = (OPPOSITE_ARM, LEFT_EXIT, RIGHT_EXIT)
+_TRIPS = tuple((origin, exits[origin]) for origin in ARM_ORDER for exits in _EXITS)
+_VEHICLE_NAMES = np.array([name for name, _, _ in VEHICLE_MIX], dtype=object)
+_VEHICLE_TOPS = np.array([top for _, _, top in VEHICLE_MIX], dtype=object)
 
 
 def spawn_schedule(net: RoadNetwork, count: int, seed: int,
@@ -360,10 +366,13 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
 
     Depart times are a Weibull(2) draw min-max rescaled onto [0, horizon-1]
     and floored, so the profile ramps up, peaks, and tails off.  The fleet
-    mix follows VEHICLE_MIX via largest-remainder rounding.  60% of vehicles
-    (rounded) travel to the opposite boundary (crossing the junction); the
-    rest go to an adjacent boundary, which the shortest route serves via a
-    bypass diagonal.
+    mix follows VEHICLE_MIX via largest-remainder rounding, shuffled.  60%
+    of vehicles (rounded) travel to the opposite boundary (crossing the
+    junction); the rest go to an adjacent boundary, left or right at even
+    odds, which the shortest route serves via a bypass diagonal.  Every
+    vehicle's draws are array operations: no Python code runs per vehicle
+    until the specs are built.  Each trip drawn is routed once, and every
+    spec of a trip holds that route; types are VEHICLE_MIX's name strings.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -381,12 +390,11 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
         times = np.zeros(count, dtype=int)
     times = np.sort(times)
 
+    # Shuffling indexes into VEHICLE_MIX makes the swaps that shuffling the
+    # names would: Generator.shuffle draws the same whatever a 1-D array holds.
     counts = _largest_remainder_split(count, [f for _, f, _ in VEHICLE_MIX])
-    labels: list[str] = []
-    for (name, _, _), n in zip(VEHICLE_MIX, counts):
-        labels.extend([name] * n)
-    labels_arr = np.array(labels)
-    rng.shuffle(labels_arr)
+    kinds = np.repeat(np.arange(len(VEHICLE_MIX)), counts)
+    rng.shuffle(kinds)
 
     n_opposite = round(0.6 * count)
     crossing = np.zeros(count, dtype=bool)
@@ -397,29 +405,26 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
     # vehicle does not cross.  A draw in a power-of-two range takes exactly
     # one 32-bit word and never rejects, and a range-2 draw is the high bit
     # of a range-4 draw of the same word, so one range-4 array holds the
-    # whole stream and side 0 (left) is `draw < 2`.
-    words = iter(rng.integers(0, 4, size=count + (count - n_opposite)).tolist())
+    # whole stream and side 0 (left) is `draw < 2`.  Vehicle i's origin is
+    # draw i plus one per turning vehicle before it, and its side the next.
+    words = rng.integers(0, 4, size=count + (count - n_opposite))
+    turning = ~crossing
+    at = np.arange(count)
+    at[1:] += np.cumsum(turning[:-1])
+    trips = len(_EXITS) * words[at]
+    trips[turning] += 1 + (words[at[turning] + 1] >= 2)  # LEFT_EXIT or RIGHT_EXIT
     weights = free_flow_weights(net)
-    routes: dict[tuple[str, str], tuple[str, ...]] = {}
-    vehicle_routes = []
-    for cross in crossing.tolist():
-        origin = ARM_ORDER[next(words)]
-        if cross:
-            dest = OPPOSITE_ARM[origin]
-        else:
-            dest = (LEFT_EXIT if next(words) < 2 else RIGHT_EXIT)[origin]
-        route = routes.get((origin, dest))
-        if route is None:
-            route = routes[origin, dest] = shortest_route(net, origin, dest, weights)[1]
-        vehicle_routes.append(route)
-    vtypes = labels_arr.tolist()
+    routes = np.empty(len(_TRIPS), dtype=object)
+    for trip in np.flatnonzero(np.bincount(trips)).tolist():
+        routes[trip] = shortest_route(net, *_TRIPS[trip], weights)[1]
     ids = _VEHICLE_IDS
     ids.extend(f"v{i}" for i in range(len(ids), count))
     # tuple.__new__ builds each SpawnSpec without a Python-level call; zip
-    # stops after `count` ids.
+    # stops after `count` ids.  Indexing an object array returns the very
+    # objects it holds.
     return tuple(map(tuple.__new__, repeat(SpawnSpec), zip(
-        times.tolist(), ids, vtypes,
-        map(VEHICLE_MAX_SPEED.__getitem__, vtypes), vehicle_routes)))
+        times.tolist(), ids, _VEHICLE_NAMES[kinds].tolist(),
+        _VEHICLE_TOPS[kinds].tolist(), routes[trips].tolist())))
 
 
 class Simulation:
@@ -479,11 +484,12 @@ class Simulation:
         self._plans: dict[tuple[str, ...], tuple] = {}
         self._relayout(INITIAL_SLOTS)
 
-        specs = sorted(schedule, key=itemgetter(0, 1))  # depart, then vehicle id
-        ids = [s.vehicle_id for s in specs]
-        if len(set(ids)) != len(ids):
+        # A SpawnSpec orders by depart, then vehicle id, once the ids are
+        # unique: nothing after the id is compared then.
+        specs = sorted(schedule)
+        if len(set(map(itemgetter(1), specs))) != len(specs):
             raise ValueError("duplicate vehicle ids in schedule")
-        for route in dict.fromkeys(s.route for s in specs):
+        for route in dict.fromkeys(map(itemgetter(4), specs)):
             self._check_route(route)
             self._route_plan(route)
         self._pending: deque[SpawnSpec] = deque(specs)

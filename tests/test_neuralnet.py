@@ -396,24 +396,32 @@ def test_apply_update_writes_into_its_arrays_and_leaves_the_gradients_alone():
 
 
 @pytest.mark.parametrize("fault", ["nan_in_last_gradient", "last_gradient_misshaped",
-                                   "infinite_scale"])
+                                   "infinite_scale", "inf_in_last_chunk_of_a_long_gradient"])
 def test_rejected_update_changes_nothing(fault):
-    net = small_net(38)
+    # The finiteness check runs in chunks the size of the scratch seen as
+    # bools, 8 * ADAM_BLOCK flags; a 600 x 600 weight takes two of them.
+    long = fault == "inf_in_last_chunk_of_a_long_gradient"
+    net = small_net(38, (6, 600, 600, 3) if long else (6, 5, 4, 3))
     opt = init_optimizer(net, learning_rate=1e-3)
     net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
     g = logp_gradient(net, np.full(6, 0.5), 2)
-    biases, scale = list(g.biases), 1.0
+    weights, biases, scale = list(g.weights), list(g.biases), 1.0
     if fault == "nan_in_last_gradient":
         biases[-1] = biases[-1].copy()
         biases[-1][-1] = np.nan
     elif fault == "last_gradient_misshaped":
         biases[-1] = biases[-1][:-1]
+    elif long:
+        assert weights[1].size > 8 * ADAM_BLOCK
+        weights[1] = weights[1].copy()
+        weights[1][-1, -1] = np.inf
     else:
         scale = float("inf")
     arrays = net.weights + net.biases + opt.m + opt.v
     before = copies(arrays)
     with pytest.raises(ValueError):
-        apply_update(net, PolicyNetwork(weights=g.weights, biases=tuple(biases)), scale, opt)
+        apply_update(net, PolicyNetwork(weights=tuple(weights), biases=tuple(biases)),
+                     scale, opt)
     assert opt.step == 1
     assert same_bits(arrays, before)
 

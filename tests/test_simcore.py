@@ -19,6 +19,8 @@ from flowctl.simcore import (
     INITIAL_SLOTS,
     MIN_GAP,
     SIM_TIME_CAP,
+    VEHICLE_MAX_SPEED,
+    VEHICLE_MIX,
     DetectorReading,
     InvariantViolation,
     NetworkLayoutError,
@@ -198,6 +200,38 @@ def test_spawn_schedules_share_their_vehicle_id_strings():
     assert sorted(ids, key=lambda i: int(i[1:])) == [f"v{i}" for i in range(120)]
     for sched in (short, again):
         assert all(s.vehicle_id is ids[s.vehicle_id] for s in sched)
+
+
+def test_spawn_schedule_types_are_the_vehicle_mix_names():
+    """Each spec's type is one of VEHICLE_MIX's own name strings, not a
+    string made per vehicle, and its top speed is that type's."""
+    names = [name for name, _, _ in VEHICLE_MIX]
+    sched = spawn_schedule(NET, count=400, seed=11, horizon=300)
+    for s in sched:
+        assert any(s.vtype is name for name in names)
+        assert s.max_speed == VEHICLE_MAX_SPEED[s.vtype]
+
+
+def test_simulation_rejects_a_repeated_vehicle_id():
+    a = SpawnSpec(depart=0, vehicle_id="v1", vtype="car", max_speed=13.9,
+                  route=STRAIGHT_W)
+    with pytest.raises(ValueError, match="duplicate vehicle ids"):
+        Simulation(NET, [a, a._replace(depart=5, route=STRAIGHT_N)])
+
+
+def test_specs_due_in_one_second_queue_in_id_string_order():
+    """The queue holds specs in (depart, id) order, with ids compared as
+    strings: "v10" goes before "v9".  Both turn left, so both want lane 0
+    of the approach, and only the first in the queue enters at once."""
+    left_w = ("app_w_in", "jct_w_in", "jct_n_out", "app_n_out")
+    sched = [SpawnSpec(depart=0, vehicle_id=f"v{i}", vtype="car", max_speed=13.9,
+                       route=left_w) for i in (9, 10)]
+    sim = Simulation(NET, sched)
+    sim.step()
+    assert [v.id for v in iter_vehicles(sim)] == ["v10"]
+    assert sim.pending_count == 1
+    run_steps(sim, 5)
+    assert [v.id for v in iter_vehicles(sim)] == ["v10", "v9"]
 
 
 def test_spawn_schedule_validates_args():
