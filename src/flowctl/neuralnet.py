@@ -316,11 +316,9 @@ def save_network(net: PolicyNetwork, path) -> None:
 
 # ------------------------------------------------- optional value baseline
 
-def init_value_network(hidden_width: int, seed: int = 0,
-                       input_size: int = INPUT_SIZE) -> PolicyNetwork:
+def init_value_network(hidden_width: int, seed: int = 0) -> PolicyNetwork:
     """Small scalar-output net used as a learned baseline when enabled."""
-    return init_network(hidden_width, 1, seed=seed,
-                        input_size=input_size, output_size=1)
+    return init_network(hidden_width, 1, seed=seed, output_size=1)
 
 
 def value_forward(net: PolicyNetwork, states: np.ndarray) -> np.ndarray:

@@ -46,14 +46,15 @@ indexed by lane id: `_lane_span` is DETECTOR_SPAN on an approach lane and
 -inf elsewhere, so `pos <= _lane_span[_lane_of]` is the detector set.  A
 free slot is inert: position 0, no speed or wait, no cap, an edge end at
 infinity, lane id -1 (each table's inert last row), a halt threshold that
-nothing meets, and itself as leader.  Lanes keep their slots front to back.
-Freed slots go on a free list and are reused, and the active count is the
-slots off it.  The arrays double when every slot is taken; at the end of a
-step in which at most a quarter of the slots are active (and more than
-INITIAL_SLOTS exist), they are halved until that no longer holds, never
-inside the crossing loop.  So the array size follows the active count.
-Both resizes renumber the active slots into the front in lane order and
-update each vehicle's `slot`.
+nothing meets, and itself as leader.  `_lane_slots` lists each lane's
+slots, front to back, by lane id; lane ids run in (edge id, lane) order,
+with the edges sorted by id.  Freed slots go on a free list and are
+reused, and the active count is the slots off it.  The arrays double when
+every slot is taken; at the end of a step in which at most a quarter of
+the slots are active (and more than INITIAL_SLOTS exist), they are halved
+until that no longer holds, never inside the crossing loop.  So the array
+size follows the active count.  Both resizes renumber the active slots
+into the front in lane id order and update each vehicle's `slot`.
 
 Each slot has a `leader` index into a position buffer that holds the slots
 followed by one sentinel per lane.  A lane's front vehicle points at the
@@ -66,17 +67,19 @@ is at most the edge length, and rounding is monotonic, so their gap never
 exceeds the wall.
 
 Two position buffers alternate, so the pre-step positions survive the
-update.  The few vehicles that passed their edge end then cross in
-(_edge_order, lane) order, the order of a lane-by-lane pass.  Each vehicle
-holds its route's plan: per route index, the edge's fixed facts (first
-lane id, length, limit, arm, halt threshold, lane lists) and the lanes the
-next junction movement allows.  Plans are memoized per route tuple, and a
-route swap fetches a new one.  Lane choice on entry compares the room
-behind each target lane's rear vehicle: for target edges later in
-_edge_order than the crossing vehicle's edge (a higher first lane id) it
-reads pre-step positions, and for earlier edges, and for spawns,
-post-step positions.  An entering vehicle's entry position is written to
-both buffers.
+update.  The few vehicles that passed their edge end then cross in lane id
+order, the order of a lane-by-lane pass.  Each vehicle holds its route's
+plan: per route index, the edge's fixed facts (first lane id, length,
+limit, arm, halt threshold) and the ids of the lanes the next junction
+movement allows.  A plan holds only numbers that the network and the route
+fix, so every simulation of one network builds equal plans.  Plans are
+memoized per route tuple, and a route swap fetches a new one.  Lane choice
+on entry compares the room behind each target lane's rear vehicle: for
+target lanes with a higher id than the crossing vehicle's lane, which the
+pass has yet to reach, it reads pre-step positions, and for lower ids, and
+for spawns, post-step positions.  A route never repeats an edge, so the
+target lanes are all higher or all lower.  An entering vehicle's entry
+position is written to both buffers.
 
 Whole-array work uses the numpy arrays; per-vehicle work reads and writes
 a memoryview of each slot array and position buffer (`_speed_v`, `_pos_v`
@@ -90,7 +93,7 @@ middle of its pass.  Views cannot be pickled, so a pickle or deep copy of a
 `Simulation` leaves them out and rebuilds them from the copied arrays.
 
 The crossing loop handles each vehicle in place, with the slot views,
-lane lists and arm counters bound once per step: it picks the target lane,
+`_lane_slots` and arm counters bound once per step: it picks the target lane,
 takes the vehicle off the front of its lane and appends it to the back of
 the next lane, or, on the route's last edge, lets it arrive and makes its
 slot inert.  Admission works the same way on the back of a first lane.  A
@@ -443,22 +446,18 @@ class Simulation:
         self._jin_arm = {q.junction_in: a for a, q in self.arms.items()}
         self._jout_arm = {q.junction_out: a for a, q in self.arms.items()}
         inbound = {a: (q.approach_in, q.junction_in) for a, q in self.arms.items()}
-        self._edge_order = tuple(sorted(net.edges))
 
-        # Lane ids run in (_edge_order, lane) order.  Per edge: its first
-        # lane id, length, speed limit, inbound arm index (or -1), halt
-        # threshold, and lane lists.
-        self._lanes: dict[str, list[list[int]]] = {}
+        # Lane ids run in (edge id, lane) order, edges sorted by id.  Per
+        # edge: its first lane id, length, speed limit, inbound arm index
+        # (or -1) and halt threshold.
         self._edge_info: dict[str, tuple] = {}
         lane_rows = []  # per lane id: arm, sensor cell base, distance offset, span, walls
-        for eid in self._edge_order:
+        for eid in sorted(net.edges):
             edge = net.edges[eid]
             arm = next((i for i, a in enumerate(ARM_ORDER) if eid in inbound[a]), -1)
             approach = arm >= 0 and eid == inbound[ARM_ORDER[arm]][0]
-            self._lanes[eid] = [[] for _ in range(edge.lane_count)]
             self._edge_info[eid] = (len(lane_rows), edge.length, edge.speed_limit,
-                                    arm, HALT_SPEED if arm >= 0 else 0.0,
-                                    self._lanes[eid])
+                                    arm, HALT_SPEED if arm >= 0 else 0.0)
             span = DETECTOR_SPAN if approach else -math.inf
             signal_arm = self._jin_arm.get(eid)
             for lane in range(edge.lane_count):
@@ -478,6 +477,8 @@ class Simulation:
         self._lane_offset = np.array([r[2] for r in lane_rows] + [0.0])
         self._lane_span = np.array([r[3] for r in lane_rows] + [-math.inf])
         self._walls = np.array([r[4] for r in lane_rows]).T.copy()
+        # Per lane id: its slots, front to back.
+        self._lane_slots: list[list[int]] = [[] for _ in lane_rows]
         self._wall_key = -1  # the row of _walls the sentinels hold; none yet
         self._arm_count = [0] * len(ARM_ORDER)
         self._handles: list[Vehicle | None] = []
@@ -516,13 +517,12 @@ class Simulation:
 
     def _relayout(self, size: int) -> None:
         """Rebuild the slot arrays with room for `size` vehicles: the active
-        slots are renumbered into the front in lane order, the rest are free.
+        slots are renumbered into the front in lane id order, the rest are free.
 
         Lane sentinels sit past the last slot in both position buffers, so
         leader pointers to them move with the size.
         """
-        keep = np.array([slot for lanes in self._lanes.values()
-                         for lane in lanes for slot in lane], dtype=np.intp)
+        keep = np.array([slot for lane in self._lane_slots for slot in lane], dtype=np.intp)
         active = keep.size
         for name, fill, dtype in self._SLOT_FIELDS:
             new = np.full(size, fill, dtype)
@@ -549,10 +549,9 @@ class Simulation:
         self._handles = handles + [None] * (size - active)
         self._free = list(range(size - 1, active - 1, -1))
         first = 0
-        for lanes in self._lanes.values():
-            for lane in lanes:
-                lane[:] = range(first, first + len(lane))
-                first += len(lane)
+        for lane in self._lane_slots:
+            lane[:] = range(first, first + len(lane))
+            first += len(lane)
         self._bind_views()
 
     def _bind_views(self) -> None:
@@ -587,8 +586,9 @@ class Simulation:
             raise ValueError("route repeats an edge")
 
     def _route_plan(self, route: tuple[str, ...]) -> tuple:
-        """Per route index: the edge's info and the lanes permitted on it,
-        which the movement at the next signalized junction sets.
+        """Per route index: the edge's info and the ids of the lanes
+        permitted on it, which the movement at the next signalized junction
+        sets.  A plan holds only numbers fixed by the network and the route.
 
         Memoized per route; a route swap makes a new route tuple.
         """
@@ -604,16 +604,17 @@ class Simulation:
                 exit_arm = self._jout_arm.get(route[idx + 1]) if idx + 1 < len(route) else None
                 turn = (None if exit_arm is None else "left" if exit_arm == LEFT_EXIT[arm]
                         else "right" if exit_arm == RIGHT_EXIT[arm] else "through")
+            info = self._edge_info[eid]
             lane_count = self.net.edges[eid].lane_count
-            allowed = tuple(range(lane_count))
+            allowed = range(lane_count)
             if lane_count > 1:
                 if turn == "left":
                     allowed = (0,)
                 elif turn == "right":
                     allowed = (lane_count - 1,)
                 elif turn == "through":
-                    allowed = tuple(lane for lane in (1, 2) if lane < lane_count)
-            steps.append((self._edge_info[eid], allowed))
+                    allowed = [lane for lane in (1, 2) if lane < lane_count]
+            steps.append((info, tuple(info[0] + lane for lane in allowed)))
         plan = self._plans[route] = tuple(reversed(steps))
         return plan
 
@@ -627,9 +628,9 @@ class Simulation:
         of a detector window that closes with it (None at other steps).
 
         One array pass moves every vehicle; then the few that passed their
-        edge end cross the node, arrive or hold, one lane at a time in
-        (_edge_order, lane) order (see the module notes).  Last, the slot
-        arrays shrink if at most a quarter of them are in use.
+        edge end cross the node, arrive or hold, one lane at a time in lane
+        id order (see the module notes).  Last, the slot arrays shrink if at
+        most a quarter of them are in use.
         """
         signals = self.signals
         signals.tick_begin()
@@ -662,28 +663,29 @@ class Simulation:
             handles, free, arm_count = self._handles, self._free, self._arm_count
             speed, wait, cap, end = self._speed_v, self._wait_v, self._cap_v, self._end_v
             lane_of, halt_of, leader = self._lane_of_v, self._halt_v, self._leader_v
+            lane_slots = self._lane_slots
             arrived = wait_sum = 0
             for slot in sorted(crossing.tolist(), key=lane_of.__getitem__):
                 v = handles[slot]
                 idx = v.route_idx
                 plan = v.plan
                 # Edge info, laid out as in __init__.
-                first_lane, length, _, arm, _, lanes = plan[idx][0]
+                _, length, _, arm, _ = plan[idx][0]
                 before = prev[slot]
+                lane = lane_of[slot]
                 last = idx + 1 == len(plan)
                 if not last:
-                    ((to_first, to_length, to_limit, to_arm, to_halt, to_lanes),
-                     allowed) = plan[idx + 1]
+                    (_, to_length, to_limit, to_arm, to_halt), allowed = plan[idx + 1]
                     # The allowed lane with the most room behind its rear
-                    # vehicle; ties take the lowest.  A later edge in
-                    # _edge_order has a higher first lane id.
-                    rooms = prev if to_first > first_lane else pos
+                    # vehicle; ties take the lowest.  The pass has not yet
+                    # reached a lane with a higher id than this one.
+                    rooms = prev if allowed[0] > lane else pos
                     new_lane, room = allowed[0], -1.0
-                    for lane in allowed:
-                        occupants = to_lanes[lane]
+                    for candidate in allowed:
+                        occupants = lane_slots[candidate]
                         lane_room = rooms[occupants[-1]] if occupants else to_length
                         if lane_room > room + 1e-12:
-                            new_lane, room = lane, lane_room
+                            new_lane, room = candidate, lane_room
                     entry = pos[slot] - length
                     limit = room - MIN_GAP
                     if limit < entry:
@@ -693,8 +695,7 @@ class Simulation:
                         speed[slot] = length - before
                         continue
                 # Leave the front of the lane; the next vehicle leads it now.
-                lane = lane_of[slot]
-                occupants = lanes[lane - first_lane]
+                occupants = lane_slots[lane]
                 del occupants[0]
                 if occupants:
                     leader[occupants[0]] = n + lane
@@ -712,8 +713,8 @@ class Simulation:
                     free.append(slot)
                     continue
                 # Join the back of the chosen lane of the next edge.
-                occupants = to_lanes[new_lane]
-                leader[slot] = occupants[-1] if occupants else n + to_first + new_lane
+                occupants = lane_slots[new_lane]
+                leader[slot] = occupants[-1] if occupants else n + new_lane
                 occupants.append(slot)
                 v.route_idx = idx + 1
                 pos[slot] = prev[slot] = entry
@@ -721,7 +722,7 @@ class Simulation:
                 top = v.max_speed
                 cap[slot] = to_limit if to_limit < top else top
                 end[slot] = to_length
-                lane_of[slot] = to_first + new_lane
+                lane_of[slot] = new_lane
                 halt_of[slot] = to_halt
                 if to_arm >= 0:
                     arm_count[to_arm] += 1
@@ -748,7 +749,7 @@ class Simulation:
         order, ahead of the specs due later.  A free slot already holds
         position, speed and wait 0 (validate() checks), so admission writes
         only the edge facts."""
-        pending, plans = self._pending, self._plans
+        pending, plans, lane_slots = self._pending, self._plans, self._lane_slots
         free, handles, arm_count = self._free, self._handles, self._arm_count
         size = self._speed.size
         pos, leader, cap, end = self._pos_v, self._leader_v, self._cap_v, self._end_v
@@ -757,12 +758,12 @@ class Simulation:
         while pending and pending[0].depart <= clock:
             spec = pending.popleft()
             plan = plans[spec.route]
-            (first_lane, length, limit, arm, halt, lanes), allowed = plan[0]
+            (_, length, limit, arm, halt), allowed = plan[0]
             # The allowed lane with the most room behind its rear vehicle;
             # ties take the lowest.
             lane, room = allowed[0], -1.0
             for candidate in allowed:
-                occupants = lanes[candidate]
+                occupants = lane_slots[candidate]
                 lane_room = pos[occupants[-1]] if occupants else length
                 if lane_room > room + 1e-12:
                     lane, room = candidate, lane_room
@@ -778,13 +779,13 @@ class Simulation:
             slot = free.pop()
             v = handles[slot] = Vehicle(self, slot, spec.vehicle_id, spec.max_speed,
                                         spec.route, plan)
-            occupants = lanes[lane]
-            leader[slot] = occupants[-1] if occupants else size + first_lane + lane
+            occupants = lane_slots[lane]
+            leader[slot] = occupants[-1] if occupants else size + lane
             occupants.append(slot)
             top = spec.max_speed
             cap[slot] = limit if limit < top else top
             end[slot] = length
-            lane_of[slot] = first_lane + lane
+            lane_of[slot] = lane
             halt_of[slot] = halt
             if arm >= 0:
                 arm_count[arm] += 1
@@ -852,7 +853,9 @@ class Simulation:
 
     def vehicles_on_edge(self, edge_id: str) -> list[tuple[Vehicle, float]]:
         """(vehicle, position) pairs, lane by lane, each lane front to back."""
-        slots = [slot for lane in self._lanes[edge_id] for slot in lane]
+        first = self._edge_info[edge_id][0]
+        lanes = self._lane_slots[first:first + self.net.edges[edge_id].lane_count]
+        slots = [slot for lane in lanes for slot in lane]
         return list(zip(map(self._handles.__getitem__, slots), self._pos[slots].tolist()))
 
     def arm_loads(self) -> list[tuple[int, int]]:
@@ -913,8 +916,8 @@ class Simulation:
         seen_ids = set()
         active = 0
         arm_count = [0] * len(ARM_ORDER)
-        for eid in self._edge_order:
-            first_lane, length, limit, arm, halt, lanes = self._edge_info[eid]
+        for eid, (first_lane, length, limit, arm, halt) in self._edge_info.items():
+            lanes = self._lane_slots[first_lane:first_lane + self.net.edges[eid].lane_count]
             for lane_idx, lane in enumerate(lanes):
                 ahead = n + first_lane + lane_idx  # the lane's sentinel
                 for slot in lane:

@@ -6,11 +6,11 @@ from flowctl.simcore import VEHICLE_MAX_SPEED, Simulation, Vehicle
 
 
 def iter_vehicles(sim: Simulation):
-    """Every vehicle, in (edge order, lane, front-to-back) order."""
-    for eid in sim._edge_order:
-        for lane in sim._lanes[eid]:
-            for slot in lane:
-                yield sim._handles[slot]
+    """Every vehicle, lane by lane in lane id order (edges sorted by id,
+    then lane), each lane front to back."""
+    for lane in sim._lane_slots:
+        for slot in lane:
+            yield sim._handles[slot]
 
 
 def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = None,
@@ -26,17 +26,19 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     if not 0.0 <= pos <= edge.length:
         raise ValueError(f"pos {pos} outside edge {route[0]} (0..{edge.length})")
     plan = sim._route_plan(route)
-    (first_lane, length, limit, arm, halt, lanes), allowed = plan[0]
+    (first_lane, length, limit, arm, halt), allowed = plan[0]
     if lane is None:
-        lane, room = allowed[0], -1.0
+        lane_id, room = allowed[0], -1.0
         for candidate in allowed:
-            occupants = lanes[candidate]
+            occupants = sim._lane_slots[candidate]
             lane_room = sim._pos[occupants[-1]] if occupants else length
             if lane_room > room + 1e-12:
-                lane, room = candidate, lane_room
-    if not 0 <= lane < edge.lane_count:
+                lane_id, room = candidate, lane_room
+    elif not 0 <= lane < edge.lane_count:
         raise ValueError(f"lane {lane} out of range for {route[0]}")
-    occupants = lanes[lane]
+    else:
+        lane_id = first_lane + lane
+    occupants = sim._lane_slots[lane_id]
     at = 0
     while at < len(occupants) and sim._pos[occupants[at]] > pos:
         at += 1
@@ -50,14 +52,13 @@ def place_vehicle(sim: Simulation, vehicle_id: str, route, lane: int | None = No
     sim._speed[slot] = speed
     sim._wait[slot] = wait
     # Insert at index `at` (0 = front) and repoint it and the vehicle behind.
-    sim._leader[slot] = (occupants[at - 1] if at
-                         else sim._speed.size + first_lane + lane)
+    sim._leader[slot] = occupants[at - 1] if at else sim._speed.size + lane_id
     if at < len(occupants):
         sim._leader[occupants[at]] = slot
     occupants.insert(at, slot)
     sim._cap[slot] = min(v.max_speed, limit)
     sim._end[slot] = length
-    sim._lane_of[slot] = first_lane + lane
+    sim._lane_of[slot] = lane_id
     sim._halt[slot] = halt
     if arm >= 0:
         sim._arm_count[arm] += 1

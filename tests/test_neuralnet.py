@@ -549,7 +549,7 @@ def test_value_fit_step_descends_the_mse_gradient():
     """From a fresh optimizer, one step leaves m = (1 - beta1) * scale * g
     with scale -1, so -m / (1 - beta1) is the gradient it followed: that of
     the mean squared error, by central finite differences."""
-    vnet = init_value_network(4, seed=11, input_size=3)
+    vnet = init_network(4, 1, seed=11, input_size=3, output_size=1)
     rng = np.random.default_rng(12)
     states, targets = rng.normal(size=(5, 3)), rng.normal(size=5)
 

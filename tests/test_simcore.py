@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 import copy
+from dataclasses import replace
 import pickle
 
 import numpy as np
@@ -399,6 +400,16 @@ def test_right_turn_route_uses_outer_lane():
     assert v.lane == 3
 
 
+def test_a_route_ending_inside_the_crossroad_plans_the_movement_it_makes():
+    """A route that stops on a junction-in edge makes no movement there, so
+    its vehicle spreads by headroom; one that stops on a junction-out edge
+    has crossed straight over, so it keeps to the through lanes."""
+    stops = place_vehicle(make_sim(), "x", ("app_w_in", "jct_w_in"))
+    assert stops.lane == 0
+    crosses = place_vehicle(make_sim(), "x", ("app_w_in", "jct_w_in", "jct_e_out"))
+    assert crosses.lane == 1
+
+
 def test_no_junction_ahead_spreads_by_headroom():
     sim = make_sim()
     a = place_vehicle(sim, "a", ("app_n_out",), pos=0.0)
@@ -428,6 +439,19 @@ def test_through_traffic_on_a_two_lane_edge_uses_lane_one():
     run_steps(sim, 400)
     assert sim.arrived_count == 1
     sim.validate()
+
+
+def test_a_spawn_behind_the_only_through_lane_of_a_two_lane_edge_waits():
+    """Lane 1 is the only through lane of a two-lane edge, so a spawn due
+    behind a vehicle that has just entered it waits, though lane 0 is empty."""
+    net = make_network([replace(e, lane_count=2) if e.id.startswith("diag_") else e
+                        for e in NET.edges.values()])
+    route = ("diag_ne", "app_e_in", "jct_e_in", "jct_w_out", "app_w_out")
+    sim = Simulation(net, [SpawnSpec(0, f"v{i}", "car", 13.9, route) for i in range(2)])
+    sim.step()
+    sim.validate()
+    assert [v.lane for v in iter_vehicles(sim)] == [1]
+    assert sim.pending_count == 1
 
 
 def test_spawn_blocks_until_entry_clears():
@@ -717,6 +741,30 @@ def test_place_vehicle_repoints_the_leaders_around_it():
     assert all(pos == vehicle.pos for vehicle, pos in pairs)
 
 
+def test_vehicles_on_edge_lists_every_edge_as_its_lanes_hold_it():
+    """At every resize of a desk episode, as the slot arrays grow past
+    INITIAL_SLOTS and as they halve, each edge lists exactly the vehicles
+    on it, with their positions, lane by lane and front to back."""
+    cfg = desk_profile()
+    sim = make_sim(spawn_schedule(NET, cfg.vehicles, seed=83, horizon=cfg.spawn_horizon))
+    sizes = []
+    while not sim.done:
+        if sim.clock % 20 == 0 and not sim.signals.in_yellow:
+            sim.set_phase((sim.clock // 20) % 4)
+        size = sim._speed.size
+        sim.step()
+        if sim._speed.size == size:
+            continue
+        sizes.append(sim._speed.size)
+        on_edge = {eid: [] for eid in NET.edges}
+        for v in iter_vehicles(sim):
+            on_edge[v.edge_id].append((v, v.pos))
+        assert sum(map(bool, on_edge.values())) >= 4
+        for eid, pairs in on_edge.items():
+            assert sim.vehicles_on_edge(eid) == pairs, eid
+    assert sizes[0] > INITIAL_SLOTS and sizes[-1] < max(sizes)
+
+
 def test_validate_catches_slot_corruption():
     sim = make_sim()
     front = place_vehicle(sim, "front", STRAIGHT_W, lane=1, pos=50.0)
@@ -832,6 +880,30 @@ def test_replace_route_suffix_checks_connectivity_and_destination():
     fresh = place_vehicle(sim, "y", STRAIGHT_W, lane=2, pos=10.0)
     with pytest.raises(ValueError):
         sim.replace_route_suffix(fresh, ("app_w_out", "diag_wn"))  # wrong dest
+
+
+def test_a_route_plan_depends_only_on_the_network_and_the_route():
+    """Two simulations of one desk schedule build equal plans for every
+    route, even once one of them has vehicles on every approach, and a plan
+    holds nothing but numbers in tuples: no state of either simulation."""
+    cfg = desk_profile()
+    schedule = spawn_schedule(NET, cfg.vehicles, seed=83, horizon=cfg.spawn_horizon)
+    fresh, driven = make_sim(schedule), make_sim(schedule)
+    while not all(driven.vehicles_on_edge(q.approach_in) for q in driven.arms.values()):
+        assert driven.clock < cfg.spawn_horizon
+        driven.step()
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    for route in {spec.route for spec in schedule}:
+        plan = driven._route_plan(route)
+        assert plan == fresh._route_plan(route)
+        assert all(type(leaf) in (int, float) for leaf in leaves(plan)), route
 
 
 def test_rerouted_vehicle_double_back_drives_to_destination():
