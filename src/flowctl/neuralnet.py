@@ -13,8 +13,9 @@ given them writes into them and returns views of them, valid until the
 next call given the same buffers; a call without them returns fresh arrays
 and keeps nothing, and the module holds no buffers of its own.  Either way
 the results are the same bits.  `pgagent.Learner` owns one set for its
-policy net, so the set lives as long as the run and no update maps
-temporaries afresh.
+policy net, so the set lives as long as the run; an update allocates
+afresh only batch arrays as wide as the head and each hidden layer's
+boolean ReLU mask.
 
 Persistence format (little-endian):
 
@@ -119,9 +120,8 @@ class BatchBuffers:
     of one shape; see the module notes for who may reuse them."""
 
     acts: tuple[np.ndarray, ...]        # (batch, out) per layer, head last
-    relu: np.ndarray                    # bool, batch x the widest layer
     grads: PolicyNetwork
-    adam: tuple[np.ndarray, np.ndarray]  # in the memory of `acts`
+    adam: tuple[np.ndarray, np.ndarray]  # ADAM_BLOCK each, in the memory of `acts`
 
 
 def _empty_like(net: PolicyNetwork) -> PolicyNetwork:
@@ -129,23 +129,18 @@ def _empty_like(net: PolicyNetwork) -> PolicyNetwork:
                          biases=tuple(np.empty(b.shape) for b in net.biases))
 
 
-def _adam_block(net: PolicyNetwork) -> int:
-    return min(ADAM_BLOCK, max(p.size for p in net.weights + net.biases))
-
-
 def init_buffers(net: PolicyNetwork, batch_size: int) -> BatchBuffers:
     """Buffers for batches of up to batch_size rows through nets shaped as
-    `net`.  The Adam scratch shares one array with the activations, which
-    an update has spent by the time it runs, so the set takes no more
-    memory than the activations and gradients of a full batch."""
-    sizes, block = net.layer_sizes, _adam_block(net)
+    `net`.  The Adam scratch, ADAM_BLOCK elements in each of its two
+    arrays, shares one array with the activations, which an update has
+    spent by the time it runs."""
+    sizes = net.layer_sizes
     lengths = [batch_size * n for n in sizes[1:]]
-    work = np.empty(max(sum(lengths), 2 * block))
+    work = np.empty(max(sum(lengths), 2 * ADAM_BLOCK))
     return BatchBuffers(
         acts=tuple(part.reshape(batch_size, n)
                    for part, n in zip(np.split(work, np.cumsum(lengths)), sizes[1:])),
-        relu=np.empty(batch_size * max(sizes[1:]), bool),
-        grads=_empty_like(net), adam=tuple(work[:2 * block].reshape(2, block)))
+        grads=_empty_like(net), adam=tuple(work[:2 * ADAM_BLOCK].reshape(2, ADAM_BLOCK)))
 
 
 def activations(net: PolicyNetwork, states: np.ndarray,
@@ -171,14 +166,14 @@ def backprop(net: PolicyNetwork, acts: list[np.ndarray], delta: np.ndarray,
     and the (batch, output) derivative of the objective at the head.
 
     The gradients go into `buffers.grads`, or into fresh arrays.  Each
-    hidden layer's activations are overwritten by its delta once read."""
+    hidden layer's activations are overwritten by its delta once read; its
+    ReLU mask is a fresh boolean array either way."""
     grads = _empty_like(net) if buffers is None else buffers.grads
     for i in range(len(net.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grads.weights[i])
         np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
-            active = np.greater(acts[i], 0.0, out=None if buffers is None else
-                                buffers.relu[:acts[i].size].reshape(acts[i].shape))
+            active = acts[i] > 0.0
             delta = np.matmul(delta, net.weights[i], out=acts[i])
             delta *= active
     return grads
@@ -233,8 +228,8 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
     """Ascend scale*grads via adaptive moment estimation, in place.
 
     The new parameters and moments are written into the arrays of `net` and
-    `opt`, one block at a time: the length of `buffers.adam`'s scratch, or
-    of fresh scratch, at most ADAM_BLOCK elements.  The returned net and
+    `opt`, ADAM_BLOCK elements at a time, through `buffers.adam`'s scratch
+    or fresh scratch of that size.  The returned net and
     state hold those same arrays, with the step counter advanced.  Every
     input is checked before the first write to a parameter or moment, so a
     rejected update changes none of them; the check's flags go in the
@@ -252,8 +247,7 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
         # written into it would be lost.
         if not all(a.flags.c_contiguous and a.flags.writeable for a in (param, m, v)):
             raise ValueError("parameters and moments must be C-contiguous and writeable")
-    scratch_g, scratch_step = np.empty((2, _adam_block(net))) if buffers is None else buffers.adam
-    block = len(scratch_g)
+    scratch_g, scratch_step = np.empty((2, ADAM_BLOCK)) if buffers is None else buffers.adam
     # The finiteness check writes its flags into the scratch, seen as bools,
     # one chunk of a gradient at a time, so it allocates nothing per update.
     finite = scratch_g.view(bool)
@@ -273,8 +267,8 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
     # elementwise, so the result is the same to the bit whatever the blocks.
     for param, g, m, v in groups:
         param, g, m, v = (a.reshape(-1) for a in (param, g, m, v))
-        for lo in range(0, param.size, block):
-            hi = min(lo + block, param.size)
+        for lo in range(0, param.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, param.size)
             gb, step = scratch_g[:hi - lo], scratch_step[:hi - lo]
             mb, vb = m[lo:hi], v[lo:hi]
             np.multiply(g[lo:hi], scale, out=gb)

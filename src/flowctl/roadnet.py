@@ -90,9 +90,9 @@ class Edge:
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """Directed graph of edges plus a per-node outgoing adjacency index."""
+    """Directed graph of edges plus a per-node outgoing adjacency index,
+    which has an entry for every node."""
 
-    nodes: frozenset[str]
     edges: dict[str, Edge]
     adjacency: dict[str, tuple[str, ...]]  # node -> outgoing edge ids, sorted
 
@@ -111,7 +111,6 @@ def make_network(edges: list[Edge], extra_nodes: tuple[str, ...] = ()) -> RoadNe
     for eid in sorted(edge_map):
         adjacency[edge_map[eid].from_node].append(eid)
     return RoadNetwork(
-        nodes=frozenset(nodes),
         edges={eid: edge_map[eid] for eid in sorted(edge_map)},
         adjacency={n: tuple(adjacency[n]) for n in sorted(adjacency)},
     )
@@ -195,9 +194,9 @@ def free_flow_weights(net: RoadNetwork) -> dict[str, float]:
 
 
 def _check_endpoints(net: RoadNetwork, origin: str, destination: str) -> None:
-    if origin not in net.nodes:
+    if origin not in net.adjacency:
         raise ValueError(f"unknown origin {origin!r}")
-    if destination not in net.nodes:
+    if destination not in net.adjacency:
         raise ValueError(f"unknown destination {destination!r}")
     if origin == destination:
         raise ValueError("origin and destination must differ")

@@ -22,7 +22,7 @@ POLICY_FORMAT_VERSION = 1
 
 def network_to_text(net: RoadNetwork) -> str:
     """Serialize a network to the textual format accepted by build_network."""
-    lines = [f"node {n}" for n in sorted(net.nodes)]
+    lines = [f"node {n}" for n in sorted(net.adjacency)]
     for eid in sorted(net.edges):
         e = net.edges[eid]
         lines.append(

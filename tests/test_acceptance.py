@@ -185,7 +185,7 @@ def test_acceptance_2_shortest_route_matches_exhaustive_search():
         if len(edges) < 2:
             continue
         net = make_network(edges)
-        nodes = sorted(net.nodes)
+        nodes = sorted(net.adjacency)
         if len(nodes) < 2:
             continue
         pick = rng.choice(len(nodes), size=2, replace=False)

@@ -401,8 +401,8 @@ def test_searches_on_drawn_crossroads_match_exhaustive_search(text, data):
     for eid in data.draw(st.lists(st.sampled_from(sorted(net.edges)), max_size=6)):
         weights[eid] += data.draw(st.sampled_from([2.5, 10.0, 37.125]))
     k = data.draw(st.integers(1, 8))
-    for origin in sorted(net.nodes):
-        for destination in sorted(net.nodes - {origin}):
+    for origin in sorted(net.adjacency):
+        for destination in sorted(net.adjacency.keys() - {origin}):
             expected = brute_force_routes(net, origin, destination, weights)
             assert shortest_route(net, origin, destination, weights) == expected[0]
             routes = enumerate_routes(net, origin, destination, weights, k=k)

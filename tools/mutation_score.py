@@ -28,7 +28,8 @@ mutant of the same size and second never meets a stale `.pyc`.  The
 unmutated module, also written back with `ast.unparse`, must pass first.
 Mutants run one at a time, each under a timeout of five times that first
 run plus 30 s; a mutant the tests fail, or one that times out, is killed.
-Nothing is written inside the repository.
+Nothing is written inside the repository.  SIGTERM or SIGINT kills the
+running pytest's process group and exits, removing the copy.
 
 Prints one line per mutant (function, line, change, outcome), then
 "K of N killed".  Exits 0, or 1 if the tests fail on the unmutated module.
@@ -131,9 +132,19 @@ def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
     try:
         return "passed" if proc.wait(timeout=timeout) == 0 else "failed"
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
         return "timeout"
+    finally:
+        # Reached on a timeout and on the SystemExit of a stop signal: the
+        # child runs in its own session, so no signal sent to us reaches it.
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def leave(signum, frame):
+    """Exit through SystemExit, so that every `finally` and `with` block
+    on the way out runs."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str]) -> int:
@@ -159,6 +170,8 @@ def main(argv: list[str]) -> int:
         chosen = random.Random(SEED).sample(candidates, min(args.sample, len(candidates)))
     chosen.sort(key=lambda i: (every[i][1].lineno, i))
 
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, leave)
     with tempfile.TemporaryDirectory(prefix="mutation_score.") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
