@@ -4,6 +4,8 @@ Everything is float64 numpy with explicit backpropagation — no autograd.
 Parameter containers are frozen dataclasses, but the arrays they hold are
 not snapshots: apply_update writes the new parameters and Adam moments into
 the arrays it was given.  Copy an array to keep its value across an update.
+apply_update ascends the gradients it is given: the policy passes those of
+its objective, and the value head the descent direction of its MSE.
 
 The batched calls (activations, backprop, accumulate_logp_gradients and
 apply_update) take optional `BatchBuffers`: every layer's batch
@@ -222,10 +224,10 @@ def accumulate_logp_gradients(net: PolicyNetwork, states: np.ndarray,
     return backprop(net, acts, delta, buffers)
 
 
-def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
-                 opt: OptimizerState, buffers: BatchBuffers | None = None,
+def apply_update(net: PolicyNetwork, grads: PolicyNetwork, opt: OptimizerState,
+                 buffers: BatchBuffers | None = None,
                  ) -> tuple[PolicyNetwork, OptimizerState]:
-    """Ascend scale*grads via adaptive moment estimation, in place.
+    """Ascend grads, as given, via adaptive moment estimation, in place.
 
     The new parameters and moments are written into the arrays of `net` and
     `opt`, ADAM_BLOCK elements at a time, through `buffers.adam`'s scratch
@@ -235,8 +237,6 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
     rejected update changes none of them; the check's flags go in the
     scratch.
     """
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
     groups = list(zip(net.weights + net.biases, grads.weights + grads.biases,
                       opt.m, opt.v, strict=True))
     for param, g, m, v in groups:
@@ -261,8 +261,8 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
 
-    # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) (g g), with g
-    # scaled first; param += lr (m / corr1) / (sqrt(v / corr2) + eps).  Each
+    # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) (g g);
+    # param += lr (m / corr1) / (sqrt(v / corr2) + eps).  Each
     # operation is the one the plain expressions would do, in the same order,
     # elementwise, so the result is the same to the bit whatever the blocks.
     for param, g, m, v in groups:
@@ -271,11 +271,10 @@ def apply_update(net: PolicyNetwork, grads: PolicyNetwork, scale: float,
             hi = min(lo + ADAM_BLOCK, param.size)
             gb, step = scratch_g[:hi - lo], scratch_step[:hi - lo]
             mb, vb = m[lo:hi], v[lo:hi]
-            np.multiply(g[lo:hi], scale, out=gb)
-            np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+            np.multiply(g[lo:hi], 1.0 - ADAM_BETA1, out=step)
             mb *= ADAM_BETA1
             mb += step
-            gb *= gb
+            np.multiply(g[lo:hi], g[lo:hi], out=gb)
             gb *= 1.0 - ADAM_BETA2
             vb *= ADAM_BETA2
             vb += gb
@@ -322,11 +321,11 @@ def value_forward(net: PolicyNetwork, states: np.ndarray) -> np.ndarray:
 
 def value_fit_step(net: PolicyNetwork, opt: OptimizerState, states: np.ndarray,
                    targets: np.ndarray) -> tuple[PolicyNetwork, OptimizerState]:
-    """One mean-squared-error descent step toward the targets."""
+    """One mean-squared-error descent step toward the targets: the update
+    ascends -MSE, whose gradient backprop returns from the head's
+    -d(MSE)/d(pred) = 2 (target - pred) / n."""
     states = np.asarray(states, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     acts = activations(net, states)
-    # d(MSE)/d(pred) = 2 (pred - target) / n
-    delta = 2.0 * (acts[-1][:, 0] - targets)[:, None] / len(states)
-    grads = backprop(net, acts, delta)
-    return apply_update(net, grads, -1.0, opt)  # ascend the negative = descend MSE
+    delta = 2.0 * (targets - acts[-1][:, 0])[:, None] / len(states)
+    return apply_update(net, backprop(net, acts, delta), opt)

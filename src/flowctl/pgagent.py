@@ -215,7 +215,7 @@ def policy_update(agent: AgentState, memory: Memory,
         # leave parameters and optimizer moments untouched.
         return AgentState(agent.net, agent.opt, value_net, value_opt)
     grads = accumulate_logp_gradients(agent.net, states, actions, coeffs, buffers)
-    net, opt = apply_update(agent.net, grads, 1.0, agent.opt, buffers)
+    net, opt = apply_update(agent.net, grads, agent.opt, buffers)
     return AgentState(net, opt, value_net, value_opt)
 
 

@@ -104,7 +104,7 @@ def reference_update(agent: AgentState, buffer: ReplayBuffer,
     if not np.any(coeffs):
         return AgentState(agent.net, agent.opt, value_net, value_opt)
     grads = accumulate_logp_gradients(agent.net, states, actions, coeffs)
-    net, opt = apply_update(agent.net, grads, 1.0, agent.opt)
+    net, opt = apply_update(agent.net, grads, agent.opt)
     return AgentState(net, opt, value_net, value_opt)
 
 

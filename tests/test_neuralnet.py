@@ -40,6 +40,14 @@ def logp_gradient(net: PolicyNetwork, state, action: int) -> PolicyNetwork:
     return accumulate_logp_gradients(net, np.asarray(state)[None, :], [action], [1.0])
 
 
+def scaled(grads: PolicyNetwork, scale: float) -> PolicyNetwork:
+    """Fresh arrays holding scale * grads; an infinite scale turns zeros
+    into NaN."""
+    with np.errstate(invalid="ignore"):
+        return PolicyNetwork(weights=tuple(scale * w for w in grads.weights),
+                             biases=tuple(scale * b for b in grads.biases))
+
+
 def numeric_logp_gradient(net: PolicyNetwork, x: np.ndarray, action: int,
                           eps: float = 1e-5) -> PolicyNetwork:
     """Central finite differences of log pi(action|x) over every parameter."""
@@ -273,7 +281,7 @@ def test_apply_update_moves_along_gradient_sign():
     x = np.random.default_rng(5).random(6)
     g = logp_gradient(net, x, 1)
     before = forward(net, x)[1]
-    net2, opt2 = apply_update(net, g, 1.0, opt)
+    net2, opt2 = apply_update(net, g, opt)
     assert opt2.step == 1
     # Ascent on log pi(1|x) must increase that probability.
     assert forward(net2, x)[1] > before
@@ -283,12 +291,12 @@ def test_apply_update_moves_along_gradient_sign():
     assert opt.step == 0
 
 
-def test_apply_update_scale_zero_is_noop_from_fresh_optimizer():
+def test_apply_update_zero_gradient_is_noop_from_fresh_optimizer():
     net = small_net(32)
     opt = init_optimizer(net, learning_rate=1e-3)
-    g = logp_gradient(net, np.ones(6), 0)
+    g = scaled(logp_gradient(net, np.ones(6), 0), 0.0)
     before = [a.copy() for a in net.weights + net.biases]
-    net2, opt2 = apply_update(net, g, 0.0, opt)
+    net2, opt2 = apply_update(net, g, opt)
     for a, b in zip(before, net2.weights + net2.biases, strict=True):
         assert np.array_equal(a, b)
     assert opt2.step == 1
@@ -302,9 +310,13 @@ def test_apply_update_rejects_nonfinite():
     bad_w[0] = bad_w[0].copy()
     bad_w[0][0, 0] = np.nan
     with pytest.raises(ValueError):
-        apply_update(net, PolicyNetwork(weights=tuple(bad_w), biases=g.biases), 1.0, opt)
+        apply_update(net, PolicyNetwork(weights=tuple(bad_w), biases=g.biases), opt)
+    arrays = net.weights + net.biases + opt.m + opt.v
+    before = copies(arrays)
     with pytest.raises(ValueError):
-        apply_update(net, g, float("inf"), opt)
+        apply_update(net, scaled(g, float("inf")), opt)
+    assert opt.step == 0
+    assert same_bits(arrays, before)
 
 
 @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
@@ -325,14 +337,13 @@ def test_apply_update_rejects_shape_mismatch():
     opt = init_optimizer(net, learning_rate=1e-3)
     g = logp_gradient(other, np.ones(6), 0)
     with pytest.raises(ValueError):
-        apply_update(net, g, 1.0, opt)
+        apply_update(net, g, opt)
 
 
-def textbook_adam(params, grads, m, v, t, scale, lr):
-    """Kingma & Ba's update, ascending scale * grads, written out plainly."""
+def textbook_adam(params, grads, m, v, t, lr):
+    """Kingma & Ba's update, ascending grads, written out plainly."""
     out = []
     for p, g, m_t, v_t in zip(params, grads, m, v):
-        g = scale * g
         m_t = ADAM_BETA1 * m_t + (1 - ADAM_BETA1) * g
         v_t = ADAM_BETA2 * v_t + (1 - ADAM_BETA2) * g ** 2
         m_hat = m_t / (1 - ADAM_BETA1 ** t)
@@ -352,7 +363,8 @@ def same_bits(got, want) -> bool:
 # The small net fits in one block of ADAM_BLOCK.  In the wide one each
 # 400x400 weight spans four whole blocks and ends in a partial one, and every
 # bias fits in one block.  A second net takes the same steps with its Adam
-# scratch from buffers.
+# scratch from buffers.  Each drawn gradient is scaled before either update
+# sees it, so the scale sets the sign and size of the ascent.
 @pytest.mark.parametrize("scale, sizes", [
     pytest.param(scale, sizes, id=f"{scale}{suffix}")
     for sizes, suffix in (((6, 5, 4, 3), ""), ((80, 400, 400, 4), "-wide"))
@@ -367,11 +379,12 @@ def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
     m, v = copies(opt.m), copies(opt.v)
     rng = np.random.default_rng(36)
     for t in range(1, 6):
-        g = PolicyNetwork(weights=tuple(rng.normal(size=w.shape) for w in net.weights),
-                          biases=tuple(rng.normal(size=b.shape) for b in net.biases))
-        params, m, v = textbook_adam(params, g.weights + g.biases, m, v, t, scale, 0.01)
-        net, opt = apply_update(net, g, scale, opt)
-        buffered, buffered_opt = apply_update(buffered, g, scale, buffered_opt, buffers)
+        g = scaled(PolicyNetwork(
+            weights=tuple(rng.normal(size=w.shape) for w in net.weights),
+            biases=tuple(rng.normal(size=b.shape) for b in net.biases)), scale)
+        params, m, v = textbook_adam(params, g.weights + g.biases, m, v, t, 0.01)
+        net, opt = apply_update(net, g, opt)
+        buffered, buffered_opt = apply_update(buffered, g, buffered_opt, buffers)
         assert opt.step == buffered_opt.step == t
         assert same_bits(net.weights + net.biases + opt.m + opt.v, params + m + v)
         assert same_bits(buffered.weights + buffered.biases + buffered_opt.m + buffered_opt.v,
@@ -381,17 +394,17 @@ def test_apply_update_is_textbook_adam_to_the_bit(scale, sizes):
 def test_apply_update_writes_into_its_arrays_and_leaves_the_gradients_alone():
     net = small_net(37)
     opt = init_optimizer(net, learning_rate=1e-3)
-    net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
-    grads = logp_gradient(net, np.full(6, 0.5), 2)
+    net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), opt)
+    grads = scaled(logp_gradient(net, np.full(6, 0.5), 2), 0.37)
     params, m, v = copies(net.weights + net.biases), copies(opt.m), copies(opt.v)
     grads_before = copies(grads.weights + grads.biases)
-    net2, opt2 = apply_update(net, grads, 0.37, opt)
+    net2, opt2 = apply_update(net, grads, opt)
     for new, old in zip(net2.weights + net2.biases + opt2.m + opt2.v,
                         net.weights + net.biases + opt.m + opt.v, strict=True):
         assert new is old
     assert opt2.step == 2
     assert same_bits(grads.weights + grads.biases, grads_before)
-    params, m, v = textbook_adam(params, grads_before, m, v, 2, 0.37, opt.learning_rate)
+    params, m, v = textbook_adam(params, grads_before, m, v, 2, opt.learning_rate)
     assert same_bits(net2.weights + net2.biases + opt2.m + opt2.v, params + m + v)
 
 
@@ -403,9 +416,9 @@ def test_rejected_update_changes_nothing(fault):
     long = fault == "inf_in_last_chunk_of_a_long_gradient"
     net = small_net(38, (6, 600, 600, 3) if long else (6, 5, 4, 3))
     opt = init_optimizer(net, learning_rate=1e-3)
-    net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), 1.0, opt)
+    net, opt = apply_update(net, logp_gradient(net, np.ones(6), 0), opt)
     g = logp_gradient(net, np.full(6, 0.5), 2)
-    weights, biases, scale = list(g.weights), list(g.biases), 1.0
+    weights, biases = list(g.weights), list(g.biases)
     if fault == "nan_in_last_gradient":
         biases[-1] = biases[-1].copy()
         biases[-1][-1] = np.nan
@@ -416,12 +429,12 @@ def test_rejected_update_changes_nothing(fault):
         weights[1] = weights[1].copy()
         weights[1][-1, -1] = np.inf
     else:
-        scale = float("inf")
+        g = scaled(g, float("inf"))
+        weights, biases = list(g.weights), list(g.biases)
     arrays = net.weights + net.biases + opt.m + opt.v
     before = copies(arrays)
     with pytest.raises(ValueError):
-        apply_update(net, PolicyNetwork(weights=tuple(weights), biases=tuple(biases)),
-                     scale, opt)
+        apply_update(net, PolicyNetwork(weights=tuple(weights), biases=tuple(biases)), opt)
     assert opt.step == 1
     assert same_bits(arrays, before)
 
@@ -445,7 +458,7 @@ def test_apply_update_rejects_an_array_it_cannot_write_through(where):
     arrays = net.weights + net.biases + opt.m + opt.v
     before = copies(arrays)
     with pytest.raises(ValueError, match="C-contiguous and writeable"):
-        apply_update(net, g, 1.0, opt)
+        apply_update(net, g, opt)
     assert same_bits(arrays, before)
 
 
@@ -469,8 +482,7 @@ def test_bandit_convergence():
         p = forward(net, x)
         action = int(rng.choice(2, p=p))
         reward = 1.0 if action == 0 else 0.0
-        g = logp_gradient(net, x, action)
-        net, opt = apply_update(net, g, reward, opt)
+        net, opt = apply_update(net, scaled(logp_gradient(net, x, action), reward), opt)
         if forward(net, x)[0] > 0.9:
             break
     assert forward(net, x)[0] > 0.9, f"pi(0)={forward(net, x)[0]:.3f} after 2000 steps"
@@ -483,7 +495,7 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
     # Make the payload non-trivial: one optimizer step so biases are non-zero.
     opt = init_optimizer(net, learning_rate=0.01)
     g = logp_gradient(net, np.random.default_rng(0).random(80), 2)
-    net, _ = apply_update(net, g, 1.0, opt)
+    net, _ = apply_update(net, g, opt)
     path = tmp_path / "policy.nn"
     save_network(net, path)
     loaded = load_network(path)
@@ -546,9 +558,9 @@ def test_value_network_scalar_output():
 
 
 def test_value_fit_step_descends_the_mse_gradient():
-    """From a fresh optimizer, one step leaves m = (1 - beta1) * scale * g
-    with scale -1, so -m / (1 - beta1) is the gradient it followed: that of
-    the mean squared error, by central finite differences."""
+    """From a fresh optimizer, one step leaves m = (1 - beta1) * g, where g
+    is the ascent direction the fit passed, so -m / (1 - beta1) must be the
+    gradient of the mean squared error, by central finite differences."""
     vnet = init_network(4, 1, seed=11, input_size=3, output_size=1)
     rng = np.random.default_rng(12)
     states, targets = rng.normal(size=(5, 3)), rng.normal(size=5)
