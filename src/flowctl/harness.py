@@ -149,9 +149,10 @@ def desk_profile() -> RunConfig:
 
 def paper_scale_profile() -> RunConfig:
     """Full-size experiment tables: about 0.08 s per fixed-time episode and
-    0.16-0.22 s per learning episode (4 episodes per mode at seed 7, one
-    BLAS thread, a 2-CPU Xeon host; repeats read up to 1.3x slower as the
-    host's speed drifts), so 30-45 s for a 200-episode learning run."""
+    0.15 s per learning episode (medians of 5 runs of 4 episodes per mode
+    at seed 7, one BLAS thread, a 2-CPU Xeon host; single runs read up to
+    1.5x slower as the host's speed drifts), so 30-45 s for a 200-episode
+    learning run."""
     return RunConfig(train=TrainConfig(), vehicles=4000, spawn_horizon=3600)
 
 

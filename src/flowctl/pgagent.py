@@ -244,8 +244,8 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
             state = sim.read_sensors()
             action = int(choose_action(state))
         steps = green_duration
-        if action != sim.signals.phase:
-            steps += sim.signals.yellow_duration
+        if action != sim.phase:
+            steps += sim.yellow_duration
         sim.set_phase(action)
         for _ in range(steps):
             readings = sim.step()

@@ -31,10 +31,12 @@ Mechanics, all on 1-second steps:
   simulation made with `sample_detectors=False` skips that pass and
   reports them as None.
 
-The signal plan has four phases: 0 = north/south main lanes, 1 = north/south
-left lane, 2 = east/west main lanes, 3 = east/west left lane.  A phase
-change inserts a fixed all-red amber interval; re-selecting the active phase
-extends the green seamlessly.
+The signal plan, `phase` and `in_yellow`, is the simulation's own state.
+Phases: 0 = north/south main lanes, 1 = north/south left lane, 2 = east/west
+main lanes, 3 = east/west left lane.  A phase change runs an all-red amber
+for `yellow_duration` steps, and the next step ends it at its start, so
+until then `in_yellow` reads True and a command raises SignalInterlockError.
+Re-selecting the active phase extends the green seamlessly.
 
 State layout.  Each active vehicle owns a slot: an index into numpy arrays
 of what every step reads: position, speed, waiting time, speed cap (its top
@@ -59,12 +61,14 @@ into the front in lane id order and update each vehicle's `slot`.
 Each slot has a `leader` index into a position buffer that holds the slots
 followed by one sentinel per lane.  A lane's front vehicle points at the
 lane's sentinel, which holds the edge length while the lane is red or
-amber and infinity while it is green (or unsignalized).  So one
-expression, `leader_pos - pos - MIN_GAP`, gives a follower its gap and a
-front vehicle its stop wall, and `step` moves every vehicle with a handful
-of whole-array operations.  Followers need no separate wall: their leader
-is at most the edge length, and rounding is monotonic, so their gap never
-exceeds the wall.
+amber and infinity while it is green (or unsignalized): the row of
+`_walls` for the plan's state, PHASE_COUNT in amber.  Only `set_phase`
+starting an amber, `step` ending one and `_relayout` write them, into both
+position buffers.  So one expression, `leader_pos - pos - MIN_GAP`, gives
+a follower its gap and a front vehicle its stop wall, and `step` moves
+every vehicle with a handful of whole-array operations.  Followers need no
+separate wall: their leader is at most the edge length, and rounding is
+monotonic, so their gap never exceeds the wall.
 
 Two position buffers alternate, so the pre-step positions survive the
 update.  The few vehicles that passed their edge end then cross in lane id
@@ -99,8 +103,9 @@ the next lane, or, on the route's last edge, lets it arrive and makes its
 slot inert.  Admission works the same way on the back of a first lane.  A
 free slot's position, speed and wait are already 0, so admission writes
 only the edge facts; `step` tries it only when the queue's first spec is
-due.  `validate()` checks the slot arrays against the lanes, that every
-free slot is inert and that every view aliases its array.
+due.  `validate()` checks the slot arrays against the lanes and the
+sentinels against the plan, that every free slot is inert and that every
+view aliases its array.
 """
 
 from __future__ import annotations
@@ -177,38 +182,13 @@ def phase_is_green(phase: int, arm: str, lane: int) -> bool:
     return arm in ("e", "w") and lane == 0
 
 
-class SignalController:
-    """Four-phase controller with a mandatory all-red amber on phase change."""
-
-    def __init__(self, yellow_duration: int = YELLOW_DURATION):
-        if yellow_duration < 1:
-            raise ValueError("yellow_duration must be >= 1")
-        self.yellow_duration = yellow_duration
-        self.phase = 0
-        self.in_yellow = False
-        self.time_in_state = 0
-
-    def set_phase(self, phase: int) -> None:
-        if not 0 <= phase < PHASE_COUNT:
-            raise ValueError(f"phase must be in 0..{PHASE_COUNT - 1}, got {phase}")
-        if self.in_yellow:
-            raise SignalInterlockError("cannot command a phase during amber")
-        if phase != self.phase:
-            self.phase = phase
-            self.in_yellow = True
-            self.time_in_state = 0
-
-    def tick_begin(self) -> None:
-        """Promote amber to green once it has lasted the full interval."""
-        if self.in_yellow and self.time_in_state >= self.yellow_duration:
-            self.in_yellow = False
-            self.time_in_state = 0
-
-    def tick_end(self) -> None:
-        self.time_in_state += 1
-
-    def is_green(self, arm: str, lane: int) -> bool:
-        return not self.in_yellow and phase_is_green(self.phase, arm, lane)
+def _checked_int(value, name: str, low: int, high: float = math.inf) -> int:
+    """`value` as a Python int in [low, high); a bool, or a number not of an
+    integer type (a float, even a whole one), raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value < high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
 
 
 class Vehicle:
@@ -431,8 +411,9 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
 
 
 class Simulation:
-    """One crossroad, one signal controller, and a population of vehicles;
-    with `sample_detectors` off, detector windows report density only."""
+    """One crossroad, its signal plan (green in phase 0 at first), and a
+    population of vehicles; with `sample_detectors` off, detector windows
+    report density only."""
 
     def __init__(self, net: RoadNetwork, schedule=(), *,
                  yellow_duration: int = YELLOW_DURATION,
@@ -440,7 +421,10 @@ class Simulation:
         self.net = net
         self.sample_detectors = sample_detectors
         _, self.arms = infer_layout(net)
-        self.signals = SignalController(yellow_duration)
+        self.yellow_duration = _checked_int(yellow_duration, "yellow_duration", 1)
+        self.phase = 0
+        self.in_yellow = False
+        self._amber_steps = 0  # steps the current amber has run
         self.clock = 0
 
         self._jin_arm = {q.junction_in: a for a, q in self.arms.items()}
@@ -479,7 +463,6 @@ class Simulation:
         self._walls = np.array([r[4] for r in lane_rows]).T.copy()
         # Per lane id: its slots, front to back.
         self._lane_slots: list[list[int]] = [[] for _ in lane_rows]
-        self._wall_key = -1  # the row of _walls the sentinels hold; none yet
         self._arm_count = [0] * len(ARM_ORDER)
         self._handles: list[Vehicle | None] = []
         self._plans: dict[tuple[str, ...], tuple] = {}
@@ -530,7 +513,7 @@ class Simulation:
                 new[:active] = getattr(self, name)[keep]
             setattr(self, name, new)
         leader = np.arange(size)
-        walls = self._walls[self._wall_key]
+        walls = self._walls[PHASE_COUNT if self.in_yellow else self.phase]
         if active:
             n = len(self._handles)
             renumber = np.arange(size - n, size + walls.size)  # sentinel n + j -> size + j
@@ -621,25 +604,36 @@ class Simulation:
     # ---------------------------------------------------------------- step
 
     def set_phase(self, phase: int) -> None:
-        self.signals.set_phase(phase)
+        """Command `phase`; a new one starts with an amber (see the module
+        notes).  Raises SignalInterlockError while an amber runs."""
+        phase = _checked_int(phase, "phase", 0, PHASE_COUNT)
+        if self.in_yellow:
+            raise SignalInterlockError("cannot command a phase during amber")
+        if phase != self.phase:
+            self.phase = phase
+            self.in_yellow = True
+            self._amber_steps = 0
+            n = self._speed.size
+            self._pos[n:] = self._spare[n:] = self._walls[PHASE_COUNT]
 
     def step(self) -> dict[str, DetectorReading] | None:
         """Advance the world by one second, and return the reading per arm
         of a detector window that closes with it (None at other steps).
 
-        One array pass moves every vehicle; then the few that passed their
-        edge end cross the node, arrive or hold, one lane at a time in lane
-        id order (see the module notes).  Last, the slot arrays shrink if at
-        most a quarter of them are in use.
+        An amber that has run its full length ends first.  One array pass
+        moves every vehicle; then the few that passed their edge end cross
+        the node, arrive or hold, one lane at a time in lane id order (see
+        the module notes).  Last, the slot arrays shrink if at most a
+        quarter of them are in use.
         """
-        signals = self.signals
-        signals.tick_begin()
         clock = self.clock
-        key = PHASE_COUNT if signals.in_yellow else signals.phase
         n = self._speed.size
-        if key != self._wall_key:
-            self._pos[n:] = self._spare[n:] = self._walls[key]
-            self._wall_key = key
+        if self.in_yellow:
+            if self._amber_steps >= self.yellow_duration:
+                self.in_yellow = False
+                self._pos[n:] = self._spare[n:] = self._walls[self.phase]
+            else:
+                self._amber_steps += 1
 
         prev, pos = self._pos, self._spare
         old = prev[:n]
@@ -731,7 +725,6 @@ class Simulation:
 
         if self._pending and self._pending[0].depart <= clock:
             self._attempt_spawns(clock)
-        signals.tick_end()
         self.clock = clock + 1
         readings = self._post_step_accounting()
         size = self._speed.size
@@ -910,7 +903,7 @@ class Simulation:
 
     def validate(self) -> None:
         """Raise InvariantViolation if any physical or accounting rule broke,
-        or if the slot arrays disagree with the lanes they mirror."""
+        or if the slot arrays or sentinels disagree with the lanes or plan."""
         n = self._speed.size
         pos = self._pos
         seen_ids = set()
@@ -973,6 +966,9 @@ class Simulation:
             array, view = getattr(self, name), getattr(self, name + "_v")
             if view.obj is not array or len(view) != array.size:
                 raise InvariantViolation(f"{name}_v is not a view of {name}")
+        walls = self._walls[PHASE_COUNT if self.in_yellow else self.phase]
+        if np.any(pos[n:] != walls) or np.any(self._spare[n:] != walls):
+            raise InvariantViolation("a lane sentinel does not hold the signal plan's wall")
         total = self.pending_count + self.active_count + self.arrived_count
         if total != self.scheduled_total:
             raise InvariantViolation(

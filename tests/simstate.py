@@ -1,8 +1,14 @@
-"""Test helpers that read and set a `Simulation`'s vehicles in its lanes."""
+"""Test helpers that read and set a `Simulation`'s vehicles in its lanes,
+and read its signal plan."""
 
 from __future__ import annotations
 
-from flowctl.simcore import VEHICLE_MAX_SPEED, Simulation, Vehicle
+from flowctl.simcore import VEHICLE_MAX_SPEED, Simulation, Vehicle, phase_is_green
+
+
+def is_green(sim: Simulation, arm: str, lane: int) -> bool:
+    """Whether the plan shows green to `lane` of `arm`'s junction edge."""
+    return not sim.in_yellow and phase_is_green(sim.phase, arm, lane)
 
 
 def iter_vehicles(sim: Simulation):

@@ -49,7 +49,7 @@ from flowctl.roadnet import (
 from flowctl.rerouter import apply_rerouting
 from flowctl.simcore import MIN_GAP, Simulation, spawn_schedule
 
-from simstate import iter_vehicles, place_vehicle
+from simstate import is_green, iter_vehicles, place_vehicle
 
 NET = build_default_network()
 
@@ -256,7 +256,7 @@ def full_check(sim):
 def assert_all_red(sim):
     for arm in "nesw":
         for lane in range(ARM_LANES):
-            assert not sim.signals.is_green(arm, lane)
+            assert not is_green(sim, arm, lane)
 
 
 def test_acceptance_4_invariants_and_two_second_amber():
@@ -269,26 +269,26 @@ def test_acceptance_4_invariants_and_two_second_amber():
         sim = Simulation(NET, schedule)
         limit = int(rng.integers(40, 140))
         while sim.clock < limit and not sim.done:
-            if not sim.signals.in_yellow and rng.random() < 0.35:
+            if not sim.in_yellow and rng.random() < 0.35:
                 target = int(rng.integers(4))
-                if target == sim.signals.phase:
+                if target == sim.phase:
                     sim.set_phase(target)
-                    assert not sim.signals.in_yellow  # same phase: seamless
+                    assert not sim.in_yellow  # same phase: seamless
                 else:
                     sim.set_phase(target)
                     phase_changes += 1
                     assert_all_red(sim)     # amber second 1 about to run
                     sim.step()
                     full_check(sim)
-                    assert sim.signals.in_yellow
+                    assert sim.in_yellow
                     assert_all_red(sim)     # amber second 2 about to run
                     sim.step()
                     full_check(sim)
-                    assert sim.signals.in_yellow  # promotion happens next step
+                    assert sim.in_yellow  # promotion happens next step
                     sim.step()
                     full_check(sim)
-                    assert not sim.signals.in_yellow  # third second ran green
-                    assert sim.signals.phase == target
+                    assert not sim.in_yellow  # third second ran green
+                    assert sim.phase == target
                     continue
             sim.step()
             full_check(sim)

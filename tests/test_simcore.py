@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 import copy
 from dataclasses import replace
+import itertools
 import pickle
 
 import numpy as np
@@ -25,7 +26,6 @@ from flowctl.simcore import (
     DetectorReading,
     InvariantViolation,
     NetworkLayoutError,
-    SignalController,
     SignalInterlockError,
     Simulation,
     SpawnSpec,
@@ -35,7 +35,7 @@ from flowctl.simcore import (
 )
 
 from fileformats import network_to_text
-from simstate import iter_vehicles, place_vehicle
+from simstate import is_green, iter_vehicles, place_vehicle
 
 NET = build_default_network()
 
@@ -97,20 +97,22 @@ def test_signal_phase_lane_map():
         observed = {(a, l) for a in ARM_ORDER for l in range(4)
                     if phase_is_green(phase, a, l)}
         assert observed == greens
-    sig = SignalController()  # starts green in phase 0
-    assert all(sig.is_green(a, l) == phase_is_green(0, a, l)
+    sim = make_sim()  # starts green in phase 0
+    assert (sim.phase, sim.in_yellow) == (0, False)
+    assert all(is_green(sim, a, l) == phase_is_green(0, a, l)
                for a in ARM_ORDER for l in range(4))
+    sim.validate()  # the sentinels hold phase 0's walls
 
 
 def test_phase_change_runs_exactly_two_amber_steps():
     sim = make_sim()
     sim.set_phase(0)  # same as initial: no amber
-    assert not sim.signals.in_yellow
+    assert not sim.in_yellow
     sim.set_phase(2)
     greens = []
     for _ in range(4):
         sim.step()
-        greens.append(sim.signals.is_green("e", 1))
+        greens.append(is_green(sim, "e", 1))
     # two all-red steps, then green holds
     assert greens == [False, False, True, True]
 
@@ -119,8 +121,8 @@ def test_amber_blocks_everything():
     sim = make_sim()
     sim.set_phase(1)
     sim.step()
-    assert sim.signals.in_yellow
-    assert not any(sim.signals.is_green(a, l) for a in ARM_ORDER for l in range(4))
+    assert sim.in_yellow
+    assert not any(is_green(sim, a, l) for a in ARM_ORDER for l in range(4))
 
 
 def test_set_phase_during_amber_raises():
@@ -136,17 +138,73 @@ def test_reselecting_phase_extends_green():
     sim.set_phase(0)
     run_steps(sim, 3)
     sim.set_phase(0)
-    assert not sim.signals.in_yellow
+    assert not sim.in_yellow
     sim.step()
-    assert sim.signals.is_green("n", 1)
+    assert is_green(sim, "n", 1)
 
 
 def test_signal_rejects_bad_phase():
-    sig = SignalController()
-    with pytest.raises(ValueError):
-        sig.set_phase(4)
-    with pytest.raises(ValueError):
-        sig.set_phase(-1)
+    """Out of range, a float (even a whole one) and a bool are refused at
+    the call and leave the plan as it was."""
+    sim = make_sim()
+    for bad in (-1, 4, 1.5, 2.0, True):
+        with pytest.raises(ValueError):
+            sim.set_phase(bad)
+        assert (sim.phase, sim.in_yellow) == (0, False)
+    sim.step()
+    sim.validate()
+
+
+def test_set_phase_takes_a_numpy_integer_as_a_python_int():
+    sim = make_sim()
+    sim.set_phase(np.int64(2))
+    assert type(sim.phase) is int and sim.phase == 2 and sim.in_yellow
+    run_steps(sim, 3)
+    sim.validate()
+    assert is_green(sim, "e", 1)
+
+
+def test_yellow_duration_must_be_a_positive_integer():
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            make_sim(yellow_duration=bad)
+    sim = make_sim(yellow_duration=np.int64(1))
+    assert type(sim.yellow_duration) is int and sim.yellow_duration == 1
+
+
+@pytest.mark.parametrize("yellow", [1, 2, 3])
+def test_amber_lasts_yellow_duration_steps_and_the_walls_follow_the_plan(yellow):
+    """Traffic that grows and drains the slot arrays, under phase changes
+    and re-selections until it clears: after every command and every step
+    the sentinels hold the plan's walls, and each amber refuses commands
+    and runs for exactly `yellow` steps.  Some resizes fall in an amber."""
+    sim = make_sim(spawn_schedule(NET, count=250, seed=5, horizon=90),
+                   yellow_duration=yellow)
+    resized_in_amber = 0
+    for phase in itertools.cycle((2, 2, 1, 3, 0, 0)):
+        if sim.done:
+            break
+        changes = phase != sim.phase
+        sim.set_phase(phase)
+        sim.validate()
+        ran = []  # per step: whether it ends in amber, so ran in amber
+        while sim.in_yellow and len(ran) <= yellow:
+            with pytest.raises(SignalInterlockError):
+                sim.set_phase(phase)
+            size = sim._speed.size
+            sim.step()
+            sim.validate()
+            ran.append(sim.in_yellow)
+            resized_in_amber += sim.in_yellow and sim._speed.size != size
+        # The step that ends the amber runs green.
+        assert ran == ([True] * yellow + [False] if changes else [])
+        assert sim.phase == phase
+        for _ in range(4):
+            sim.step()
+            sim.validate()
+            assert not sim.in_yellow
+    assert sim.arrived_count == sim.scheduled_total
+    assert resized_in_amber > 0
 
 
 # ---------------------------------------------------------------- schedule
@@ -594,7 +652,7 @@ def test_unsampled_detectors_change_nothing_but_count_and_mean_speed():
     windows = counted = 0
     while not on.done:
         phase = int(rng.integers(0, 4))
-        steps = 4 + 2 * (phase != on.signals.phase)
+        steps = 4 + 2 * (phase != on.phase)
         on.set_phase(phase)
         off.set_phase(phase)
         for _ in range(steps):
@@ -749,7 +807,7 @@ def test_vehicles_on_edge_lists_every_edge_as_its_lanes_hold_it():
     sim = make_sim(spawn_schedule(NET, cfg.vehicles, seed=83, horizon=cfg.spawn_horizon))
     sizes = []
     while not sim.done:
-        if sim.clock % 20 == 0 and not sim.signals.in_yellow:
+        if sim.clock % 20 == 0 and not sim.in_yellow:
             sim.set_phase((sim.clock // 20) % 4)
         size = sim._speed.size
         sim.step()
@@ -803,6 +861,94 @@ def test_validate_catches_a_view_of_a_replaced_array():
         sim.validate()
 
 
+def test_validate_catches_a_lane_entry_without_its_handle():
+    sim = make_sim()
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=10.0)
+    sim._handles[v.slot] = None
+    with pytest.raises(InvariantViolation, match="no vehicle handle"):
+        sim.validate()
+    sim._handles[v.slot] = v
+    v.slot = sim._free[-1]
+    with pytest.raises(InvariantViolation, match="no vehicle handle"):
+        sim.validate()
+
+
+def test_validate_catches_a_vehicle_on_another_lane_of_its_edge():
+    sim = make_sim()
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=10.0)
+    sim._lane_of[v.slot] += 1
+    with pytest.raises(InvariantViolation, match="bookkeeping mismatch"):
+        sim.validate()
+
+
+def test_validate_allows_1e9_of_rounding_on_gaps_and_positions_and_no_more():
+    length = NET.edges[STRAIGHT_W[0]].length
+    sim = make_sim()
+    back = place_vehicle(sim, "back", STRAIGHT_W, lane=1, pos=0.0)
+    front = place_vehicle(sim, "front", STRAIGHT_W, lane=1, pos=MIN_GAP)
+    sim.validate()
+    for behind, ahead, fine, what in (
+            (0.0, MIN_GAP - 1e-9, True, "gap"), (10.0, 10.0 + MIN_GAP - 0.5, False, "gap"),
+            (0.0, length + 1e-9, True, "outside"), (0.0, length + 0.5, False, "outside")):
+        sim._pos[back.slot], sim._pos[front.slot] = behind, ahead
+        if fine:
+            sim.validate()
+        else:
+            with pytest.raises(InvariantViolation, match=what):
+                sim.validate()
+
+
+def test_a_vehicle_at_the_red_stop_line_of_lane_id_0_validates():
+    """Lane id 0 may be signalized (edge ids sort it first); its sentinel is
+    then a wall, which a front vehicle may stand right at."""
+    sim = Simulation(build_network(network_to_text(NET).replace("jct_e_in", "a_jct_e_in")))
+    length = sim.net.edges["a_jct_e_in"].length
+    v = place_vehicle(sim, "x", ("a_jct_e_in", "jct_w_out", "app_w_out"), lane=0, pos=length)
+    assert sim._lane_of[v.slot] == 0 and not is_green(sim, "e", 0)
+    sim.validate()
+
+
+def test_validate_catches_slot_arrays_kept_at_four_times_the_active_count():
+    sim = make_sim()
+    for i in range(INITIAL_SLOTS // 2 + 1):
+        if i == INITIAL_SLOTS // 2:  # 32 vehicles in 128 slots
+            sim._relayout(2 * INITIAL_SLOTS)
+            with pytest.raises(InvariantViolation, match="slots kept"):
+                sim.validate()
+        place_vehicle(sim, f"v{i}", STRAIGHT_W, lane=1 + i % 2, pos=300.0 - 3.0 * (i // 2))
+    sim.validate()
+
+
+def test_validate_catches_a_free_list_that_disagrees_with_the_handles():
+    sim = make_sim()
+    v = place_vehicle(sim, "x", STRAIGHT_W, lane=1, pos=10.0)
+    sim._handles[sim._free[-1]] = v
+    with pytest.raises(InvariantViolation, match="free"):
+        sim.validate()
+    sim._handles[sim._free[-1]] = None
+    lost = sim._free.pop()
+    with pytest.raises(InvariantViolation, match="free"):
+        sim.validate()
+    sim._free.append(lost)
+    sim.validate()
+
+
+def test_validate_catches_a_sentinel_that_disagrees_with_the_plan():
+    """Each position buffer's sentinels are checked, against the amber row
+    during an amber and against the phase's row otherwise."""
+    sim = make_sim()
+    sentinel = sim._speed.size + sim._edge_info["jct_n_in"][0] + 1  # green in phase 0
+    for buffer in (sim._pos, sim._spare):
+        buffer[sentinel] = 0.0
+        with pytest.raises(InvariantViolation, match="sentinel"):
+            sim.validate()
+        buffer[sentinel] = np.inf
+        sim.validate()
+    sim.in_yellow = True
+    with pytest.raises(InvariantViolation, match="sentinel"):
+        sim.validate()
+
+
 def test_views_follow_the_slot_arrays_as_admission_grows_them_and_they_shrink():
     """A burst of three times INITIAL_SLOTS spawns fills the slot arrays.
     The spawn that finds no free slot doubles them in the middle of the
@@ -813,7 +959,7 @@ def test_views_follow_the_slot_arrays_as_admission_grows_them_and_they_shrink():
     sim = make_sim(spawn_schedule(NET, count=3 * INITIAL_SLOTS, seed=5, horizon=30))
     sizes = [sim._speed.size]
     while not sim.done:
-        if sim.clock % 20 == 0 and not sim.signals.in_yellow:
+        if sim.clock % 20 == 0 and not sim.in_yellow:
             sim.set_phase((sim.clock // 20) % 4)
         sim.step()
         sim.validate()

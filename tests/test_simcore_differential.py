@@ -6,7 +6,9 @@ holding its own position, speed and waiting time, and `step` is the
 earlier two-pass step.  It copies every lane's positions into a list,
 moves every vehicle through the crossing branch, and rebuilds each lane
 from a survivor list.  It inherits nothing from `Simulation`; it shares
-only the signal controller, the layout inference and the constants.
+only the layout inference, `phase_is_green` and the constants; its signal
+controller is a frozen copy of the one that `Simulation` replaced with its
+own plan, so a fault in `Simulation`'s amber timing shows as a difference.
 
 Hypothesis draws crossroad variants written in `build_network`'s text
 format, demand, phase commands and route swaps.  After every step both
@@ -40,14 +42,17 @@ from flowctl.simcore import (
     LEFT_EXIT,
     MAX_ACCEL,
     MIN_GAP,
+    PHASE_COUNT,
     RIGHT_EXIT,
     SENSOR_BREAKS,
     SENSOR_CELLS,
     SIM_TIME_CAP,
+    YELLOW_DURATION,
     DetectorReading,
-    SignalController,
+    SignalInterlockError,
     Simulation,
     infer_layout,
+    phase_is_green,
     spawn_schedule,
 )
 
@@ -78,13 +83,47 @@ class ReferenceVehicle:
         return self.route[self.route_idx]
 
 
+class ReferenceSignals:
+    """Four-phase controller with a mandatory all-red amber on phase change."""
+
+    def __init__(self, yellow_duration: int = YELLOW_DURATION):
+        if yellow_duration < 1:
+            raise ValueError("yellow_duration must be >= 1")
+        self.yellow_duration = yellow_duration
+        self.phase = 0
+        self.in_yellow = False
+        self.time_in_state = 0
+
+    def set_phase(self, phase: int) -> None:
+        if not 0 <= phase < PHASE_COUNT:
+            raise ValueError(f"phase must be in 0..{PHASE_COUNT - 1}, got {phase}")
+        if self.in_yellow:
+            raise SignalInterlockError("cannot command a phase during amber")
+        if phase != self.phase:
+            self.phase = phase
+            self.in_yellow = True
+            self.time_in_state = 0
+
+    def tick_begin(self) -> None:
+        """Promote amber to green once it has lasted the full interval."""
+        if self.in_yellow and self.time_in_state >= self.yellow_duration:
+            self.in_yellow = False
+            self.time_in_state = 0
+
+    def tick_end(self) -> None:
+        self.time_in_state += 1
+
+    def is_green(self, arm: str, lane: int) -> bool:
+        return not self.in_yellow and phase_is_green(self.phase, arm, lane)
+
+
 class ReferenceSimulation:
     """The object-per-vehicle simulation with the two-pass step."""
 
     def __init__(self, net, schedule):
         self.net = net
         self.center, self.arms = infer_layout(net)
-        self.signals = SignalController()
+        self.signals = ReferenceSignals()
         self.clock = 0
         self._jin_arm = {q.junction_in: a for a, q in self.arms.items()}
         self._jout_arm = {q.junction_out: a for a, q in self.arms.items()}
@@ -141,6 +180,14 @@ class ReferenceSimulation:
 
     def set_phase(self, phase):
         self.signals.set_phase(phase)
+
+    @property
+    def phase(self):
+        return self.signals.phase
+
+    @property
+    def in_yellow(self):
+        return self.signals.in_yellow
 
     def step(self):
         self.signals.tick_begin()
@@ -355,7 +402,7 @@ def counters(sim):
     return (sim.clock, sim.active_count, sim.arrived_count, sim.arrived_wait_sum,
             sim.pending_count, sim.scheduled_total, sim.avg_queue_len,
             sim.cum_delay(), sim.cumulative_wait(), sim.read_sensors().tobytes(),
-            sim.signals.phase, sim.signals.in_yellow)
+            sim.phase, sim.in_yellow)
 
 
 def swap_route(sim: Simulation, weights, vehicle_pick: int, option_pick: int):
@@ -420,7 +467,7 @@ def test_one_pass_step_matches_reference_step(text, count, seed, horizon, comman
     commands = itertools.cycle(commands)
     while not sim.done and sim.clock < MAX_STEPS:
         seconds, phase, swap = next(commands)
-        if not sim.signals.in_yellow:
+        if not sim.in_yellow:
             sim.set_phase(phase)
             ref.set_phase(phase)
         if swap is not None:
@@ -446,7 +493,7 @@ def test_slots_grow_past_initial_capacity_and_are_reused():
     holders: dict[int, set[str]] = {}
     peak = 0
     for t in range(400):
-        if t % 20 == 0 and not sim.signals.in_yellow:
+        if t % 20 == 0 and not sim.in_yellow:
             sim.set_phase((t // 20) % 4)
             ref.set_phase((t // 20) % 4)
         step_both(sim, ref)
@@ -469,7 +516,7 @@ def test_slot_arrays_shrink_as_traffic_drains():
     ref = ReferenceSimulation(net, schedule)
     sizes = [sim._speed.size]
     while not sim.done:
-        if sim.clock % 20 == 0 and not sim.signals.in_yellow:
+        if sim.clock % 20 == 0 and not sim.in_yellow:
             sim.set_phase((sim.clock // 20) % 4)
             ref.set_phase((sim.clock // 20) % 4)
         step_both(sim, ref)
@@ -490,7 +537,7 @@ def test_busy_crossroad_matches_reference():
     ref = ReferenceSimulation(net, schedule)
     peak = 0
     for t in range(300):
-        if t % 34 == 0 and not sim.signals.in_yellow:
+        if t % 34 == 0 and not sim.in_yellow:
             sim.set_phase((t // 34) % 4)
             ref.set_phase((t // 34) % 4)
         step_both(sim, ref)
