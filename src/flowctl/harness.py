@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, rerouter
+from . import BLAS_THREAD_VARS, checked_int, rerouter
 from .neuralnet import PolicyNetwork, save_network
 from .pgagent import Learner, TrainConfig, drive_episode
 from .rerouter import RerouteDecision, RerouteLog
@@ -128,16 +128,14 @@ class RunConfig:
     schedule: str | None = None  # demand schedule file
 
     def __post_init__(self):
-        if self.vehicles < 0:
-            raise ConfigError("vehicles must be >= 0")
-        if self.spawn_horizon < 1:
-            raise ConfigError("spawn_horizon must be >= 1")
-        if self.fixed_green < 1:
-            raise ConfigError("fixed_green must be >= 1")
+        for name, low in (("vehicles", 0), ("spawn_horizon", 1), ("fixed_green", 1),
+                          ("max_alternatives", 1)):
+            try:
+                object.__setattr__(self, name, checked_int(getattr(self, name), name, low))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if not 0 <= self.density_threshold < math.inf:
             raise ConfigError("density_threshold must be finite and >= 0")
-        if self.max_alternatives < 1:
-            raise ConfigError("max_alternatives must be >= 1")
 
 
 def desk_profile() -> RunConfig:

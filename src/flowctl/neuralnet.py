@@ -38,6 +38,8 @@ import struct
 
 import numpy as np
 
+from . import checked_int
+
 INPUT_SIZE = 80
 OUTPUT_SIZE = 4
 
@@ -90,12 +92,12 @@ def _he_layer(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
 
 
 def init_network(hidden_width: int, hidden_count: int, seed: int = 0,
-                 input_size: int = INPUT_SIZE,
                  output_size: int = OUTPUT_SIZE) -> PolicyNetwork:
-    """He-initialized network: input -> hidden_width x hidden_count -> output."""
-    if hidden_width < 1 or hidden_count < 1:
-        raise ValueError("hidden_width and hidden_count must be >= 1")
-    sizes = [input_size] + [hidden_width] * hidden_count + [output_size]
+    """He-initialized network: INPUT_SIZE -> hidden_width x hidden_count ->
+    output_size."""
+    hidden_width = checked_int(hidden_width, "hidden_width", 1)
+    hidden = [hidden_width] * checked_int(hidden_count, "hidden_count", 1)
+    sizes = [INPUT_SIZE] + hidden + [checked_int(output_size, "output_size", 1)]
     rng = np.random.default_rng(seed)
     weights = []
     biases = []

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import checked_int
 from .neuralnet import (
     INPUT_SIZE,
     BatchBuffers,
@@ -77,24 +78,12 @@ class TrainConfig:
     value_hidden_width: int = 64
 
     def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
+        for name in ("episodes", "batch_size", "buffer_capacity", "green_duration",
+                     "yellow_duration", "max_agent_steps", "hidden_width",
+                     "hidden_count", "value_hidden_width"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, 1))
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.green_duration < 1:
-            raise ValueError("green_duration must be >= 1")
-        if self.yellow_duration < 1:
-            raise ValueError("yellow_duration must be >= 1")
-        if self.max_agent_steps < 1:
-            raise ValueError("max_agent_steps must be >= 1")
-        if self.hidden_width < 1 or self.hidden_count < 1:
-            raise ValueError("hidden layers must be at least 1x1")
-        if self.value_hidden_width < 1:
-            raise ValueError("value_hidden_width must be >= 1")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and positive")
 
@@ -233,6 +222,8 @@ def drive_episode(sim: Simulation, choose_action, *, green_duration: int,
 
     Returns (transitions, cum_negative_reward).
     """
+    green_duration = checked_int(green_duration, "green_duration", 1)
+    max_decisions = checked_int(max_decisions, "max_decisions", 1)
     transitions: list[tuple[np.ndarray | None, int, float]] = []
     cum_negative = 0.0
     prev_wait = sim.cumulative_wait()

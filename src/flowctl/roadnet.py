@@ -23,6 +23,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from . import checked_int
+
 DEFAULT_SPEED_LIMIT = 13.89  # m/s (50 km/h)
 
 APPROACH_LENGTH = 1000.0
@@ -75,8 +77,8 @@ class Edge:
         if not 0 < self.length < math.inf:
             raise ValueError(f"edge {self.id!r}: length must be finite and positive, "
                              f"got {self.length}")
-        if not 1 <= self.lane_count <= 4:
-            raise ValueError(f"edge {self.id!r}: lane_count must be in 1..4, got {self.lane_count}")
+        object.__setattr__(self, "lane_count", checked_int(
+            self.lane_count, f"edge {self.id!r}: lane_count", 1, 5))
         if not 0 < self.speed_limit < math.inf:
             raise ValueError(f"edge {self.id!r}: speed_limit must be finite and "
                              f"positive, got {self.speed_limit}")
@@ -251,8 +253,7 @@ def enumerate_routes(net: RoadNetwork, origin: str, destination: str,
     RuntimeError rather than return fewer routes than exist.
     """
     _check_endpoints(net, origin, destination)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = checked_int(k, "k", 1)
     edges = net.edges
     found: list[tuple[float, tuple[str, ...]]] = []
     # (cost, edge ids, end node, nodes visited): no two entries share a path,

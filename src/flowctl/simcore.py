@@ -119,6 +119,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import checked_int
 from .roadnet import RoadNetwork, free_flow_weights, shortest_route
 
 # Motion constants (meters, seconds).
@@ -180,15 +181,6 @@ def phase_is_green(phase: int, arm: str, lane: int) -> bool:
     if phase == 2:
         return arm in ("e", "w") and lane != 0
     return arm in ("e", "w") and lane == 0
-
-
-def _checked_int(value, name: str, low: int, high: float = math.inf) -> int:
-    """`value` as a Python int in [low, high); a bool, or a number not of an
-    integer type (a float, even a whole one), raises ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or not low <= value < high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
-    return int(value)
 
 
 class Vehicle:
@@ -357,10 +349,8 @@ def spawn_schedule(net: RoadNetwork, count: int, seed: int,
     until the specs are built.  Each trip drawn is routed once, and every
     spec of a trip holds that route; types are VEHICLE_MIX's name strings.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    count = checked_int(count, "count", 0)
+    horizon = checked_int(horizon, "horizon", 1)
     if count == 0:
         return ()
     rng = np.random.default_rng(seed)
@@ -421,7 +411,7 @@ class Simulation:
         self.net = net
         self.sample_detectors = sample_detectors
         _, self.arms = infer_layout(net)
-        self.yellow_duration = _checked_int(yellow_duration, "yellow_duration", 1)
+        self.yellow_duration = checked_int(yellow_duration, "yellow_duration", 1)
         self.phase = 0
         self.in_yellow = False
         self._amber_steps = 0  # steps the current amber has run
@@ -606,7 +596,7 @@ class Simulation:
     def set_phase(self, phase: int) -> None:
         """Command `phase`; a new one starts with an amber (see the module
         notes).  Raises SignalInterlockError while an amber runs."""
-        phase = _checked_int(phase, "phase", 0, PHASE_COUNT)
+        phase = checked_int(phase, "phase", 0, PHASE_COUNT)
         if self.in_yellow:
             raise SignalInterlockError("cannot command a phase during amber")
         if phase != self.phase:

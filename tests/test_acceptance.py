@@ -36,7 +36,7 @@ from flowctl.harness import (
     run_sweep,
     summarize,
 )
-from flowctl.neuralnet import accumulate_logp_gradients, forward, init_network
+from flowctl.neuralnet import accumulate_logp_gradients, forward
 from flowctl.pgagent import drive_episode
 from flowctl.roadnet import (
     ARM_LANES,
@@ -49,6 +49,7 @@ from flowctl.roadnet import (
 from flowctl.rerouter import apply_rerouting
 from flowctl.simcore import MIN_GAP, Simulation, spawn_schedule
 
+from nets import he_network
 from simstate import is_green, iter_vehicles, place_vehicle
 
 NET = build_default_network()
@@ -109,11 +110,10 @@ def test_acceptance_1_gradients_match_finite_differences():
     cases = 0
     worst = 0.0
     for _ in range(10):
-        net = init_network(hidden_width=int(rng.integers(3, 7)),
-                           hidden_count=int(rng.integers(1, 4)),
-                           seed=int(rng.integers(1 << 31)),
-                           input_size=int(rng.integers(3, 7)),
-                           output_size=int(rng.integers(2, 5)))
+        width, count = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        seed = int(rng.integers(1 << 31))
+        sizes = (int(rng.integers(3, 7)),) + (width,) * count + (int(rng.integers(2, 5)),)
+        net = he_network(sizes, seed)
         done = 0
         while done < 10:
             state = rng.normal(size=net.layer_sizes[0])

@@ -121,6 +121,18 @@ def test_run_config_validation():
     for threshold in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="density_threshold"):
             dataclasses.replace(desk_profile(), density_threshold=threshold)
+    # Every integer field refuses a float, even a whole one, and a bool, by
+    # name; a numpy integer constructs and is kept as a Python int.
+    int_fields = ("vehicles", "spawn_horizon", "fixed_green", "max_alternatives")
+    assert set(int_fields) == {f.name for f in dataclasses.fields(RunConfig)
+                               if f.type == "int"}
+    for field in int_fields:
+        for illegal in (2.5, 3.0, True):
+            with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+                dataclasses.replace(desk_profile(), **{field: illegal})
+    cfg = dataclasses.replace(desk_profile(), **{field: np.int64(2) for field in int_fields})
+    assert all(type(getattr(cfg, field)) is int and getattr(cfg, field) == 2
+               for field in int_fields)
 
 
 # ------------------------------------------------------------- config file

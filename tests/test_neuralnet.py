@@ -25,6 +25,7 @@ from flowctl.neuralnet import (
 )
 
 from fileformats import NetworkFormatError, load_network
+from nets import he_network
 
 
 def small_net(seed: int, sizes=(6, 5, 4, 3)) -> PolicyNetwork:
@@ -118,6 +119,19 @@ def test_init_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         init_network(16, 0)
     assert init_network(1, 1).layer_sizes == (80, 1, 4)
+
+
+@pytest.mark.parametrize("built, sizes, seed", [
+    (lambda: init_network(16, 2, seed=5), (80, 16, 16, 4), 5),
+    (lambda: init_network(3, 1, seed=9, output_size=2), (80, 3, 2), 9),
+    (lambda: init_value_network(64, seed=3), (80, 64, 1), 3),
+], ids=["policy", "output_size", "value"])
+def test_he_network_builds_what_init_network_builds(built, sizes, seed):
+    """The tests' `he_network` stands in for the input sizes init_network
+    no longer takes, so on 80 inputs it must give init_network's bits."""
+    ours, theirs = he_network(sizes, seed), built()
+    for a, b in zip(ours.weights + ours.biases, theirs.weights + theirs.biases, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_he_scale_is_plausible():
@@ -474,7 +488,7 @@ def test_init_optimizer_gives_every_moment_its_own_memory():
 
 def test_bandit_convergence():
     """Reinforcing action 0 on a fixed input must drive its probability up."""
-    net = init_network(16, 1, seed=8, input_size=5, output_size=2)
+    net = he_network((5, 16, 2), seed=8)
     opt = init_optimizer(net, learning_rate=0.01)
     x = np.array([1.0, 0.5, -0.3, 0.2, 0.9])
     rng = np.random.default_rng(123)
@@ -561,7 +575,7 @@ def test_value_fit_step_descends_the_mse_gradient():
     """From a fresh optimizer, one step leaves m = (1 - beta1) * g, where g
     is the ascent direction the fit passed, so -m / (1 - beta1) must be the
     gradient of the mean squared error, by central finite differences."""
-    vnet = init_network(4, 1, seed=11, input_size=3, output_size=1)
+    vnet = he_network((3, 4, 1), seed=11)
     rng = np.random.default_rng(12)
     states, targets = rng.normal(size=(5, 3)), rng.normal(size=5)
 

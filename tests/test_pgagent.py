@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -159,6 +160,20 @@ def test_train_config_validation():
     for illegal in (math.nan, math.inf):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=illegal)
+    # Every integer field refuses a float, even a whole one, and a bool, by
+    # name; a numpy integer constructs and is kept as a Python int.
+    int_fields = ("episodes", "batch_size", "buffer_capacity", "green_duration",
+                  "yellow_duration", "max_agent_steps", "hidden_width",
+                  "hidden_count", "value_hidden_width")
+    assert set(int_fields) == {f.name for f in dataclasses.fields(TrainConfig)
+                               if f.type == "int"}
+    for field in int_fields:
+        for illegal in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                TrainConfig(**{field: illegal})
+    cfg = TrainConfig(**{field: np.int64(2) for field in int_fields})
+    assert all(type(getattr(cfg, field)) is int and getattr(cfg, field) == 2
+               for field in int_fields)
 
 
 # ------------------------------------------------------------------ driver

@@ -166,6 +166,13 @@ def test_edge_validation():
         Edge("x", "a", "b", 5.0, lane_count=9)
     with pytest.raises(ValueError):
         Edge("x", "a", "a", 5.0)
+    # Length and speed limit must be positive: zero is refused, and the
+    # least positive double is not.
+    base = {"id": "x", "from_node": "a", "to_node": "b", "length": 5.0}
+    for field in ("length", "speed_limit"):
+        with pytest.raises(ValueError, match=field):
+            Edge(**{**base, field: 0.0})
+        Edge(**{**base, field: 5e-324})
 
 
 def test_build_network_minimal():
@@ -356,6 +363,24 @@ def test_enumerate_raises_at_search_cap(monkeypatch, cap):
     assert len(enumerate_routes(net, "w", "e", w, k=4)) == 4
     monkeypatch.setattr(roadnet, "_MAX_SEARCH_POPS", cap)
     with pytest.raises(RuntimeError, match=f"cap of {cap} expanded paths"):
+        enumerate_routes(net, "w", "e", w, k=4)
+
+
+def test_enumerate_search_cap_counts_every_expansion(monkeypatch):
+    """A search that needs exactly the cap's number of expansions returns;
+    with one fewer allowed, it raises."""
+    net = build_default_network()
+    w = free_flow_weights(net)
+    pops = []
+    real_heappop = roadnet.heapq.heappop
+    monkeypatch.setattr(roadnet.heapq, "heappop",
+                        lambda heap: pops.append(1) or real_heappop(heap))
+    routes = enumerate_routes(net, "w", "e", w, k=4)
+    monkeypatch.undo()
+    monkeypatch.setattr(roadnet, "_MAX_SEARCH_POPS", len(pops))
+    assert enumerate_routes(net, "w", "e", w, k=4) == routes
+    monkeypatch.setattr(roadnet, "_MAX_SEARCH_POPS", len(pops) - 1)
+    with pytest.raises(RuntimeError, match="expanded paths"):
         enumerate_routes(net, "w", "e", w, k=4)
 
 
